@@ -42,58 +42,29 @@ from .exprjet import (
 
 @dataclass(frozen=True)
 class BoundSpec:
-    """One member of the bound family.
-
-    direction is "upper" (upper bound of ln(1+x) on the region) or
-    "upper/lower" for CB, which is an upper bound on [0, oo) and a
-    lower bound on (-1, 0].
-    """
+    """One member of the bound family: an upper bound of ln(1+x) on
+    its region (CB is also a lower bound on (-1, 0])."""
 
     id: str
     formula: Expr
     region_lo: float
     region_lo_open: bool
-    direction: str
-    label: str
 
     def in_region(self, x: mpf) -> bool:
         return x > self.region_lo if self.region_lo_open else x >= self.region_lo
 
 
+# Registry order is report order: atlas columns, compare rows and the
+# selftest chain all follow it.
 BOUNDS = {
-    "SQRT": BoundSpec(
-        "SQRT", parse("x/sqrt(x+1)"), 0.0, False, "upper", "square-root upper bound"
-    ),
-    "PADE": BoundSpec(
-        "PADE", parse("x*(2+x)/(2*(1+x))"), 0.0, False, "upper", "rational [2/1] upper bound"
-    ),
-    "KARAMATA": BoundSpec(
-        "KARAMATA",
-        parse("x*(6+x)/(2*(3+2*x))"),
-        0.0,
-        False,
-        "upper",
-        "Karamata-pair rational upper bound",
-    ),
-    "CUBIC": BoundSpec(
-        "CUBIC",
-        parse("(x+2)*((x+1)^3-1)/(3*(1+x)*((x+1)^2+1))"),
-        0.0,
-        False,
-        "upper",
-        "cubic rational upper bound",
-    ),
-    "CB": BoundSpec(
-        "CB",
-        parse("f(x)/sqrt(x+1)"),
-        -1.0,
-        True,
-        "upper/lower",
-        "arctangent corridor bound",
-    ),
+    "SQRT": BoundSpec("SQRT", parse("x/sqrt(x+1)"), 0.0, False),
+    "PADE": BoundSpec("PADE", parse("x*(2+x)/(2*(1+x))"), 0.0, False),
+    "KARAMATA": BoundSpec("KARAMATA", parse("x*(6+x)/(2*(3+2*x))"), 0.0, False),
+    "CUBIC": BoundSpec("CUBIC", parse("(x+2)*((x+1)^3-1)/(3*(1+x)*((x+1)^2+1))"), 0.0, False),
+    "CB": BoundSpec("CB", parse("f(x)/sqrt(x+1)"), -1.0, True),
 }
 
-ATLAS_COLUMNS = ("x", "ln1p", "sqrt", "pade", "karamata", "cubic", "cb")
+ATLAS_COLUMNS = ("x", "ln1p") + tuple(bid.lower() for bid in BOUNDS)
 
 
 @dataclass(frozen=True)
@@ -104,13 +75,18 @@ class GapValue:
     value: mpf
 
 
+def _f(x: mpf) -> mpf:
+    # the one closed form of f, unrounded at the caller's working precision
+    return mp.pi + (4 + mp.pi) * x / 2 - 2 * (x + 2) * mpmath.atan(mpmath.sqrt(x + 1))
+
+
 def f_cb(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """f(x) = pi + (1/2)*(4+pi)*x - 2*(x+2)*atan(sqrt(x+1)) for x >= -1."""
     with mp.workdps(p.digits + GUARD_DIGITS):
         xv = mpmath.mpmathify(x)
         if xv < -1:
             raise DomainError(f"f is defined on x >= -1, got {mpmath.nstr(xv, 8)}")
-        val = mp.pi + (4 + mp.pi) * xv / 2 - 2 * (xv + 2) * mpmath.atan(mpmath.sqrt(xv + 1))
+        val = _f(xv)
     with mp.workdps(p.digits):
         return +val
 
@@ -149,11 +125,7 @@ def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> GapValue:
         tv = mpmath.mpmathify(t)
         if tv <= 0:
             raise DomainError(f"R is defined for t > 0, got {mpmath.nstr(tv, 8)}")
-        val = 2 * tv * mpmath.ln(tv) - (
-            mp.pi
-            + (4 + mp.pi) * (tv * tv - 1) / 2
-            - 2 * (tv * tv + 1) * mpmath.atan(mpmath.sqrt(tv * tv))
-        )
+        val = 2 * tv * mpmath.ln(tv) - _f(tv * tv - 1)
     with mp.workdps(p.digits):
         return GapValue(t=+tv, value=+val)
 
@@ -202,8 +174,9 @@ def H_value(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """H(t) = f(t^2 - 1), defined for all real t."""
     with mp.workdps(p.digits + GUARD_DIGITS):
         tv = mpmath.mpmathify(t)
-        u = tv * tv - 1
-    return f_cb(u, p)
+        val = _f(tv * tv - 1)
+    with mp.workdps(p.digits):
+        return +val
 
 
 def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -263,12 +236,7 @@ def refined_local(t: Num, eps: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
             raise DomainError("refined_local requires t > 0")
         if ev < 0:
             raise ValueError("eps must be >= 0")
-        val = (
-            mp.pi
-            + (4 + mp.pi) * (tv * tv - 1) / 2
-            - 2 * (tv * tv + 1) * mpmath.atan(mpmath.sqrt(tv * tv))
-            - ev * (tv - 1) ** 5
-        )
+        val = _f(tv * tv - 1) - ev * (tv - 1) ** 5
     with mp.workdps(p.digits):
         return +val
 
@@ -279,7 +247,7 @@ def atlas_rows(xs, p: Precision = DEFAULT_PRECISION):
     rows = []
     for x in xs:
         row = [mpmath.mpmathify(x), ln1p(x, p)]
-        for bid in ("SQRT", "PADE", "KARAMATA", "CUBIC", "CB"):
+        for bid in BOUNDS:
             row.append(bound_value(bid, x, p))
         rows.append(row)
     return rows

@@ -39,7 +39,7 @@ from typing import Optional, Sequence
 import mpmath
 from mpmath import mp, mpf
 
-from .bounds import H_deriv, atan_deriv, f_cb
+from .bounds import H_deriv, H_value, atan_deriv
 from .errors import DomainError, PrecisionError
 from .exprjet import (
     DEFAULT_PRECISION,
@@ -53,8 +53,6 @@ from .exprjet import (
 )
 
 CASES = ("I", "II", "III", "IV")
-# Search order: cheapest distinguishing conditions first, first pass wins.
-CASE_SEARCH_ORDER = ("IV", "I", "II", "III")
 
 DEFAULT_MAX_N = 12
 DEFAULT_JET_ORDER = 7
@@ -385,7 +383,7 @@ def _gap_values(e: Expr, t: mpf, drr: bool, digits: int):
         g = pt - 2 * t * mpmath.ln(t)
         q = None
         if drr:
-            q = pt - f_cb(t * t - 1, Precision(digits))
+            q = pt - H_value(t, Precision(digits))
         return g, q
 
 

@@ -89,7 +89,7 @@ def _cmd_table(args) -> int:
             [dict(zip(bounds.ATLAS_COLUMNS, row)) for row in str_rows], indent=2
         )
     else:
-        widths = [max(len(r[i]) for r in str_rows + [list(bounds.ATLAS_COLUMNS)]) for i in range(7)]
+        widths = [max(map(len, col)) for col in zip(bounds.ATLAS_COLUMNS, *str_rows)]
         lines = ["  ".join(c.ljust(w) for c, w in zip(bounds.ATLAS_COLUMNS, widths))]
         lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in str_rows]
         text = "\n".join(lines)
@@ -102,7 +102,7 @@ def _cmd_compare(args) -> int:
     with mp.workdps(args.digits):
         slack = mpf(args.slack)
     xs = bounds.log_grid(str(args.xmin), str(args.xmax), args.points, p)
-    order = ("SQRT", "PADE", "KARAMATA", "CUBIC")
+    order = tuple(bid for bid in bounds.BOUNDS if bid != "CB")
     stats = {bid: {"max_gap_ln": mpf(0), "min_gap_cb": mpf("inf"), "violations": 0}
              for bid in ("CB",) + order}
     violations = 0

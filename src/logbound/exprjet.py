@@ -10,13 +10,17 @@ time into the arctangent-corridor function
     f(u) = pi + (1/2)*(4+pi)*u - 2*(u+2)*atan(sqrt(u+1))
 
 and its square-substituted form H(u) = f(u^2 - 1).
+
+Everything known about an operation -- its printed form, its value
+rule and its Taylor-series rule -- sits in one row of the op table
+``_OPS``; the parser's function names come from the same rows.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath
 from mpmath import mp, mpf
@@ -135,26 +139,6 @@ class Sin(Expr):
     arg: Expr
 
 
-def const(v: Num) -> Const:
-    """Build a Const from an int or decimal string."""
-    if isinstance(v, int):
-        return Const(str(v))
-    return Const(str(v))
-
-
-def variables(e: Expr) -> set:
-    """Distinct variable names appearing in e."""
-    if isinstance(e, Var):
-        return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Neg, Ln, Sqrt, Atan, Sin)):
-        return variables(e.arg)
-    if isinstance(e, PowInt):
-        return variables(e.base)
-    return variables(e.left) | variables(e.right)
-
-
 def f_of(u: Expr) -> Expr:
     """AST of f(u) = pi + (1/2)*(4+pi)*u - 2*(u+2)*atan(sqrt(u+1))."""
     pi = Const("pi")
@@ -170,12 +154,246 @@ def h_of(u: Expr) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# Truncated power series: coefficient lists c_0..c_n at a center
+# ---------------------------------------------------------------------------
+
+
+def _s_scal(v: mpf, n: int) -> list:
+    s = [mpf(0)] * (n + 1)
+    s[0] = v
+    return s
+
+
+def _s_var(center: mpf, n: int) -> list:
+    s = _s_scal(+center, n)
+    if n >= 1:
+        s[1] = mpf(1)
+    return s
+
+
+def _s_mul(a: list, b: list) -> list:
+    n = len(a) - 1
+    out = []
+    for k in range(n + 1):
+        out.append(mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)))
+    return out
+
+
+def _s_div(w: list, v: list, what: Callable[[], str]) -> list:
+    # what() names the divisor; it is formatted only when raising
+    n = len(w) - 1
+    if v[0] == 0:
+        raise DomainError(f"division by zero at expansion center ({what()})")
+    out = [w[0] / v[0]]
+    for k in range(1, n + 1):
+        acc = w[k] - mpmath.fsum(out[j] * v[k - j] for j in range(k))
+        out.append(acc / v[0])
+    return out
+
+
+def _s_powint(u: list, k: int) -> list:
+    n = len(u) - 1
+    if k == 0:
+        return _s_scal(mpf(1), n)
+    neg = k < 0
+    k = abs(k)
+    acc = None
+    base = u
+    while k:
+        if k & 1:
+            acc = base if acc is None else _s_mul(acc, base)
+        k >>= 1
+        if k:
+            base = _s_mul(base, base)
+    if neg:
+        acc = _s_div(_s_scal(mpf(1), n), acc, lambda: "negative power")
+    return acc
+
+
+def _s_ln(u: list) -> list:
+    # w = ln(u):  u*w' = u'  =>  k*w_k*u_0 = k*u_k - sum_{j<k} j*w_j*u_{k-j}
+    n = len(u) - 1
+    if u[0] <= 0:
+        raise DomainError("ln of non-positive value at expansion center")
+    out = [mpmath.ln(u[0])]
+    for k in range(1, n + 1):
+        acc = k * u[k] - mpmath.fsum(j * out[j] * u[k - j] for j in range(1, k))
+        out.append(acc / (k * u[0]))
+    return out
+
+
+def _s_sqrt(u: list) -> list:
+    # w^2 = u  =>  w_k = (u_k - sum_{0<j<k} w_j*w_{k-j}) / (2*w_0)
+    n = len(u) - 1
+    if u[0] < 0:
+        raise DomainError("sqrt of negative value at expansion center")
+    if u[0] == 0:
+        if n == 0:
+            return [mpf(0)]
+        raise NonDifferentiableError("sqrt is not differentiable where its argument vanishes")
+    out = [mpmath.sqrt(u[0])]
+    for k in range(1, n + 1):
+        acc = u[k] - mpmath.fsum(out[j] * out[k - j] for j in range(1, k))
+        out.append(acc / (2 * out[0]))
+    return out
+
+
+def _s_atan(u: list) -> list:
+    # w = atan(u):  w'*(1+u^2) = u', solved coefficient by coefficient.
+    n = len(u) - 1
+    d = _s_mul(u, u)
+    d[0] += 1
+    out = [mpmath.atan(u[0])]
+    for k in range(1, n + 1):
+        acc = k * u[k] - mpmath.fsum(j * out[j] * d[k - j] for j in range(1, k))
+        out.append(acc / (k * d[0]))
+    return out
+
+
+def _s_sin(u: list) -> list:
+    # Joint recurrence for s = sin(u), c = cos(u):  s' = u'*c,  c' = -u'*s.
+    n = len(u) - 1
+    s = [mpmath.sin(u[0])]
+    c = [mpmath.cos(u[0])]
+    for k in range(1, n + 1):
+        s.append(mpmath.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
+        c.append(-mpmath.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
+    return s
+
+
+# ---------------------------------------------------------------------------
+# The op table: print form, point rule and series rule of each node
+# ---------------------------------------------------------------------------
+
+
+_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
+
+
+def _const_value(e: Const, x: Optional[mpf] = None) -> mpf:
+    # also the point rule of Const, so a Const node costs a single call
+    return +mp.pi if e.value == "pi" else mpf(e.value)
+
+
+def _div(e: Div, a: mpf, b: mpf) -> mpf:
+    if b == 0:
+        raise DomainError(f"division by zero in {to_text(e)}")
+    return a / b
+
+
+def _pow(e: PowInt, b: mpf) -> mpf:
+    if e.exponent < 0 and b == 0:
+        raise DomainError(f"zero base with negative exponent in {to_text(e)}")
+    return b ** e.exponent
+
+
+def _ln(a: mpf) -> mpf:
+    if a <= 0:
+        raise DomainError(f"ln of non-positive value {mpmath.nstr(a, 8)}")
+    return mpmath.ln(a)
+
+
+def _sqrt(a: mpf) -> mpf:
+    if a < 0:
+        raise DomainError(f"sqrt of negative value {mpmath.nstr(a, 8)}")
+    return mpmath.sqrt(a)
+
+
+class _Op(NamedTuple):
+    """One row of the op table.
+
+    kind fixes where a node keeps its children and how it prints:
+    "leaf" (form names the printed field), "prefix" and "call" (child
+    arg), "infix" (left and right) and "postfix" (base, printed as
+    base^exponent).  Leaf rules get the node and the walk's context (x,
+    or (center, n)); prefix and call rules get the child's result;
+    infix and postfix rules get the node, then the children's results.
+    """
+
+    kind: str
+    form: str
+    prec: int
+    point: Callable
+    series: Callable
+
+
+_OPS: dict = {
+    Const: _Op("leaf", "value", _PREC_ATOM,
+               _const_value, lambda e, c: _s_scal(_const_value(e), c[1])),
+    Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x, lambda e, c: _s_var(*c)),
+    Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a]),
+    Add: _Op("infix", " + ", _PREC_ADD,
+             lambda e, a, b: a + b, lambda e, a, b: [x + y for x, y in zip(a, b)]),
+    Sub: _Op("infix", " - ", _PREC_ADD,
+             lambda e, a, b: a - b, lambda e, a, b: [x - y for x, y in zip(a, b)]),
+    Mul: _Op("infix", "*", _PREC_MUL, lambda e, a, b: a * b, lambda e, a, b: _s_mul(a, b)),
+    Div: _Op("infix", "/", _PREC_MUL, _div,
+             lambda e, a, b: _s_div(a, b, lambda: to_text(e.right))),
+    PowInt: _Op("postfix", "^", _PREC_POW, _pow, lambda e, a: _s_powint(a, e.exponent)),
+    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln),
+    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt),
+    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan),
+    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin),
+}
+
+
+def _step(kind: str, rule: Callable, walk: Callable) -> Callable:
+    """A row rule turned into a node step (node, ctx) of the walk."""
+    if kind == "leaf":
+        return rule
+    if kind == "infix":
+        return lambda e, c: rule(e, walk(e.left, c), walk(e.right, c))
+    if kind == "postfix":
+        return lambda e, c: rule(e, walk(e.base, c))
+    return lambda e, c: rule(walk(e.arg, c))
+
+
+def _eval(e: Expr, x: mpf) -> mpf:
+    return _POINT[e.__class__](e, x)
+
+
+def _series(e: Expr, ctx: tuple) -> list:
+    """Taylor coefficients 0..n of e; ctx is (center, n)."""
+    return _SERIES[e.__class__](e, ctx)
+
+
+_POINT = {cls: _step(op.kind, op.point, _eval) for cls, op in _OPS.items()}
+_SERIES = {cls: _step(op.kind, op.series, _series) for cls, op in _OPS.items()}
+
+
+def _wrap(e: Expr, min_prec: int) -> str:
+    s = to_text(e)
+    return f"({s})" if _OPS[e.__class__].prec < min_prec else s
+
+
+def to_text(e: Expr) -> str:
+    """Render e so that parse(to_text(e)) is structurally equal to e."""
+    kind, form, prec = _OPS[e.__class__][:3]
+    if kind == "leaf":
+        return getattr(e, form)
+    if kind == "infix":
+        return f"{_wrap(e.left, prec)}{form}{_wrap(e.right, prec + 1)}"
+    if kind == "postfix":
+        return f"{_wrap(e.base, prec + 1)}{form}{e.exponent}"
+    if kind == "prefix":
+        # a nested Neg is parenthesised for readability; the grammar
+        # would accept the bare form as well
+        return form + _wrap(e.arg, prec + 1)
+    return f"{form}({to_text(e.arg)})"
+
+
+# ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
 
-_FUNCS: dict = {"ln": Ln, "sqrt": Sqrt, "atan": Atan, "sin": Sin}
+
+_FUNCS: dict = {op.form: cls for cls, op in _OPS.items() if op.kind == "call"}
 _ALIASES: dict = {"f": f_of, "H": h_of}
 _VAR_NAMES = ("t", "x")
+
+# Deepest expression tree (and parser nesting) accepted.  Evaluation,
+# expansion and printing recurse once or twice per level, so this keeps
+# them well inside Python's default recursion limit.
+MAX_DEPTH = 100
 
 
 class _Tokenizer:
@@ -237,6 +455,7 @@ class _Parser:
     def __init__(self, text: str):
         self.toks = _Tokenizer(text)
         self.var_seen: Optional[str] = None
+        self.nesting = 0
 
     def parse(self) -> Expr:
         e = self.expr()
@@ -272,15 +491,21 @@ class _Parser:
                 return e
 
     def factor(self) -> Expr:
-        kind, _, _ = self.toks.peek()
+        # every recursive descent passes through here, so this bounds
+        # the parser's own stack
+        kind, _, pos = self.toks.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
         if kind == "-":
             self.toks.next()
-            return Neg(self.factor())
-        e = self.base()
-        kind, _, _ = self.toks.peek()
-        if kind == "^":
-            self.toks.next()
-            e = PowInt(e, self.integer())
+            e = Neg(self.factor())
+        else:
+            e = self.base()
+            if self.toks.peek()[0] == "^":
+                self.toks.next()
+                e = PowInt(e, self.integer())
+        self.nesting -= 1
         return e
 
     def integer(self) -> int:
@@ -330,113 +555,30 @@ class _Parser:
         raise ParseError(f"unexpected token {lit!r}" if lit else "unexpected end of input", pos)
 
 
+def _depth(e: Expr) -> int:
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [c for node in level for c in vars(node).values() if isinstance(c, Expr)]
+    return depth
+
+
 def parse(text: str) -> Expr:
     """Parse expression text into an AST.
 
     The aliases f(.) and H(.) are expanded during parsing, so the
-    resulting tree contains only core nodes.
+    resulting tree contains only core nodes.  Trees deeper than
+    MAX_DEPTH levels raise ParseError.
     """
-    return _Parser(text).parse()
-
-
-# ---------------------------------------------------------------------------
-# Pretty printing (round-trips through parse)
-# ---------------------------------------------------------------------------
-
-_PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_POW, _PREC_ATOM = 1, 2, 3, 4, 5
-
-
-def _prec(e: Expr) -> int:
-    if isinstance(e, (Add, Sub)):
-        return _PREC_ADD
-    if isinstance(e, (Mul, Div)):
-        return _PREC_MUL
-    if isinstance(e, Neg):
-        return _PREC_NEG
-    if isinstance(e, PowInt):
-        return _PREC_POW
-    return _PREC_ATOM
-
-
-def to_text(e: Expr) -> str:
-    """Render e so that parse(to_text(e)) is structurally equal to e."""
-
-    def wrap(child: Expr, min_prec: int) -> str:
-        s = to_text(child)
-        return f"({s})" if _prec(child) < min_prec else s
-
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
-        return e.name
-    if isinstance(e, Neg):
-        # parenthesize nested Neg for readability; the grammar would
-        # accept the bare form as well
-        return "-" + wrap(e.arg, _PREC_NEG + (1 if isinstance(e.arg, Neg) else 0))
-    if isinstance(e, Add):
-        return f"{wrap(e.left, _PREC_ADD)} + {wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Sub):
-        return f"{wrap(e.left, _PREC_ADD)} - {wrap(e.right, _PREC_ADD + 1)}"
-    if isinstance(e, Mul):
-        return f"{wrap(e.left, _PREC_MUL)}*{wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, Div):
-        return f"{wrap(e.left, _PREC_MUL)}/{wrap(e.right, _PREC_MUL + 1)}"
-    if isinstance(e, PowInt):
-        return f"{wrap(e.base, _PREC_ATOM)}^{e.exponent}"
-    for cls, name in ((Ln, "ln"), (Sqrt, "sqrt"), (Atan, "atan"), (Sin, "sin")):
-        if isinstance(e, cls):
-            return f"{name}({to_text(e.arg)})"
-    raise TypeError(f"not an Expr: {e!r}")
+    e = _Parser(text).parse()
+    if _depth(e) > MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", 0)
+    return e
 
 
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
-
-
-def _const_value(lit: str) -> mpf:
-    return +mp.pi if lit == "pi" else mpf(lit)
-
-
-def _eval(e: Expr, x: mpf) -> mpf:
-    if isinstance(e, Const):
-        return _const_value(e.value)
-    if isinstance(e, Var):
-        return x
-    if isinstance(e, Neg):
-        return -_eval(e.arg, x)
-    if isinstance(e, Add):
-        return _eval(e.left, x) + _eval(e.right, x)
-    if isinstance(e, Sub):
-        return _eval(e.left, x) - _eval(e.right, x)
-    if isinstance(e, Mul):
-        return _eval(e.left, x) * _eval(e.right, x)
-    if isinstance(e, Div):
-        num = _eval(e.left, x)
-        den = _eval(e.right, x)
-        if den == 0:
-            raise DomainError(f"division by zero in {to_text(e)}")
-        return num / den
-    if isinstance(e, PowInt):
-        b = _eval(e.base, x)
-        if e.exponent < 0 and b == 0:
-            raise DomainError(f"zero base with negative exponent in {to_text(e)}")
-        return b ** e.exponent
-    if isinstance(e, Ln):
-        a = _eval(e.arg, x)
-        if a <= 0:
-            raise DomainError(f"ln of non-positive value {mpmath.nstr(a, 8)}")
-        return mpmath.ln(a)
-    if isinstance(e, Sqrt):
-        a = _eval(e.arg, x)
-        if a < 0:
-            raise DomainError(f"sqrt of negative value {mpmath.nstr(a, 8)}")
-        return mpmath.sqrt(a)
-    if isinstance(e, Atan):
-        return mpmath.atan(_eval(e.arg, x))
-    if isinstance(e, Sin):
-        return mpmath.sin(_eval(e.arg, x))
-    raise TypeError(f"not an Expr: {e!r}")
 
 
 def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -478,134 +620,6 @@ class Jet:
         return [self.derivative(k) for k in range(self.order + 1)]
 
 
-def _s_scal(v: mpf, n: int) -> list:
-    s = [mpf(0)] * (n + 1)
-    s[0] = v
-    return s
-
-
-def _s_mul(a: list, b: list) -> list:
-    n = len(a) - 1
-    out = []
-    for k in range(n + 1):
-        out.append(mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)))
-    return out
-
-
-def _s_div(w: list, v: list, what: str = "expression") -> list:
-    n = len(w) - 1
-    if v[0] == 0:
-        raise DomainError(f"division by zero at expansion center ({what})")
-    out = [w[0] / v[0]]
-    for k in range(1, n + 1):
-        acc = w[k] - mpmath.fsum(out[j] * v[k - j] for j in range(k))
-        out.append(acc / v[0])
-    return out
-
-
-def _s_powint(u: list, k: int) -> list:
-    n = len(u) - 1
-    if k == 0:
-        return _s_scal(mpf(1), n)
-    neg = k < 0
-    k = abs(k)
-    acc = None
-    base = u
-    while k:
-        if k & 1:
-            acc = base if acc is None else _s_mul(acc, base)
-        k >>= 1
-        if k:
-            base = _s_mul(base, base)
-    if neg:
-        acc = _s_div(_s_scal(mpf(1), n), acc, "negative power")
-    return acc
-
-
-def _s_ln(u: list) -> list:
-    # w = ln(u):  u*w' = u'  =>  k*w_k*u_0 = k*u_k - sum_{j<k} j*w_j*u_{k-j}
-    n = len(u) - 1
-    if u[0] <= 0:
-        raise DomainError("ln of non-positive value at expansion center")
-    out = [mpmath.ln(u[0])]
-    for k in range(1, n + 1):
-        acc = k * u[k] - mpmath.fsum(j * out[j] * u[k - j] for j in range(1, k))
-        out.append(acc / (k * u[0]))
-    return out
-
-
-def _s_sqrt(u: list) -> list:
-    # w^2 = u  =>  w_k = (u_k - sum_{0<j<k} w_j*w_{k-j}) / (2*w_0)
-    n = len(u) - 1
-    if u[0] < 0:
-        raise DomainError("sqrt of negative value at expansion center")
-    if u[0] == 0:
-        if n == 0:
-            return [mpf(0)]
-        raise NonDifferentiableError("sqrt is not differentiable where its argument vanishes")
-    out = [mpmath.sqrt(u[0])]
-    for k in range(1, n + 1):
-        acc = u[k] - mpmath.fsum(out[j] * out[k - j] for j in range(1, k))
-        out.append(acc / (2 * out[0]))
-    return out
-
-
-def _s_atan(u: list) -> list:
-    # w = atan(u):  w'*(1+u^2) = u', solved coefficient by coefficient.
-    n = len(u) - 1
-    d = _s_mul(u, u)
-    d[0] += 1
-    out = [mpmath.atan(u[0])]
-    for k in range(1, n + 1):
-        acc = k * u[k] - mpmath.fsum(j * out[j] * d[k - j] for j in range(1, k))
-        out.append(acc / (k * d[0]))
-    return out
-
-
-def _s_sin(u: list) -> list:
-    # Joint recurrence for s = sin(u), c = cos(u):  s' = u'*c,  c' = -u'*s.
-    n = len(u) - 1
-    s = [mpmath.sin(u[0])]
-    c = [mpmath.cos(u[0])]
-    for k in range(1, n + 1):
-        s.append(mpmath.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
-        c.append(-mpmath.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
-    return s
-
-
-def _series(e: Expr, center: mpf, n: int) -> list:
-    if isinstance(e, Const):
-        return _s_scal(_const_value(e.value), n)
-    if isinstance(e, Var):
-        s = _s_scal(+center, n)
-        if n >= 1:
-            s[1] = mpf(1)
-        return s
-    if isinstance(e, Neg):
-        return [-c for c in _series(e.arg, center, n)]
-    if isinstance(e, Add):
-        a, b = _series(e.left, center, n), _series(e.right, center, n)
-        return [x + y for x, y in zip(a, b)]
-    if isinstance(e, Sub):
-        a, b = _series(e.left, center, n), _series(e.right, center, n)
-        return [x - y for x, y in zip(a, b)]
-    if isinstance(e, Mul):
-        return _s_mul(_series(e.left, center, n), _series(e.right, center, n))
-    if isinstance(e, Div):
-        return _s_div(_series(e.left, center, n), _series(e.right, center, n), to_text(e.right))
-    if isinstance(e, PowInt):
-        return _s_powint(_series(e.base, center, n), e.exponent)
-    if isinstance(e, Ln):
-        return _s_ln(_series(e.arg, center, n))
-    if isinstance(e, Sqrt):
-        return _s_sqrt(_series(e.arg, center, n))
-    if isinstance(e, Atan):
-        return _s_atan(_series(e.arg, center, n))
-    if isinstance(e, Sin):
-        return _s_sin(_series(e.arg, center, n))
-    raise TypeError(f"not an Expr: {e!r}")
-
-
 def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> Jet:
     """Taylor-expand e at the center point up to the given order.
 
@@ -617,7 +631,7 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
     if order < 0:
         raise ValueError("order must be >= 0")
     with mp.workdps(p.digits + GUARD_DIGITS + order):
-        coeffs = _series(e, mpmath.mpmathify(center), order)
+        coeffs = _series(e, (mpmath.mpmathify(center), order))
     with mp.workdps(p.digits):
         return Jet(
             center=+mpmath.mpmathify(center),

@@ -46,15 +46,19 @@ from .exprjet import (
     Expr,
     GUARD_DIGITS,
     Mul,
+    Neg,
     Num,
     PowInt,
     Precision,
+    Sub,
     Var,
     jet,
 )
 
 REGIONS = ("upper", "lower")
 WITNESS_MARGIN = mpf("1e-20")
+# Highest polynomial degree expr_to_poly multiplies out.
+MAX_POLY_DEGREE = 100
 
 # Contact derivatives of ln(1+x) at 0 (orders 1..4).  A candidate whose
 # derivatives differ from these leaves the corridor immediately at 0.
@@ -136,7 +140,8 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
 
     Supports the rational-arithmetic subset of the language: constants,
     the variable, +, -, *, non-negative integer powers, and division by
-    a nonzero constant.
+    a nonzero constant.  Products and powers of degree above
+    MAX_POLY_DEGREE raise ValueError before they are multiplied out.
     """
 
     def trim(c):
@@ -144,17 +149,19 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
             c.pop()
         return c
 
-    def go(e):
-        from . import exprjet as ej
+    def check_degree(d):
+        if d > MAX_POLY_DEGREE:
+            raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_POLY_DEGREE}")
 
+    def go(e):
         if isinstance(e, Const):
             with mp.workdps(p.digits + GUARD_DIGITS):
                 return [+mp.pi if e.value == "pi" else mpf(e.value)]
         if isinstance(e, Var):
             return [mpf(0), mpf(1)]
-        if isinstance(e, ej.Neg):
+        if isinstance(e, Neg):
             return [-c for c in go(e.arg)]
-        if isinstance(e, (Add, ej.Sub)):
+        if isinstance(e, (Add, Sub)):
             a, b = go(e.left), go(e.right)
             n = max(len(a), len(b))
             a += [mpf(0)] * (n - len(a))
@@ -162,7 +169,8 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
             sign = 1 if isinstance(e, Add) else -1
             return [x + sign * y for x, y in zip(a, b)]
         if isinstance(e, Mul):
-            a, b = go(e.left), go(e.right)
+            a, b = trim(go(e.left)), trim(go(e.right))
+            check_degree(len(a) + len(b) - 2)
             out = [mpf(0)] * (len(a) + len(b) - 1)
             for i, x in enumerate(a):
                 for j, y in enumerate(b):
@@ -179,7 +187,8 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
             if e.exponent < 0:
                 raise ValueError("negative powers are not polynomial")
             out = [mpf(1)]
-            base = go(e.base)
+            base = trim(go(e.base))
+            check_degree(e.exponent * (len(base) - 1))
             for _ in range(e.exponent):
                 nxt = [mpf(0)] * (len(out) + len(base) - 1)
                 for i, x in enumerate(out):
@@ -285,6 +294,12 @@ def _region_grid(region: str, xmax, delta, count: int, p: Precision):
     raise ValueError(f"unknown region {region!r}")
 
 
+def _cb(x: mpf, p: Precision) -> mpf:
+    """cb(x) = f(x)/sqrt(x+1), with f rounded to p.digits + GUARD_DIGITS;
+    call it at that working precision."""
+    return f_cb(x, Precision(p.digits + GUARD_DIGITS)) / mpmath.sqrt(x + 1)
+
+
 def _check_q_sign(r: RationalFn, ts, p: Precision):
     sign = 0
     with mp.workdps(p.digits + GUARD_DIGITS):
@@ -304,7 +319,7 @@ def _violation_margins(r: RationalFn, x: mpf, region: str, p: Precision):
     with mp.workdps(p.digits + GUARD_DIGITS):
         v = r.value(x)
         log_side = ln1p(x, p)
-        cb_side = f_cb(x, Precision(p.digits + GUARD_DIGITS)) / mpmath.sqrt(x + 1)
+        cb_side = _cb(x, p)
         out = []
         if region == "upper":
             if log_side - v > 0:
@@ -498,7 +513,7 @@ def fit_sandwich(
         lnv, cbv = [], []
         for x in xs:
             l = mpmath.ln(1 + x)
-            c = f_cb(x, Precision(wd)) / mpmath.sqrt(x + 1)
+            c = _cb(x, p)
             if x != 0 and abs(c - l) < mpf(10) ** (2 - p.digits):
                 raise PrecisionError(
                     f"corridor width at x = {mpmath.nstr(x, 8)} is below resolution; "

@@ -27,9 +27,8 @@ def _chain(p: Precision):
         for x in xs:
             l = bounds.ln1p(x, p)
             cb = bounds.bound_value("CB", x, p)
-            gaps = [cb - l]
-            for bid in ("SQRT", "PADE", "KARAMATA", "CUBIC"):
-                gaps.append(bounds.bound_value(bid, x, p) - cb)
+            gaps = [cb - l] + [bounds.bound_value(bid, x, p) - cb
+                               for bid in bounds.BOUNDS if bid != "CB"]
             worst = min(worst, min(gaps))
             if min(gaps) < -slack:
                 return False, f"chain broken at x = {mpmath.nstr(x, 10)}"

@@ -140,6 +140,20 @@ def test_malformed_expression_exit_2(capsys):
     assert code == 2 and "position" in err
 
 
+@pytest.mark.parametrize("expr", ["(" * 2000 + "t" + ")" * 2000, "+".join(["t"] * 3000)],
+                         ids=["2000-parens", "3000-terms"])
+def test_deep_expression_exit_2(capsys, expr):
+    code, out, err = run(capsys, "certify", "--expr", expr, "--no-radius")
+    assert code == 2 and out == ""
+    assert err.startswith("error: expression nests deeper than") and err.count("\n") == 1
+
+
+def test_huge_polynomial_degree_exit_2(capsys):
+    code, out, err = run(capsys, "sandwich", "check", "--p", "x^100000000", "--q", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: polynomial degree 100000000 exceeds") and err.count("\n") == 1
+
+
 def test_byte_determinism(capsys):
     argv = ["certify", "--expr", "H(t) - (1/60)*(t-1)^5", "--a", "0.9",
             "--format", "json"]

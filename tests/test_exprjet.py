@@ -13,6 +13,7 @@ from logbound.errors import (
     ParseError,
 )
 from logbound.exprjet import (
+    MAX_DEPTH,
     Add,
     Const,
     Ln,
@@ -63,6 +64,16 @@ def test_parse_errors_carry_position():
         parse("t + x")  # one variable per expression
     with pytest.raises(ParseError):
         parse("t^1.5")
+
+
+def test_parse_bounds_the_nesting_depth():
+    # a chain of k unary minuses nests k+1 levels; k+1 summands make a
+    # tree k+1 levels deep
+    parse("-" * (MAX_DEPTH - 1) + "t")
+    parse("+".join(["t"] * MAX_DEPTH))
+    for text in ("-" * MAX_DEPTH + "t", "+".join(["t"] * (MAX_DEPTH + 1))):
+        with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+            parse(text)
 
 
 @settings(max_examples=120, deadline=None)

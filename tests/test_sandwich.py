@@ -9,6 +9,7 @@ from mpmath import mp, mpf
 from logbound.errors import PrecisionError, QVanishesError
 from logbound.exprjet import Precision, jet, parse
 from logbound.sandwich import (
+    MAX_POLY_DEGREE,
     LN1P_CONTACT,
     RationalFn,
     Witness,
@@ -61,6 +62,14 @@ def test_expr_to_poly():
         expr_to_poly(parse("ln(x)"))
     with pytest.raises(ValueError):
         expr_to_poly(parse("1/(1+x)"))
+
+
+def test_expr_to_poly_bounds_the_degree():
+    assert len(expr_to_poly(parse(f"x^{MAX_POLY_DEGREE}"))) == MAX_POLY_DEGREE + 1
+    assert expr_to_poly(parse("(x^60 - x^60 + 1)^1000")) == [1]
+    for text in (f"x^{MAX_POLY_DEGREE + 1}", "(1 + x)^60*x^60", "(x^2 + 1)^100000000"):
+        with pytest.raises(ValueError, match="degree"):
+            expr_to_poly(parse(text))
 
 
 def test_rational_to_expr_roundtrip():
