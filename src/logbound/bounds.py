@@ -264,9 +264,9 @@ def log_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
 
 
 def linear_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
-    """Uniform grid of count points on [lo, hi]."""
+    """Uniform grid of count points on [lo, hi]; the last point is hi exactly."""
     with mp.workdps(p.digits):
         a, b = mpmath.mpmathify(lo), mpmath.mpmathify(hi)
         if count < 2:
             raise ValueError("grid needs count >= 2")
-        return [a + (b - a) * i / (count - 1) for i in range(count)]
+        return [a + (b - a) * i / (count - 1) for i in range(count - 1)] + [b]

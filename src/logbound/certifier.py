@@ -32,7 +32,6 @@ the one consistent with finite differences and with H^(5)(1) = -8.
 from __future__ import annotations
 
 import dataclasses
-import json
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -48,6 +47,7 @@ from .exprjet import (
     Jet,
     Num,
     Precision,
+    decimal_text,
     eval_expr,
     jet,
 )
@@ -124,9 +124,7 @@ class Certificate:
         return dataclasses.replace(self, radius=r)
 
     def to_json_dict(self) -> dict:
-        def dec(v):
-            return mpmath.nstr(v, self.digits) if v is not None else None
-
+        dec = lambda v: decimal_text(v, self.digits)
         return {
             "case": self.case,
             "n": self.n,
@@ -144,9 +142,6 @@ class Certificate:
             "precision_digits": self.digits,
             "mode": self.mode,
         }
-
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(), indent=indent)
 
 
 def condition_tolerance(p: Precision = DEFAULT_PRECISION) -> mpf:

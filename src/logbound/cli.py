@@ -19,42 +19,35 @@ import json
 import os
 import sys
 import tempfile
-from typing import List, Optional
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
-import mpmath
 from mpmath import mp, mpf
 
 from . import __version__, bounds, certifier, sandwich, selftest
 from .errors import LogboundError
-from .exprjet import Precision, parse
+from .exprjet import Precision, decimal_text, parse
 
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
 
 
-def _dec(v, digits: int) -> str:
-    with mp.workdps(digits):
-        return mpmath.nstr(+mpmath.mpmathify(v), digits)
+class Report(NamedTuple):
+    """One result in every report format: the exit code, the csv header
+    and rows, the json payload, and a builder of the text form, called
+    only when text is requested."""
+
+    code: int
+    header: Sequence[str]
+    rows: Sequence[Sequence]
+    payload: object
+    text: Callable[[], str]
 
 
-def _emit(text: str, out_path: Optional[str]):
-    """Write the report, atomically when a path is given."""
-    if out_path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
-        return
-    d = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".logbound-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+def _record(code: int, payload: dict, header: Sequence[str],
+            text: Callable[[], str]) -> Report:
+    """A one-row report whose csv row is the payload's values under header."""
+    return Report(code, header, [[payload[k] for k in header]], payload, text)
 
 
 def _csv_text(header, rows) -> str:
@@ -65,12 +58,42 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
+def _render(report: Report, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(report.payload, indent=2)
+    if fmt == "text":
+        return report.text()
+    return _csv_text(report.header, report.rows)
+
+
+def _emit(text: str, out_path: Optional[str]):
+    """Write the report newline-terminated, atomically when a path is given."""
+    if not text.endswith("\n"):
+        text += "\n"
+    if out_path is None:
+        sys.stdout.write(text)
+        return
+    try:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(out_path)),
+                                   prefix=".logbound-")
+        try:
+            with os.fdopen(fd, "w") as fh:
+                fh.write(text)
+            os.replace(tmp, out_path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise LogboundError(f"cannot write {out_path}: {exc.strerror or exc}") from None
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> Report:
     p = Precision(args.digits)
     if args.xmin < 0:
         raise LogboundError("table covers the upper region only (xmin >= 0)")
@@ -80,24 +103,18 @@ def _cmd_table(args) -> int:
         xs = bounds.log_grid(str(args.xmin), str(args.xmax), args.points, p)
     else:
         xs = bounds.linear_grid(str(args.xmin), str(args.xmax), args.points, p)
-    rows = bounds.atlas_rows(xs, p)
-    str_rows = [[_dec(v, args.digits) for v in row] for row in rows]
-    if args.format == "csv":
-        text = _csv_text(bounds.ATLAS_COLUMNS, str_rows)
-    elif args.format == "json":
-        text = json.dumps(
-            [dict(zip(bounds.ATLAS_COLUMNS, row)) for row in str_rows], indent=2
-        )
-    else:
-        widths = [max(map(len, col)) for col in zip(bounds.ATLAS_COLUMNS, *str_rows)]
-        lines = ["  ".join(c.ljust(w) for c, w in zip(bounds.ATLAS_COLUMNS, widths))]
-        lines += ["  ".join(c.ljust(w) for c, w in zip(r, widths)) for r in str_rows]
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK
+    header = bounds.ATLAS_COLUMNS
+    rows = [[decimal_text(v, args.digits) for v in row] for row in bounds.atlas_rows(xs, p)]
+
+    def text():
+        widths = [max(map(len, col)) for col in zip(header, *rows)]
+        return "\n".join("  ".join(c.ljust(w) for c, w in zip(r, widths))
+                         for r in [header, *rows])
+
+    return Report(EXIT_OK, header, rows, [dict(zip(header, r)) for r in rows], text)
 
 
-def _cmd_compare(args) -> int:
+def _cmd_compare(args) -> Report:
     p = Precision(args.digits)
     with mp.workdps(args.digits):
         slack = mpf(args.slack)
@@ -125,22 +142,17 @@ def _cmd_compare(args) -> int:
         violations = sum(s["violations"] for s in stats.values())
     header = ("bound", "max_gap_to_ln1p", "min_gap_to_cb", "violations")
     rows = [
-        (bid, _dec(s["max_gap_ln"], args.digits), _dec(s["min_gap_cb"], args.digits),
-         str(s["violations"]))
+        (bid, decimal_text(s["max_gap_ln"], args.digits),
+         decimal_text(s["min_gap_cb"], args.digits), str(s["violations"]))
         for bid, s in stats.items()
     ]
-    if args.format == "csv":
-        text = _csv_text(header, rows)
-    elif args.format == "json":
-        text = json.dumps(
-            {
-                "grid": {"xmin": str(args.xmin), "xmax": str(args.xmax), "points": args.points},
-                "tightness": [dict(zip(header, r)) for r in rows],
-                "chain_holds": violations == 0,
-            },
-            indent=2,
-        )
-    else:
+    payload = {
+        "grid": {"xmin": str(args.xmin), "xmax": str(args.xmax), "points": args.points},
+        "tightness": [dict(zip(header, r)) for r in rows],
+        "chain_holds": violations == 0,
+    }
+
+    def text():
         lines = [
             "tightness over [%s, %s], %d log-spaced points" % (args.xmin, args.xmax, args.points),
             "(CB row compares against ln(1+x); others against CB)",
@@ -148,90 +160,67 @@ def _cmd_compare(args) -> int:
         for r in rows:
             lines.append(f"  {r[0]:<9} max gap {r[1]:>18}  min gap {r[2]:>18}  violations {r[3]}")
         lines.append("chain holds" if violations == 0 else "CHAIN VIOLATED")
-        text = "\n".join(lines)
-    _emit(text, args.out)
-    return EXIT_OK if violations == 0 else EXIT_FINDING
+        return "\n".join(lines)
+
+    return Report(EXIT_OK if violations == 0 else EXIT_FINDING, header, rows, payload, text)
 
 
-def _certify_text(cert: certifier.Certificate, digits: int) -> str:
+def _certify_text(cert: certifier.Certificate, d: dict) -> str:
     lines = [f"case: {cert.case}" + (f" (n = {cert.n})" if cert.n is not None else "")]
     if cert.case == "none" and cert.nearest_miss:
         lines.append(f"nearest miss: {cert.nearest_miss}")
     lines.append(f"mode: {cert.mode}")
-    for c in cert.conditions:
+    for c in d["conditions"]:
         lines.append(
-            f"  [{'pass' if c.passed else 'FAIL'}] {c.label}: "
-            f"target {_dec(c.target, digits)}  actual {_dec(c.actual, digits)}  "
-            f"margin {_dec(c.margin, digits)}"
+            f"  [{'pass' if c['pass'] else 'FAIL'}] {c['label']}: "
+            f"target {c['target']}  actual {c['actual']}  margin {c['margin']}"
         )
-    if cert.radius is not None:
-        lines.append(f"verified radius: {_dec(cert.radius, digits)}")
+    if d["radius"] is not None:
+        lines.append(f"verified radius: {d['radius']}")
     if cert.direction_pair:
         pattern = {
             "dr": "2t*ln(t) <= P on [1, 1+r], >= on [1-r, 1]",
             "drr": "2t*ln(t) <= P <= H on [1, 1+r], reversed on [1-r, 1]",
         }[cert.direction_pair]
         lines.append(f"pattern: {pattern}")
-    p = Precision(digits)
+    p = Precision(cert.digits)
     d5 = certifier.case3_constant(5, p)
     l5 = certifier.case3_constant(5, p, paper_literal=True)
     lines.append(
         "fifth-order constant: derived %s (= -H^(5)(1)), displayed form %s"
-        % (_dec(d5, digits), _dec(l5, digits))
+        % (decimal_text(d5, p.digits), decimal_text(l5, p.digits))
     )
     return "\n".join(lines)
 
 
-def _run_certify(args):
-    p = Precision(args.digits)
-    expr = parse(args.expr)
-    return certifier.certify(
-        expr,
+def _run_certify(args, compute_radius: bool):
+    cert = certifier.certify(
+        parse(args.expr),
         str(args.a),
         max_n=args.max_n,
-        p=p,
+        p=Precision(args.digits),
         paper_literal=args.paper_literal,
-        compute_radius=not args.no_radius,
+        compute_radius=compute_radius,
     )
+    return cert, EXIT_OK if cert.case != "none" else EXIT_FINDING
 
 
-def _cmd_certify(args) -> int:
-    cert = _run_certify(args)
-    if args.format == "json":
-        text = cert.to_json()
-    elif args.format == "csv":
-        header = ("label", "target", "actual", "margin", "pass")
-        rows = [
-            (c.label, _dec(c.target, args.digits), _dec(c.actual, args.digits),
-             _dec(c.margin, args.digits), str(c.passed).lower())
-            for c in cert.conditions
-        ]
-        text = _csv_text(header, rows)
-    else:
-        text = _certify_text(cert, args.digits)
-    _emit(text, args.out)
-    return EXIT_OK if cert.case != "none" else EXIT_FINDING
+def _cmd_certify(args) -> Report:
+    cert, code = _run_certify(args, compute_radius=not args.no_radius)
+    d = cert.to_json_dict()
+    header = ("label", "target", "actual", "margin", "pass")
+    rows = [(c["label"], c["target"], c["actual"], c["margin"], str(c["pass"]).lower())
+            for c in d["conditions"]]
+    return Report(code, header, rows, d, lambda: _certify_text(cert, d))
 
 
-def _cmd_radius(args) -> int:
-    cert = _run_certify(args)
-    payload = {
-        "case": cert.case,
-        "n": cert.n,
-        "radius": _dec(cert.radius, args.digits) if cert.radius is not None else None,
-    }
-    if args.format == "json":
-        text = json.dumps(payload, indent=2)
-    elif args.format == "csv":
-        text = _csv_text(("case", "n", "radius"),
-                         [(payload["case"], payload["n"], payload["radius"])])
-    else:
-        if cert.case == "none":
-            text = "no certificate: no radius"
-        else:
-            text = f"case {cert.case}: verified radius {payload['radius']}"
-    _emit(text, args.out)
-    return EXIT_OK if cert.case != "none" else EXIT_FINDING
+def _cmd_radius(args) -> Report:
+    cert, code = _run_certify(args, compute_radius=True)
+    d = {"case": cert.case, "n": cert.n, "radius": decimal_text(cert.radius, args.digits)}
+    return _record(code, d, ("case", "n", "radius"), lambda: (
+        "no certificate: no radius" if cert.case == "none"
+        else f"case {cert.case}: verified radius {d['radius']}"
+    ))
 
 
 def _parse_rational(args, p: Precision) -> sandwich.RationalFn:
@@ -240,110 +229,75 @@ def _parse_rational(args, p: Precision) -> sandwich.RationalFn:
     return sandwich.RationalFn(tuple(pc), tuple(qc))
 
 
-def _cmd_sandwich_check(args) -> int:
+def _cmd_sandwich_check(args) -> Report:
     p = Precision(args.digits)
     r = _parse_rational(args, p)
     w = sandwich.check_sandwich(
         r, args.region, xmax=str(args.xmax), delta=str(args.delta), grid=args.grid, p=p
     )
     if w is None:
-        payload = {"status": "holds-on-grid", "region": args.region, "grid": args.grid}
-        if args.format == "json":
-            text = json.dumps(payload, indent=2)
-        elif args.format == "csv":
-            text = _csv_text(("status", "region", "grid"),
-                             [("holds-on-grid", args.region, args.grid)])
-        else:
-            text = f"sandwich holds on the {args.grid}-point grid ({args.region} region)"
-        _emit(text, args.out)
-        return EXIT_OK
-    if args.format == "json":
-        text = json.dumps({"status": "witness", **w.to_json_dict(args.digits)}, indent=2)
-    elif args.format == "csv":
-        d = w.to_json_dict(args.digits)
-        text = _csv_text(("x", "side", "lhs", "rhs", "margin", "region"),
-                         [(d["x"], d["side"], d["lhs"], d["rhs"], d["margin"], d["region"])])
-    else:
-        rel = "ln(1+x)" if w.side == "log" else "corridor bound"
-        text = (
-            f"witness at x = {_dec(w.x, args.digits)}: {rel} comparison fails "
-            f"({_dec(w.lhs, args.digits)} vs {_dec(w.rhs, args.digits)}, "
-            f"margin {_dec(w.margin, args.digits)})"
-        )
-    _emit(text, args.out)
-    return EXIT_FINDING
+        d = {"status": "holds-on-grid", "region": args.region, "grid": args.grid}
+        return _record(EXIT_OK, d, ("status", "region", "grid"), lambda: (
+            f"sandwich holds on the {args.grid}-point grid ({args.region} region)"
+        ))
+    d = {"status": "witness", **w.to_json_dict(args.digits)}
+    rel = "ln(1+x)" if w.side == "log" else "corridor bound"
+    return _record(EXIT_FINDING, d, ("x", "side", "lhs", "rhs", "margin", "region"), lambda: (
+        f"witness at x = {d['x']}: {rel} comparison fails "
+        f"({d['lhs']} vs {d['rhs']}, margin {d['margin']})"
+    ))
 
 
-def _cmd_sandwich_fit(args) -> int:
+def _cmd_sandwich_fit(args) -> Report:
     p = Precision(args.digits)
     degrees = [tuple(int(v) for v in d.split(",")) for d in args.deg]
     for d in degrees:
         if len(d) != 2:
             raise LogboundError("--deg expects n,m")
     xmaxes = args.xmax if args.xmax else [1.0]
-    reports = {}
+    cells = {}
     for (n, m) in degrees:
         for X in xmaxes:
-            reports[(n, m, X)] = sandwich.fit_sandwich(
+            cells[(n, m, X)] = sandwich.fit_sandwich(
                 n, m, args.region, xmax=str(X), delta=str(args.delta),
                 samples=args.samples, p=p,
-            )
-    if len(reports) == 1:
-        rep = next(iter(reports.values()))
-        if args.format == "json":
-            text = rep.to_json(args.digits)
-        elif args.format == "csv":
-            d = rep.to_json_dict(args.digits)
-            text = _csv_text(
-                ("degree_p", "degree_q", "region", "lo", "hi", "samples", "status", "max_slack"),
-                [(d["degree_p"], d["degree_q"], d["region"], d["lo"], d["hi"],
-                  d["samples"], d["status"], d["max_slack"])],
-            )
-        else:
-            d = rep.to_json_dict(args.digits)
+            ).to_json_dict(args.digits)
+    if len(cells) == 1:
+        d = next(iter(cells.values()))
+
+        def text():
             lines = [
                 f"degrees ({d['degree_p']},{d['degree_q']}) on [{d['lo']}, {d['hi']}], "
                 f"{d['samples']} samples: {d['status']} (max_slack {d['max_slack']})"
             ]
-            if rep.p_coeffs:
+            if d["p_coeffs"]:
                 lines.append("p: " + ", ".join(d["p_coeffs"]))
                 lines.append("q: " + ", ".join(d["q_coeffs"]))
-            text = "\n".join(lines)
-        _emit(text, args.out)
-        return EXIT_OK
-    # batch matrix: rows = degrees, columns = X values
+            return "\n".join(lines)
+
+        header = ("degree_p", "degree_q", "region", "lo", "hi", "samples", "status", "max_slack")
+        return _record(EXIT_OK, d, header, text)
+    # batch matrix: rows = degrees, columns = X values; the text form is the csv
     header = ["degrees\\X"] + [str(X) for X in xmaxes]
-    rows = []
-    for (n, m) in degrees:
-        row = [f"p{n}/q{m}"]
-        for X in xmaxes:
-            rep = reports[(n, m, X)]
-            row.append(f"{rep.status}/{_dec(rep.max_slack, args.digits)}")
-        rows.append(row)
-    if args.format == "json":
-        text = json.dumps(
-            {
-                "region": args.region,
-                "cells": [
-                    {"degree_p": n, "degree_q": m, "xmax": str(X),
-                     **reports[(n, m, X)].to_json_dict(args.digits)}
-                    for (n, m) in degrees for X in xmaxes
-                ],
-            },
-            indent=2,
-        )
-    else:
-        text = _csv_text(header, rows)
-    _emit(text, args.out)
-    return EXIT_OK
+    rows = [
+        [f"p{n}/q{m}"] + [f"{cells[n, m, X]['status']}/{cells[n, m, X]['max_slack']}"
+                          for X in xmaxes]
+        for (n, m) in degrees
+    ]
+    payload = {
+        "region": args.region,
+        "cells": [{"degree_p": n, "degree_q": m, "xmax": str(X), **cells[n, m, X]}
+                  for (n, m) in degrees for X in xmaxes],
+    }
+    return Report(EXIT_OK, header, rows, payload, lambda: _csv_text(header, rows))
 
 
-def _cmd_selftest(args) -> int:
-    p = Precision(args.digits)
-    lines: List[str] = []
-    ok = selftest.run_all(p, write=lines.append)
-    _emit("\n".join(lines), args.out)
-    return EXIT_OK if ok else EXIT_FINDING
+def _cmd_selftest(args) -> Report:
+    rows = selftest.run_all(Precision(args.digits))
+    header = ("suite", "status", "detail")
+    code = EXIT_OK if all(status == "PASS" for _, status, _ in rows) else EXIT_FINDING
+    return Report(code, header, rows, [dict(zip(header, r)) for r in rows],
+                  lambda: "\n".join(f"{s} {name}: {detail}" for name, s, detail in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -358,9 +312,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--format", choices=("csv", "json", "text"), default="text",
                         help="report format (default text)")
     common.add_argument("--out", default=None, help="write the report to this path")
-    common.add_argument("--paper-literal", action="store_true",
-                        help="use the displayed fifth-order-family constants instead "
-                             "of the derived ones in case-III conditions")
 
     ap = argparse.ArgumentParser(
         prog="logbound",
@@ -392,8 +343,11 @@ def _build_parser() -> argparse.ArgumentParser:
         q.add_argument("--expr", required=True, help="candidate expression in t")
         q.add_argument("--a", type=float, default=0.9, help="half-width of the domain (0,1)")
         q.add_argument("--max-n", type=int, default=certifier.DEFAULT_MAX_N)
-        q.add_argument("--no-radius", action="store_true",
-                       help="skip the radius search (certify only)")
+        q.add_argument("--paper-literal", action="store_true",
+                       help="use the displayed fifth-order-family constants instead "
+                            "of the derived ones in case-III conditions")
+        if name == "certify":
+            q.add_argument("--no-radius", action="store_true", help="skip the radius search")
         q.set_defaults(fn=fn)
 
     s = sub.add_parser("sandwich", help="rational intermediation experiments")
@@ -432,13 +386,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        return args.fn(args)
-    except LogboundError as exc:
+        report = args.fn(args)
+        _emit(_render(report, args.format), args.out)
+    except (LogboundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    return report.code
 
 
 if __name__ == "__main__":

@@ -56,6 +56,12 @@ class Precision:
 DEFAULT_PRECISION = Precision(50)
 
 
+def decimal_text(v, digits: int) -> Optional[str]:
+    """Report form of a number: `digits` significant decimal digits,
+    rounded once from the exact value of v.  None stays None."""
+    return None if v is None else mpmath.nstr(mpmath.mpmathify(v), digits)
+
+
 # ---------------------------------------------------------------------------
 # AST
 # ---------------------------------------------------------------------------

@@ -52,6 +52,7 @@ from .exprjet import (
     Precision,
     Sub,
     Var,
+    decimal_text,
     jet,
 )
 
@@ -222,11 +223,11 @@ class Witness:
 
     def to_json_dict(self, digits: int = 50) -> dict:
         return {
-            "x": mpmath.nstr(self.x, digits),
+            "x": decimal_text(self.x, digits),
             "side": self.side,
-            "lhs": mpmath.nstr(self.lhs, digits),
-            "rhs": mpmath.nstr(self.rhs, digits),
-            "margin": mpmath.nstr(self.margin, digits),
+            "lhs": decimal_text(self.lhs, digits),
+            "rhs": decimal_text(self.rhs, digits),
+            "margin": decimal_text(self.margin, digits),
             "region": self.region,
         }
 
@@ -256,7 +257,7 @@ class FeasibilityReport:
     q_coeffs: Optional[tuple]
 
     def to_json_dict(self, digits: int = 50) -> dict:
-        dec = lambda v: mpmath.nstr(v, digits)
+        dec = lambda v: decimal_text(v, digits)
         return {
             "degree_p": self.degree_p,
             "degree_q": self.degree_q,
@@ -269,9 +270,6 @@ class FeasibilityReport:
             "p_coeffs": [dec(c) for c in self.p_coeffs] if self.p_coeffs else None,
             "q_coeffs": [dec(c) for c in self.q_coeffs] if self.q_coeffs else None,
         }
-
-    def to_json(self, digits: int = 50, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(digits), indent=indent)
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,10 @@
 """Built-in invariant suites behind `logbound selftest`.
 
-Each suite returns (name, ok, detail); run_all prints one line per
-suite and reports overall success.  The suites mirror the library's
-contracts at default precision and are intentionally independent of
-the test harness so a deployed installation can be checked in place.
+Each suite returns (ok, detail); run_all runs them all and returns one
+(name, "PASS" | "FAIL", detail) row per suite.  The suites mirror the
+library's contracts at default precision and are intentionally
+independent of the test harness so a deployed installation can be
+checked in place.
 """
 
 from __future__ import annotations
@@ -207,13 +208,12 @@ SUITES = [
 ]
 
 
-def run_all(p: Precision, write=print) -> bool:
-    ok_all = True
+def run_all(p: Precision) -> List[Tuple[str, str, str]]:
+    rows = []
     for name, suite in SUITES:
         try:
             ok, detail = suite(p)
         except Exception as exc:  # surface, keep running the rest
             ok, detail = False, f"raised {type(exc).__name__}: {exc}"
-        ok_all &= ok
-        write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-    return ok_all
+        rows.append((name, "PASS" if ok else "FAIL", detail))
+    return rows

@@ -192,3 +192,10 @@ def test_atlas_rows_shape():
     assert len(rows) == 11 and all(len(r) == len(ATLAS_COLUMNS) for r in rows)
     # first row is the all-zero contact point
     assert all(v == 0 for v in rows[0])
+
+
+@pytest.mark.parametrize("lo, hi, count", [("-0.1", 0, 4), ("-0.7", 0, 7), (0, "0.1", 4)])
+def test_linear_grid_ends_exactly_at_hi(lo, hi, count):
+    # lo + (hi - lo) * 3 / 3 misses hi = 0 by 1.7e-52 for lo = -0.1
+    with mp.workdps(50):
+        assert linear_grid(lo, hi, count)[-1] == mpf(hi)

@@ -104,6 +104,17 @@ def test_sandwich_check_witness_exit_1(capsys):
     assert payload["rhs"].startswith("1.39124722801678903299")
 
 
+def test_sandwich_check_witness_text_rounds_as_json(capsys):
+    # ln(0.5) to 50 digits ends in ...025|5; it rounds up in both forms
+    argv = ["sandwich", "check", "--p", "2*x + 3*x^2", "--q", "3 + x",
+            "--region", "lower", "--delta", "0.5", "--grid", "28"]
+    code, text, _ = run(capsys, *argv)
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    d = json.loads(out)
+    assert code == 1 and d["lhs"].endswith("13436026")
+    assert text.endswith(f"({d['lhs']} vs {d['rhs']}, margin {d['margin']})\n")
+
+
 def test_sandwich_check_holds_exit_0(capsys):
     code, out, err = run(
         capsys, "sandwich", "check", "--p", "x^3 + 21*x^2 + 30*x",
@@ -133,6 +144,15 @@ def test_sandwich_fit_matrix_csv(capsys):
     assert lines[0].startswith("degrees\\X,")
     assert len(lines) == 3
     assert lines[1].startswith("p0/q0,infeasible/")
+
+
+def test_sandwich_fit_lower_region_reaches_zero(capsys):
+    # the last sample of [-0.1, 0] is 0 itself, where the corridor closes
+    code, out, err = run(capsys, "sandwich", "fit", "--deg", "3,3", "--region", "lower",
+                         "--delta", "0.9", "--format", "json")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["hi"] == "0.0" and payload["status"] == "feasible"
 
 
 def test_malformed_expression_exit_2(capsys):
@@ -166,15 +186,24 @@ def test_byte_determinism(capsys):
     assert out1 == out2
 
 
-def test_out_writes_file_atomically(tmp_path, capsys):
-    target = tmp_path / "atlas.csv"
+@pytest.mark.parametrize("fmt", ["csv", "json", "text"])
+def test_out_writes_file_atomically(tmp_path, capsys, fmt):
+    target = tmp_path / "atlas"
     code, out, err = run(
-        capsys, "table", "--points", "5", "--format", "csv", "--out", str(target),
+        capsys, "table", "--points", "5", "--format", fmt, "--out", str(target),
     )
     assert code == 0 and out == ""
-    text = target.read_text()
-    assert text.startswith("x,ln1p,")
+    _, stdout, _ = run(capsys, "table", "--points", "5", "--format", fmt)
+    assert target.read_text() == stdout
     assert len(list(tmp_path.iterdir())) == 1  # no temp leftovers
+
+
+def test_out_into_missing_directory_exit_2(tmp_path, capsys):
+    target = tmp_path / "missing" / "atlas.csv"
+    code, out, err = run(capsys, "table", "--points", "3", "--out", str(target))
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_digits_flag_controls_output_precision(capsys):
@@ -188,9 +217,33 @@ def test_digits_flag_controls_output_precision(capsys):
     assert v40.startswith(v20[:18])
 
 
+@pytest.mark.parametrize("argv", [
+    ["radius", "--expr", "2*(t-1) + (t-1)^2", "--a", "0.5", "--no-radius"],
+    ["table", "--paper-literal"],
+    ["compare", "--paper-literal"],
+    ["sandwich", "check", "--p", "x", "--q", "1", "--paper-literal"],
+    ["sandwich", "fit", "--deg", "0,0", "--paper-literal"],
+    ["selftest", "--paper-literal"],
+], ids=["radius --no-radius", "table", "compare", "sandwich check", "sandwich fit",
+        "selftest"])
+def test_option_of_another_subcommand_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: " + argv[-1] in err
+
+
 def test_selftest_subcommand_smoke(capsys):
     code, out, err = run(capsys, "selftest")
     assert code == 0
     lines = [l for l in out.strip().splitlines() if l]
     assert all(l.startswith("PASS") for l in lines)
     assert len(lines) >= 12
+
+
+def test_selftest_honours_format(capsys):
+    code, out, err = run(capsys, "selftest", "--format", "json")
+    rows = json.loads(out)
+    assert code == 0 and {r["status"] for r in rows} == {"PASS"}
+    code, out, err = run(capsys, "selftest", "--format", "csv")
+    lines = out.splitlines()
+    assert lines[0] == "suite,status,detail" and len(lines) == len(rows) + 1

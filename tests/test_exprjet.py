@@ -20,6 +20,7 @@ from logbound.exprjet import (
     Mul,
     Precision,
     Var,
+    decimal_text,
     eval_expr,
     f_of,
     fd_derivative,
@@ -31,6 +32,16 @@ from strategies import exprs
 
 F_TEXT = "pi + (1/2)*(4+pi)*x - 2*(x+2)*atan(sqrt(x+1))"
 F3 = "2.7824944560335780659859538564133868097924470444234"
+
+
+
+def test_decimal_text_rounds_once():
+    # rounding first to a 20-digit binary value and then to 20 decimal
+    # digits ends in ...164; the value itself rounds to ...163
+    with mp.workdps(60):
+        v = mpf("0.7171824464435293816348832915074009305122")
+    assert decimal_text(v, 20) == "0.71718244644352938163"
+    assert decimal_text(None, 20) is None
 
 
 # ---------------------------------------------------------------------------

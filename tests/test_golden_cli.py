@@ -1,9 +1,11 @@
 """Golden CLI bytes: stdout, stderr and exit code for a fixed argv set.
 
 The fixture ``golden_cli.json`` pins every report byte, so refactors of
-the expression layer or the bound numerics must leave the output
-unchanged.  ``sandwich fit`` is left out on purpose: a different LP
-solver may legitimately return other feasible coefficients.
+the expression layer, the bound numerics or the report renderer must
+leave the output unchanged.  The ``sandwich fit`` entries pin the fitted
+coefficients of the feasible (3,2) cell as well: an LP change that moves
+them (a different solver may legitimately return other feasible
+coefficients) re-records those entries on purpose.
 
 Re-record only when a report change is intended:
 
@@ -22,7 +24,7 @@ from logbound.cli import main
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 
 _IV = ["--expr", "H(t) - (1/60)*(t-1)^5", "--a", "0.9"]
-_NONE = ["--expr", "H(t) - (1/30)*(t-1)^5", "--a", "0.9", "--no-radius"]
+_NONE = ["--expr", "H(t) - (1/30)*(t-1)^5", "--a", "0.9"]
 _CASE_I = ["--expr", "2*(t-1) + (t-1)^2", "--a", "0.5"]
 _LITERAL = ["--expr", "H(t) - (1/10)*(t-1)^7", "--a", "0.9", "--paper-literal", "--no-radius"]
 _PADE = ["--p", "x*(2+x)", "--q", "2*(1+x)", "--xmax", "9", "--grid", "4"]
@@ -36,6 +38,9 @@ _HOLDS_LOWER = [
     "--region", "lower", "--delta", "0.5", "--grid", "32",
 ]
 _FORMATS = ("csv", "json", "text")
+_FIT_CELL = ["--deg", "0,0", "--xmax", "1", "--samples", "8"]
+# one infeasible and one feasible cell
+_FIT_BATCH = ["--deg", "0,0", "--deg", "3,2", "--xmax", "1"]
 
 ARGVS = (
     [["table", "--points", "5", "--format", f] for f in _FORMATS]
@@ -46,8 +51,8 @@ ARGVS = (
         ["certify", *_IV, "--format", "json"],
         ["certify", *_IV, "--no-radius"],
         ["certify", *_IV, "--no-radius", "--format", "csv", "--digits", "30"],
-        ["certify", *_NONE],
-        ["certify", *_NONE, "--format", "json"],
+        ["certify", *_NONE, "--no-radius"],
+        ["certify", *_NONE, "--no-radius", "--format", "json"],
         ["certify", *_CASE_I],
         ["certify", *_CASE_I, "--digits", "30", "--format", "csv"],
         ["certify", *_LITERAL],
@@ -61,11 +66,17 @@ ARGVS = (
     + [
         ["sandwich", "check", "--p", "x", "--q", "1", "--region", "lower", "--grid", "20"],
         ["sandwich", "check", *_HOLDS_LOWER, "--format", "json"],
+    ]
+    + [["sandwich", "fit", *_FIT_CELL, "--format", f] for f in _FORMATS]
+    + [["sandwich", "fit", *_FIT_BATCH, "--format", f] for f in _FORMATS]
+    + [
+        # the p: and q: coefficient lines of a feasible cell
+        ["sandwich", "fit", "--deg", "3,2", "--xmax", "1"],
         # error messages built from to_text and from node type names
         ["certify", "--expr", "1/(t-1)"],
         ["sandwich", "check", "--p", "ln(x)", "--q", "1"],
         ["certify", "--expr", "2*q", "--a", "0.5"],
-        # selftest ignores --format, so one run covers it
+        # selftest text; test_cli checks its csv and json forms
         ["selftest"],
     ]
 )
