@@ -79,6 +79,9 @@ def _emit(text: str, out_path: Optional[str]):
         try:
             with os.fdopen(fd, "w") as fh:
                 fh.write(text)
+            # mkstemp creates mode 0600; give the file the mode open() would
+            os.umask(umask := os.umask(0))
+            os.chmod(tmp, 0o666 & ~umask)
             os.replace(tmp, out_path)
         except BaseException:
             if os.path.exists(tmp):
@@ -250,11 +253,12 @@ def _cmd_sandwich_check(args) -> Report:
 
 def _cmd_sandwich_fit(args) -> Report:
     p = Precision(args.digits)
-    degrees = [tuple(int(v) for v in d.split(",")) for d in args.deg]
+    # a repeated --deg or --xmax names the same cell: keep its first occurrence
+    degrees = list(dict.fromkeys(tuple(int(v) for v in d.split(",")) for d in args.deg))
     for d in degrees:
         if len(d) != 2:
             raise LogboundError("--deg expects n,m")
-    xmaxes = args.xmax if args.xmax else [1.0]
+    xmaxes = list(dict.fromkeys(args.xmax or [1.0]))
     cells = {}
     for (n, m) in degrees:
         for X in xmaxes:

@@ -15,8 +15,8 @@ executable:
     power of x), and near -1 the lower wall diverges;
   * fit_sandwich probes the complementary fact that on a compact
     interval the corridor does admit rational inhabitants, by solving
-    the sampled linear feasibility problem in the coefficients with a
-    dense phase-1 simplex in extended precision.
+    the sampled linear feasibility problem in the coefficients through
+    the LP dual of its phase 1, in extended precision.
 
 All witnesses re-verify at doubled precision with margin > 1e-20
 before being returned.
@@ -465,7 +465,7 @@ def find_witness(
 
 
 # ---------------------------------------------------------------------------
-# Compact-domain feasibility (dense phase-1 simplex)
+# Compact-domain feasibility (phase 1 through the LP dual)
 # ---------------------------------------------------------------------------
 
 
@@ -486,9 +486,11 @@ def fit_sandwich(
 
         ln(1+x_i)*Q(x_i) <= P(x_i) <= cb(x_i)*Q(x_i)      (upper)
 
-    (reversed for lower) with the normalization Q(x_i) >= 1.  The
-    linear program in the coefficients is solved by a dense phase-1
-    simplex in extended precision.  Requires samples >= 4*(n+m+2).
+    (reversed for lower) with the normalization Q(x_i) >= 1.  Phase 1
+    of the linear program in the coefficients is solved through its
+    dual in extended precision (see _phase1_simplex), so the tableau
+    has n+m+2 rows whatever the sample count.  Requires
+    samples >= 4*(n+m+2).
     An explicit sample_points sequence overrides the uniform grid
     (useful for nested-sample experiments); the minimum-count rule then
     applies to its length.
@@ -522,12 +524,14 @@ def fit_sandwich(
 
         # Constraint rows in ">= rhs" form over [a_0..a_n, b_0..b_m].
         # The homogeneous corridor rows are loosened by distinct
-        # jitters ~1e-digits (Charnes-style perturbation): the surplus
-        # variables then start strictly positive, which breaks the
-        # otherwise massive degeneracy.  The jitter is ~40 digits below
-        # the corridor widths at the samples, so it cannot manufacture
-        # feasibility, and the extracted slacks are re-checked against
-        # the unperturbed constraints.
+        # jitters ~1e-digits (Charnes-style perturbation).  In the dual
+        # LP that _phase1_simplex solves, a jitter is the objective
+        # coefficient of its row's weight: corridor rows that would tie
+        # in pricing get distinct reduced costs, and the jitter terms
+        # enter the infeasibility optimum, so every infeasible report's
+        # max_slack bytes depend on them.  The jitter is ~40 digits
+        # below the corridor widths at the samples, so it cannot
+        # manufacture feasibility.
         nv = n + m + 2
         jitter = mpf(10) ** (-p.digits)
         rows, rhs = [], []
@@ -583,119 +587,98 @@ def _horner_dot(row, y):
 
 
 def _phase1_simplex(rows, rhs, nv: int, p: Precision):
-    """Phase-1 simplex for {A y >= rhs} with y free.
+    """Phase 1 for {A y >= rhs} with y free, solved through its LP dual.
 
-    Free variables are split y = y+ - y-.  Rows with rhs <= 0 start on
-    their surplus variable; rows with rhs > 0 get an artificial
-    variable, and the sum of artificials is minimized.  Dantzig pivots
-    with a switch to Bland's rule after a degenerate streak guard
-    against cycling.
+    Phase 1 minimizes the total violation of the rhs > 0 rows subject
+    to the others.  Its dual, max rhs.w s.t. A^T w = 0, w >= 0 and
+    w_i <= 1 where rhs_i > 0, starts feasible at w = 0 and has the same
+    optimum.  The tableau is [A^T | I] with one row per unknown; the
+    identity block carries B^-1, so y, the simplex multipliers, is minus
+    its reduced costs.  w_i <= 1 is a bound flip in the ratio test.
+    Dantzig pivots with a switch to Bland's rule after a degenerate
+    streak guard against cycling.
 
     Returns ("feasible", y, 0) or ("infeasible", None, optimum).
     """
     wd = p.digits + GUARD_DIGITS
     with mp.workdps(wd):
-        zero, one = mpf(0), mpf(1)
+        zero = mpf(0)
         m_rows = len(rows)
-        nsplit = 2 * nv
-        art_rows = [i for i in range(m_rows) if rhs[i] > 0]
-        nart = len(art_rows)
-        ncols = nsplit + m_rows + nart + 1  # structural + slack/surplus + artificial + rhs
         piv_tol = mpf(10) ** (-(wd - 10))
         feas_tol = mpf(10) ** (-(p.digits - 10))
+        # columns m_rows.. are the identity block: fixed at 0, never entering
+        tab = [[mpf(row[k]) for row in rows] + [mpf(k == j) for j in range(nv)]
+               for k in range(nv)]
+        cost = [mpf(r) for r in rhs] + [zero] * nv  # reduced costs
+        upper = [mpf(1) if r > 0 else mpmath.inf for r in rhs] + [zero] * nv
+        at_upper = [False] * m_rows
+        basis = [m_rows + k for k in range(nv)]
+        value = [zero] * nv  # of each row's basic variable
 
-        art_index = {r: nsplit + m_rows + k for k, r in enumerate(art_rows)}
-        tab = []
-        basis = []
-        for i in range(m_rows):
-            row = [zero] * ncols
-            flip = rhs[i] <= 0  # rewrite as (-A)y + s = -rhs with s >= 0 basic
-            for j in range(nv):
-                v = rows[i][j]
-                row[2 * j] = -v if flip else v
-                row[2 * j + 1] = v if flip else -v
-            row[nsplit + i] = one if flip else -one
-            row[-1] = -rhs[i] if flip else rhs[i]
-            if flip:
-                basis.append(nsplit + i)
-            else:
-                row[art_index[i]] = one
-                basis.append(art_index[i])
-            tab.append(row)
+        def pivot(r, j):
+            inv = 1 / tab[r][j]
+            tab[r] = prow = [v * inv for v in tab[r]]
+            for i in range(nv):
+                f = tab[i][j]
+                if i != r and f != zero:
+                    tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
+            f = cost[j]
+            cost[:] = [v - f * w for v, w in zip(cost, prow)]
+            basis[r] = j
 
-        # Reduced-cost row for min(sum of artificials).
-        obj = [zero] * ncols
-        for i in art_rows:
-            for j in range(ncols):
-                obj[j] -= tab[i][j]
-        for k in range(nart):
-            obj[nsplit + m_rows + k] = zero
+        # Starting basis at w = 0: pivot each row on its largest entry.  A
+        # row with none above the tolerance depends on earlier rows
+        # (repeated sample points) and keeps its identity column at 0.
+        for k in range(nv):
+            j = max(range(m_rows), key=lambda j: abs(tab[k][j]))
+            if abs(tab[k][j]) > piv_tol:
+                pivot(k, j)
 
+        optimum = zero
         degenerate_streak = 0
         bland = False
         for _ in range(20000):
-            # entering column
-            enter = -1
-            if bland:
-                for j in range(ncols - 1):
-                    if obj[j] < -piv_tol:
-                        enter = j
+            # raising a w_j at 0 gains cost[j]; lowering one at 1 gains -cost[j]
+            enter, best = -1, piv_tol
+            for j in range(m_rows):
+                gain = -cost[j] if at_upper[j] else cost[j]
+                if gain > best:
+                    enter, best = j, gain
+                    if bland:
                         break
-            else:
-                best = -piv_tol
-                for j in range(ncols - 1):
-                    if obj[j] < best:
-                        best = obj[j]
-                        enter = j
             if enter < 0:
                 break
-            # ratio test; ties prefer kicking artificials out of the
-            # basis (anti-stalling), then the lowest basis index
-            art_start = nsplit + m_rows
-            leave, best_ratio = -1, None
-            for i in range(m_rows):
-                a = tab[i][enter]
-                if a > piv_tol:
-                    ratio = tab[i][-1] / a
-                    if best_ratio is None or ratio < best_ratio - piv_tol:
-                        best_ratio, leave = ratio, i
-                    elif abs(ratio - best_ratio) <= piv_tol:
-                        cand_art = basis[i] >= art_start
-                        best_art = basis[leave] >= art_start
-                        if (cand_art, -basis[i]) > (best_art, -basis[leave]):
-                            best_ratio, leave = ratio, i
-            if leave < 0:
-                break  # unbounded phase-1 direction: treat as stalled
-            if best_ratio is not None and best_ratio <= piv_tol:
-                degenerate_streak += 1
-                if degenerate_streak > 50:
-                    bland = True
-            else:
-                degenerate_streak = 0
-            # pivot
-            prow = tab[leave]
-            inv = one / prow[enter]
-            tab[leave] = [v * inv for v in prow]
-            prow = tab[leave]
-            for i in range(m_rows):
-                if i == leave:
+            # ratio test; ties keep the bound flip, then the lowest basis index
+            sign = -1 if at_upper[enter] else 1
+            theta, leave, to_upper = upper[enter], -1, False
+            for i in range(nv):
+                a = sign * tab[i][enter]
+                if abs(a) <= piv_tol:
                     continue
-                f = tab[i][enter]
-                if f != zero:
-                    tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
-            f = obj[enter]
-            if f != zero:
-                obj = [v - f * w for v, w in zip(obj, prow)]
-            basis[leave] = enter
+                ratio = value[i] / a if a > 0 else (upper[basis[i]] - value[i]) / -a
+                if ratio < theta - piv_tol or (
+                    leave >= 0 and abs(ratio - theta) <= piv_tol and basis[i] < basis[leave]
+                ):
+                    theta, leave, to_upper = ratio, i, a < 0
+            if theta == mpmath.inf:
+                break  # unbounded dual ray: treat as stalled
+            degenerate_streak = degenerate_streak + 1 if theta <= piv_tol else 0
+            bland = bland or degenerate_streak > 50
+            step = sign * theta
+            optimum += step * cost[enter]
+            for i in range(nv):
+                value[i] -= step * tab[i][enter]
+            if leave < 0:
+                at_upper[enter] = not at_upper[enter]
+                continue
+            if basis[leave] < m_rows:
+                at_upper[basis[leave]] = to_upper
+            value[leave] = (upper[enter] if at_upper[enter] else zero) + step
+            at_upper[enter] = False
+            pivot(leave, enter)
         else:
             raise BudgetError("simplex iteration guard exceeded")
 
-        optimum = -obj[-1]
         if optimum <= feas_tol:
-            y = [zero] * nv
-            for i, b in enumerate(basis):
-                if b < nsplit:
-                    j, plus = divmod(b, 2)
-                    y[j] += tab[i][-1] if plus == 0 else -tab[i][-1]
-            return "feasible", y, zero
+            return "feasible", [-c for c in cost[m_rows:]], zero
         return "infeasible", None, optimum

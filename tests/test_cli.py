@@ -1,9 +1,12 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import stat
 
 import pytest
 
+from logbound import sandwich
 from logbound.cli import main
 
 
@@ -146,6 +149,36 @@ def test_sandwich_fit_matrix_csv(capsys):
     assert lines[1].startswith("p0/q0,infeasible/")
 
 
+@pytest.mark.parametrize("once, repeated", [
+    (["--deg", "0,0"], ["--deg", "0,0", "--deg", "0,0"]),
+    (["--deg", "0,0", "--xmax", "1"], ["--deg", "0,0", "--xmax", "1", "--xmax", "1.0"]),
+    (["--deg", "0,0", "--deg", "1,0"], ["--deg", "0,0", "--deg", "1,0", "--deg", "0,0"]),
+])
+def test_sandwich_fit_repeated_flag_same_bytes(capsys, once, repeated):
+    base = ["sandwich", "fit", "--samples", "12", "--format", "csv"]
+    first = run(capsys, *base, *once)
+    assert run(capsys, *base, *repeated) == first
+    assert first[0] == 0
+
+
+def test_sandwich_fit_fits_each_distinct_cell_once(capsys, monkeypatch):
+    fitted = []
+    real = sandwich.fit_sandwich
+
+    def counting(n, m, region, xmax, **kw):
+        fitted.append((n, m, xmax))
+        return real(n, m, region, xmax=xmax, **kw)
+
+    monkeypatch.setattr(sandwich, "fit_sandwich", counting)
+    code, out, err = run(
+        capsys, "sandwich", "fit", "--deg", "0,0", "--deg", "1,0", "--deg", "0,0",
+        "--xmax", "1", "--xmax", "0.5", "--xmax", "1.0", "--samples", "12",
+    )
+    assert code == 0
+    assert fitted == [(0, 0, "1.0"), (0, 0, "0.5"), (1, 0, "1.0"), (1, 0, "0.5")]
+    assert out.splitlines()[0] == "degrees\\X,1.0,0.5"
+
+
 def test_sandwich_fit_lower_region_reaches_zero(capsys):
     # the last sample of [-0.1, 0] is 0 itself, where the corridor closes
     code, out, err = run(capsys, "sandwich", "fit", "--deg", "3,3", "--region", "lower",
@@ -196,6 +229,17 @@ def test_out_writes_file_atomically(tmp_path, capsys, fmt):
     _, stdout, _ = run(capsys, "table", "--points", "5", "--format", fmt)
     assert target.read_text() == stdout
     assert len(list(tmp_path.iterdir())) == 1  # no temp leftovers
+
+
+def test_out_file_mode_follows_umask(tmp_path, capsys):
+    target = tmp_path / "atlas"
+    old = os.umask(0o022)
+    try:
+        code, _, _ = run(capsys, "table", "--points", "3", "--out", str(target))
+    finally:
+        os.umask(old)
+    assert code == 0
+    assert stat.S_IMODE(os.stat(target).st_mode) == 0o644
 
 
 def test_out_into_missing_directory_exit_2(tmp_path, capsys):

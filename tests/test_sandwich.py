@@ -1,5 +1,7 @@
 """Rational sandwich checks, witness search, and corridor feasibility."""
 
+import json
+import os
 import time
 
 import mpmath
@@ -15,9 +17,13 @@ from logbound.sandwich import (
     Witness,
     check_sandwich,
     expr_to_poly,
+    _phase1_simplex,
     find_witness,
     fit_sandwich,
 )
+
+FIT_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "perfbench", "lbbench", "fit_reference.json")
 
 PADE = RationalFn((0, 2, 1), (2, 2))
 KARAMATA = RationalFn((0, 6, 1), (6, 4))
@@ -268,6 +274,45 @@ def test_fit_degree_four_pair():
                 assert q >= 1 - mpf("1e-40")
                 assert mpmath.ln(1 + x) * q <= r.p_value(x) + mpf("1e-40")
                 assert r.p_value(x) <= cb_direct(x) * q + mpf("1e-40")
+
+
+def test_fit_statuses_match_reference_table():
+    # every cell of the benchmark's reference table, solved at 50 digits
+    with open(FIT_REFERENCE) as fh:
+        cells = json.load(fh)["cells"]
+    wrong = []
+    for key, want in sorted(cells.items()):
+        n, m, region, bound, samples = key.split(",")
+        kw = {"xmax": bound} if region == "upper" else {"delta": bound}
+        got = fit_sandwich(int(n), int(m), region, samples=int(samples), **kw).status
+        if got != want:
+            wrong.append((key, got))
+    assert len(cells) == 228 and wrong == []
+
+
+@pytest.mark.parametrize("rows, rhs, status, optimum", [
+    # y >= 1 twice and y <= 0: both Q-type rows stay violated by 1, so
+    # the optimum is the total violation 2, reached by two bound flips
+    ([[1], [1], [-1]], [1, 1, 0], "infeasible", 2),
+    ([[1], [-1]], [1, -2], "feasible", 0),
+    # y1 >= 1, y2 >= 1, y1 + y2 <= 1
+    ([[1, 0], [0, 1], [-1, -1]], [1, 1, -1], "infeasible", 1),
+])
+def test_phase1_simplex_small_cases(rows, rhs, status, optimum):
+    got, y, opt = _phase1_simplex(rows, rhs, len(rows[0]), Precision(50))
+    assert (got, opt) == (status, optimum)
+    if status == "feasible":
+        assert 1 <= y[0] <= 2
+    else:
+        assert y is None
+
+
+@pytest.mark.parametrize("points", [["0.5"] * 32, ["0.25", "0.5"] * 16])
+def test_fit_repeated_sample_points(points):
+    # rank-deficient constraint rows: the starting basis must skip the
+    # dependent rows instead of pivoting on a zero entry
+    rep = fit_sandwich(3, 3, "upper", sample_points=points)
+    assert rep.status == "feasible" and rep.sample_count == 32
 
 
 def test_fit_validation_and_precision_guard():
