@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional, Sequence
 
 import mpmath
@@ -55,6 +56,9 @@ from .exprjet import (
 CASES = ("I", "II", "III", "IV")
 
 DEFAULT_MAX_N = 12
+# Largest max_n accepted: the jet order and the number of conditions
+# both grow with it, so the cost of certify grows about quadratically.
+MAX_N_CEILING = 40
 DEFAULT_JET_ORDER = 7
 
 
@@ -82,6 +86,11 @@ class CandidateJet:
     ) -> "CandidateJet":
         av = mpmath.mpmathify(a)
         return cls(expr=expr, jet_at_1=jet(expr, 1, order, p), a=av)
+
+    @cached_property
+    def derivatives(self) -> tuple:
+        """P^(k)(1) for k = 0..order, computed once per candidate."""
+        return tuple(self.jet_at_1.derivatives())
 
 
 @dataclass(frozen=True)
@@ -174,6 +183,12 @@ def local_extremum_test(derivs: Sequence, tol: Num = mpf("1e-12")) -> ExtremumVe
     return ExtremumVerdict("inconclusive", None)
 
 
+# Condition constants depend on (j, digits, mode) only, and every
+# certify call asks for the same few dozen; the memo keeps the most
+# recently used ones.
+_CONSTANTS_KEPT = 512
+
+
 def equality_constant(j: int, p: Precision = DEFAULT_PRECISION) -> mpf:
     """c_j with c_1 = -2 and c_j = 2*(-1)^(j+1)*(j-2)! for j >= 2.
 
@@ -183,7 +198,12 @@ def equality_constant(j: int, p: Precision = DEFAULT_PRECISION) -> mpf:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    with mp.workdps(p.digits):
+    return _equality_constant(j, p.digits)
+
+
+@lru_cache(maxsize=_CONSTANTS_KEPT)
+def _equality_constant(j: int, digits: int) -> mpf:
+    with mp.workdps(digits):
         if j == 1:
             return mpf(-2)
         return +(2 * (-1) ** (j + 1) * mpmath.factorial(j - 2))
@@ -200,13 +220,18 @@ def case3_constant(j: int, p: Precision = DEFAULT_PRECISION, paper_literal: bool
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        pp = Precision(p.digits + GUARD_DIGITS)
+    return _case3_constant(j, p.digits, bool(paper_literal))
+
+
+@lru_cache(maxsize=_CONSTANTS_KEPT)
+def _case3_constant(j: int, digits: int, paper_literal: bool) -> mpf:
+    with mp.workdps(digits + GUARD_DIGITS):
+        pp = Precision(digits + GUARD_DIGITS)
         if paper_literal:
             val = 4 * (atan_deriv(j, 1, pp) + (j - 1) * atan_deriv(j - 1, 1, pp))
         else:
             val = -H_deriv(j, 1, pp)
-    with mp.workdps(p.digits):
+    with mp.workdps(digits):
         return +val
 
 
@@ -248,7 +273,7 @@ def check_case(
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
     tol = condition_tolerance(p)
-    d = c.jet_at_1.derivatives()
+    d = c.derivatives
     order = c.jet_at_1.order
     digits = p.digits
 
@@ -327,8 +352,11 @@ def certify(
     the certified inequality pattern is grid-verified out to the
     largest radius found (see find_radius).  If nothing passes, the
     returned certificate has case "none" and carries the
-    nearest-missing attempt's reports.
+    nearest-missing attempt's reports.  max_n must lie in
+    [1, MAX_N_CEILING].
     """
+    if not 1 <= max_n <= MAX_N_CEILING:
+        raise ValueError(f"max_n must lie in [1, {MAX_N_CEILING}], got {max_n}")
     mode = "paper-literal" if paper_literal else "derived"
     cand = CandidateJet.build(e, a, order=max(max_n + 2, DEFAULT_JET_ORDER), p=p)
 

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import tempfile
+from functools import lru_cache
 from typing import Callable, List, NamedTuple, Optional, Sequence
 
 from mpmath import mp, mpf
@@ -30,6 +31,12 @@ from .exprjet import Precision, decimal_text, parse
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+
+# Ceiling of --digits.  Work grows faster than quadratically with the
+# precision (certify with a radius takes seconds at this ceiling); the
+# floor of 15 is Precision's own.  Internal guard and doubled precisions
+# go above the ceiling, so it bounds the option, not Precision.
+MAX_DIGITS = 500
 
 
 class Report(NamedTuple):
@@ -309,7 +316,10 @@ def _cmd_selftest(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parse_args keeps no state
+    between calls, and building costs more than most subcommands."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--digits", type=int, default=50,
                         help="working significant digits (default 50)")
@@ -390,6 +400,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
+        if args.digits > MAX_DIGITS:
+            raise ValueError(f"--digits must be <= {MAX_DIGITS}, got {args.digits}")
         report = args.fn(args)
         _emit(_render(report, args.format), args.out)
     except (LogboundError, ValueError) as exc:

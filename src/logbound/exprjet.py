@@ -13,13 +13,16 @@ and its square-substituted form H(u) = f(u^2 - 1).
 
 Everything known about an operation -- its printed form, its value
 rule and its Taylor-series rule -- sits in one row of the op table
-``_OPS``; the parser's function names come from the same rows.
+``_OPS``; the parser's function names come from the same rows.  Point
+evaluation compiles a tree once into a closure over the value rules,
+with its variable-free subtrees computed once per working precision.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath
@@ -72,6 +75,11 @@ class Expr:
     structurally."""
 
     __slots__ = ()
+
+    def __getstate__(self):
+        # the compiled closure (see _compiled) cannot be pickled; a copy
+        # compiles its own on first use
+        return {k: v for k, v in self.__dict__.items() if k != "_point"}
 
 
 @dataclass(frozen=True)
@@ -342,19 +350,15 @@ _OPS: dict = {
 }
 
 
-def _step(kind: str, rule: Callable, walk: Callable) -> Callable:
-    """A row rule turned into a node step (node, ctx) of the walk."""
+def _step(kind: str, rule: Callable) -> Callable:
+    """A series rule turned into a node step (node, (center, n)) of the walk."""
     if kind == "leaf":
         return rule
     if kind == "infix":
-        return lambda e, c: rule(e, walk(e.left, c), walk(e.right, c))
+        return lambda e, c: rule(e, _series(e.left, c), _series(e.right, c))
     if kind == "postfix":
-        return lambda e, c: rule(e, walk(e.base, c))
-    return lambda e, c: rule(walk(e.arg, c))
-
-
-def _eval(e: Expr, x: mpf) -> mpf:
-    return _POINT[e.__class__](e, x)
+        return lambda e, c: rule(e, _series(e.base, c))
+    return lambda e, c: rule(_series(e.arg, c))
 
 
 def _series(e: Expr, ctx: tuple) -> list:
@@ -362,8 +366,66 @@ def _series(e: Expr, ctx: tuple) -> list:
     return _SERIES[e.__class__](e, ctx)
 
 
-_POINT = {cls: _step(op.kind, op.point, _eval) for cls, op in _OPS.items()}
-_SERIES = {cls: _step(op.kind, op.series, _series) for cls, op in _OPS.items()}
+_SERIES = {cls: _step(op.kind, op.series) for cls, op in _OPS.items()}
+
+
+def _children(e: Expr, kind: str) -> tuple:
+    if kind == "infix":
+        return e.left, e.right
+    if kind == "postfix":
+        return (e.base,)
+    return (e.arg,)
+
+
+def _per_prec(fn: Callable) -> Callable:
+    """fn of a variable-free subtree, computed once per working precision.
+
+    A value is stored only when fn returns, so a domain error is raised
+    again, with the same message, on every call."""
+    memo = (None, None)
+
+    def once(x):
+        nonlocal memo
+        prec = mp.prec
+        if memo[0] != prec:
+            memo = (prec, fn(x))
+        return memo[1]
+
+    return once
+
+
+def _build(e: Expr):
+    """(closure x -> value of e, whether e depends on x), from the point
+    rules of _OPS.  The closure applies the rules in the order of the
+    tree walk it replaces, so values and errors are those of the walk;
+    variable-free subtrees below a varying node go through _per_prec."""
+    kind, _, _, rule, _ = _OPS[e.__class__]
+    if kind == "leaf":
+        return partial(rule, e), e.__class__ is Var
+    parts = [_build(c) for c in _children(e, kind)]
+    varying = any(v for _, v in parts)
+    fns = [fn if v or not varying else _per_prec(fn) for fn, v in parts]
+    if kind == "infix":
+        a, b = fns
+        return (lambda x: rule(e, a(x), b(x))), varying
+    (a,) = fns
+    if kind == "postfix":
+        return (lambda x: rule(e, a(x))), varying
+    return (lambda x: rule(a(x))), varying
+
+
+def _compiled(e: Expr) -> Callable:
+    """e compiled once into a closure x -> value at the working
+    precision, kept on e itself so that it lives as long as the tree."""
+    fn = e.__dict__.get("_point")
+    if fn is None:
+        fn, varying = _build(e)
+        if not varying:
+            fn = _per_prec(fn)
+        # nodes are frozen; the closure is not a field, so equality,
+        # hashing and printing ignore it
+        object.__setattr__(e, "_point", fn)
+    return fn
 
 
 def _wrap(e: Expr, min_prec: int) -> str:
@@ -592,8 +654,9 @@ def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
 
     Domain violations raise DomainError rather than returning NaN.
     """
+    fn = _compiled(e)
     with mp.workdps(p.digits + GUARD_DIGITS):
-        val = _eval(e, mpmath.mpmathify(x))
+        val = fn(mpmath.mpmathify(x))
     with mp.workdps(p.digits):
         return +val
 
@@ -683,7 +746,7 @@ def fd_derivative(
     with mp.workdps(wd):
         x0 = mpmath.mpmathify(center)
         h = mpf(10) ** (-mpf(p.digits) / (k + 2))
-        fn = lambda x: _eval(e, x)
+        fn = _compiled(e)
         d0 = _central_diff(fn, x0, k, h)
         d1 = _central_diff(fn, x0, k, h / 2)
         d2 = _central_diff(fn, x0, k, h / 4)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
+from logbound import certifier
 from logbound.certifier import (
     CandidateJet,
     case3_constant,
@@ -19,7 +20,7 @@ from logbound.certifier import (
     local_extremum_test,
 )
 from logbound.errors import PrecisionError
-from logbound.exprjet import Precision, parse
+from logbound.exprjet import Jet, Precision, parse
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +137,38 @@ def test_case3_constants_both_modes():
 
     for j in range(5, 9):
         assert abs(case3_constant(j) + H_deriv(j, 1)) < mpf("1e-40")
+
+
+def test_condition_constant_memo_keys_are_complete():
+    # digits and mode interleaved: a memo keyed on less than
+    # (j, digits, mode) would hand back a value computed for another key
+    keys = [(j, digits, literal) for j in range(2, certifier.MAX_N_CEILING + 2)
+            for digits, literal in ((30, False), (50, True), (50, False), (30, True))]
+
+    def values(j, digits, literal):
+        p = Precision(digits)
+        return case3_constant(j, p, literal)._mpf_, equality_constant(j, p)._mpf_
+
+    cold = {}
+    for key in keys:
+        certifier._case3_constant.cache_clear()
+        certifier._equality_constant.cache_clear()
+        cold[key] = values(*key)
+    assert {key: values(*key) for key in keys} == cold
+    # the keys matter: at j = 40 the constants carry more than 30
+    # significant digits, and from j = 5 on the two modes differ
+    for literal in (False, True):
+        assert all(a != b for a, b in zip(cold[40, 30, literal], cold[40, 50, literal]))
+    assert cold[5, 50, False][0] != cold[5, 50, True][0]
+
+
+def test_certify_computes_the_derivative_list_once(monkeypatch):
+    calls = []
+    derivatives = Jet.derivatives
+    monkeypatch.setattr(Jet, "derivatives", lambda self: calls.append(1) or derivatives(self))
+    cert = certify(parse("H(t) - (1/30)*(t-1)^5"), "0.9", compute_radius=False)
+    # every case of the search order was tried on the same candidate
+    assert cert.case == "none" and len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

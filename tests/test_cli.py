@@ -1,13 +1,18 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
+import contextlib
+import io
 import json
 import os
 import stat
+import subprocess
+import sys
 
 import pytest
 
 from logbound import sandwich
-from logbound.cli import main
+from logbound.certifier import MAX_N_CEILING
+from logbound.cli import MAX_DIGITS, main
 
 
 def run(capsys, *argv):
@@ -291,3 +296,64 @@ def test_selftest_honours_format(capsys):
     code, out, err = run(capsys, "selftest", "--format", "csv")
     lines = out.splitlines()
     assert lines[0] == "suite,status,detail" and len(lines) == len(rows) + 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["certify", "--expr", "H(t)", "--no-radius", "--max-n", "0"],
+    ["certify", "--expr", "H(t)", "--no-radius", "--max-n", "-5"],
+    ["radius", "--expr", "H(t)", "--max-n", str(MAX_N_CEILING + 1)],
+    ["table", "--points", "2", "--digits", str(MAX_DIGITS + 1)],
+    ["certify", "--expr", "H(t)", "--no-radius", "--digits", "5000"],
+], ids=["max-n 0", "max-n -5", "max-n above", "digits above", "digits 5000"])
+def test_limits_of_max_n_and_digits_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_limits_of_max_n_and_digits_are_accepted(capsys):
+    code, _, err = run(capsys, "certify", "--expr", "H(t) - (1/30)*(t-1)^5", "--no-radius",
+                       "--max-n", str(MAX_N_CEILING))
+    assert code == 1 and err == ""
+    code, _, err = run(capsys, "table", "--points", "2", "--digits", str(MAX_DIGITS))
+    assert code == 0 and err == ""
+
+
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+
+def _in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def _alone(argv, env):
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from logbound.cli import main; "
+                               "sys.exit(main(sys.argv[1:]))", *argv],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_calls_in_one_process_match_each_call_alone(monkeypatch):
+    # the parser is built once per process; no call may see another's state
+    env = {**os.environ, "COLUMNS": "80", "LINES": "24",
+           "PYTHONPATH": os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))}
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.setenv("LINES", "24")
+    argvs = [
+        ["table", "--points", "3", "--format", "csv"],
+        ["sandwich", "fit", "--deg", "0,0", "--xmax", "1", "--xmax", "2", "--samples", "8"],
+        ["certify", "--expr", "2*q"],
+        ["certify", "--expr", "H(t) - (1/30)*(t-1)^5", "--no-radius", "--format", "json"],
+        ["table", "--bogus"],
+        ["sandwich", "fit", "--deg", "0,0", "--samples", "8"],
+        ["certify", "--help"],
+        ["--version"],
+        ["table", "--points", "3", "--format", "csv", "--digits", "20"],
+    ]
+    for argv in argvs:
+        assert _in_process(argv) == _alone(argv, env), argv

@@ -1,5 +1,7 @@
 """Expression language, jets, and the finite-difference oracle."""
 
+import pickle
+
 import mpmath
 import pytest
 from hypothesis import assume, given, settings
@@ -129,6 +131,39 @@ def test_eval_precision_agreement(e, tenths):
     assume(abs(v2) < mpf("1e8"))
     with mp.workdps(80):
         assert abs(v1 - v2) <= mpf("1e-48") * max(1, abs(v2))
+
+
+def test_evaluated_tree_pickles():
+    e = parse("H(t) - (1/60)*(t-1)^5")
+    v = eval_expr(e, "1.5")
+    copy = pickle.loads(pickle.dumps(e))
+    assert copy == e and eval_expr(copy, "1.5") == v
+
+
+def _outcome(e, x, digits):
+    """The bits of eval_expr's value, or the type and message it raised."""
+    try:
+        return eval_expr(e, x, Precision(digits))._mpf_
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=80, deadline=None)
+@given(exprs(), st.integers(-20, 20))
+def test_compiled_constants_follow_the_precision(e, tenths):
+    # one tree evaluated at 70, then 20, then 50 digits gives the bits
+    # (or the error) of a fresh copy evaluated at that precision alone;
+    # a second tree starts low, so that constants kept from a coarser
+    # precision would show at 70 digits
+    x = mpf(tenths) / 10
+    first = _outcome(e, x, 70)
+    assert first == _outcome(parse(to_text(e)), x, 70)
+    for digits in (20, 50):
+        assert _outcome(e, x, digits) == _outcome(parse(to_text(e)), x, digits)
+    assert _outcome(e, x, 70) == first
+    e2 = parse(to_text(e))
+    assert _outcome(e2, x, 20) == _outcome(e, x, 20)
+    assert _outcome(e2, x, 70) == first
 
 
 # ---------------------------------------------------------------------------
