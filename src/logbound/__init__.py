@@ -21,19 +21,16 @@ from .bounds import (
     gap_R,
     ln1p,
     phi_identity,
-    refined_local,
 )
 from .certifier import (
     CandidateJet,
     Certificate,
     ConditionReport,
-    ExtremumVerdict,
     case3_constant,
     certify,
     check_case,
     equality_constant,
     find_radius,
-    local_extremum_test,
     verify_pattern_on_grid,
 )
 from .errors import (
@@ -82,7 +79,6 @@ __all__ = [
     "DEFAULT_PRECISION",
     "DomainError",
     "Expr",
-    "ExtremumVerdict",
     "FeasibilityReport",
     "GapValue",
     "H_deriv",
@@ -115,10 +111,8 @@ __all__ = [
     "gap_R",
     "jet",
     "ln1p",
-    "local_extremum_test",
     "parse",
     "phi_identity",
-    "refined_local",
     "to_text",
     "verify_pattern_on_grid",
 ]

@@ -22,7 +22,6 @@ quoted transposed form of this interval is inconsistent with R(1) = 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
@@ -218,25 +217,6 @@ def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
             val = -4 * (
                 tv * atan_deriv(n - 1, tv, pp) + (n - 1) * atan_deriv(n - 2, tv, pp)
             )
-    with mp.workdps(p.digits):
-        return +val
-
-
-def refined_local(t: Num, eps: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
-    """H(t) - eps*(t-1)^5 for t > 0, eps >= 0.
-
-    For eps in (0, 1/30) this curve sits strictly between 2t*ln(t) and
-    H(t) on a neighborhood of t = 1 (certified by the certifier
-    module).
-    """
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        tv = mpmath.mpmathify(t)
-        ev = mpmath.mpmathify(eps)
-        if tv <= 0:
-            raise DomainError("refined_local requires t > 0")
-        if ev < 0:
-            raise ValueError("eps must be >= 0")
-        val = _f(tv * tv - 1) - ev * (tv - 1) ** 5
     with mp.workdps(p.digits):
         return +val
 

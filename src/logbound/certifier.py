@@ -34,13 +34,13 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional, Sequence
+from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
 
 from .bounds import H_deriv, H_value, atan_deriv
-from .errors import DomainError, PrecisionError
+from .errors import PrecisionError
 from .exprjet import (
     DEFAULT_PRECISION,
     Expr,
@@ -111,12 +111,6 @@ class ConditionReport:
 
 
 @dataclass(frozen=True)
-class ExtremumVerdict:
-    kind: str  # "min" | "max" | "none" | "inconclusive"
-    first_nonzero_order: Optional[int]
-
-
-@dataclass(frozen=True)
 class Certificate:
     """Result of condition checking, optionally with a verified radius."""
 
@@ -162,25 +156,6 @@ def condition_tolerance(p: Precision = DEFAULT_PRECISION) -> mpf:
     """
     with mp.workdps(p.digits):
         return mpf(10) ** (10 - p.digits)
-
-
-def local_extremum_test(derivs: Sequence, tol: Num = mpf("1e-12")) -> ExtremumVerdict:
-    """Classify a stationary-ish point from derivative values d_1..d_k.
-
-    The first index m with |d_m| > tol decides: even m with d_m > 0 is
-    a local minimum, even m with d_m < 0 a local maximum, odd m means
-    the function passes monotonically through (no extremum).  If every
-    derivative is below tol the test is inconclusive.
-    """
-    if len(derivs) == 0:
-        raise ValueError("need at least one derivative value")
-    tol = mpmath.mpmathify(tol)
-    for m, d in enumerate(derivs, start=1):
-        if abs(mpmath.mpmathify(d)) > tol:
-            if m % 2 == 1:
-                return ExtremumVerdict("none", m)
-            return ExtremumVerdict("min" if d > 0 else "max", m)
-    return ExtremumVerdict("inconclusive", None)
 
 
 # Condition constants depend on (j, digits, mode) only, and every

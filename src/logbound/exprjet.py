@@ -504,7 +504,7 @@ class _Tokenizer:
             else:
                 raise ParseError(f"unexpected character {ch!r}", i)
         if advance:
-            self.pos = i if tok[0] == "eof" else i
+            self.pos = i
         return tok
 
 
@@ -677,9 +677,6 @@ class Jet:
     order: int
     coeffs: tuple
     digits: int
-
-    def coefficient(self, k: int) -> mpf:
-        return self.coeffs[k]
 
     def derivative(self, k: int) -> mpf:
         with mp.workdps(self.digits):

@@ -187,9 +187,11 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
         if isinstance(e, PowInt):
             if e.exponent < 0:
                 raise ValueError("negative powers are not polynomial")
-            out = [mpf(1)]
             base = trim(go(e.base))
             check_degree(e.exponent * (len(base) - 1))
+            if len(base) == 1:
+                return [base[0] ** e.exponent]
+            out = [mpf(1)]
             for _ in range(e.exponent):
                 nxt = [mpf(0)] * (len(out) + len(base) - 1)
                 for i, x in enumerate(out):

@@ -1,10 +1,10 @@
 """Built-in invariant suites behind `logbound selftest`.
 
 Each suite returns (ok, detail); run_all runs them all and returns one
-(name, "PASS" | "FAIL", detail) row per suite.  The suites mirror the
-library's contracts at default precision and are intentionally
-independent of the test harness so a deployed installation can be
-checked in place.
+(name, "PASS" | "FAIL", detail) row per suite.  The suites are the one
+copy of the paper's invariant checks: tests/test_acceptance.py runs each
+of them as its own test, and they import nothing from the test harness,
+so a deployed installation can be checked in place.
 """
 
 from __future__ import annotations
@@ -50,15 +50,16 @@ def _gap_monotone(p: Precision):
     ts = bounds.log_grid("1e-6", "100", 1000, p)
     slack = mpf("1e-30")
     prev = None
-    for t in ts:
-        r = bounds.gap_R(t, p).value
-        if prev is not None and r > prev + slack:
-            return False, f"R increases near t = {mpmath.nstr(t, 10)}"
-        prev = r
-    lim = 2 - mp.pi / 2
-    r0 = bounds.gap_R("1e-8", p).value
-    if abs(r0 - lim) > mpf("1e-3"):
-        return False, "R(1e-8) misses the limit 2 - pi/2"
+    with mp.workdps(p.digits):
+        for t in ts:
+            r = bounds.gap_R(t, p).value
+            if prev is not None and r > prev + slack:
+                return False, f"R increases near t = {mpmath.nstr(t, 10)}"
+            prev = r
+        lim = 2 - mp.pi / 2
+        r0 = bounds.gap_R("1e-8", p).value
+        if abs(r0 - lim) > mpf("1e-3"):
+            return False, "R(1e-8) misses the limit 2 - pi/2"
     return True, "R non-increasing on (0, 100], endpoint limit matched"
 
 
@@ -97,11 +98,12 @@ def _phi(p: Precision):
 
 
 def _asymptote(p: Precision):
-    t = mpf(10) ** 4
-    ratio = bounds.f_cb(t * t - 1, p) / t ** 2
-    target = 2 - mp.pi / 2
-    if abs(ratio - target) > mpf("1e-3"):
-        return False, "f(t^2-1)/t^2 misses 2 - pi/2 at t = 1e4"
+    with mp.workdps(p.digits):
+        t = mpf(10) ** 4
+        ratio = bounds.f_cb(t * t - 1, p) / t ** 2
+        target = 2 - mp.pi / 2
+        if abs(ratio - target) > mpf("1e-3"):
+            return False, "f(t^2-1)/t^2 misses 2 - pi/2 at t = 1e4"
     return True, "f(t^2-1)/t^2 near 2 - pi/2 at t = 1e4"
 
 

@@ -193,7 +193,7 @@ def test_jet_coefficient_derivative_contract():
     j = jet(parse("sin(t)"), mpf("0.3"), 6)
     for k in range(7):
         with mp.workdps(50):
-            assert j.derivative(k) == j.coefficient(k) * mpmath.factorial(k)
+            assert j.derivative(k) == j.coeffs[k] * mpmath.factorial(k)
 
 
 def test_jet_domain_errors():

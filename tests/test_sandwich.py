@@ -78,6 +78,14 @@ def test_expr_to_poly_bounds_the_degree():
             expr_to_poly(parse(text))
 
 
+def test_expr_to_poly_raises_a_constant_base_once():
+    # one multiplication per unit of exponent would take seconds here
+    t0 = time.monotonic()
+    assert expr_to_poly(parse("1^1000000 + x")) == [1, 1]
+    assert expr_to_poly(parse("(1/2)^3")) == [mpf("0.125")]
+    assert time.monotonic() - t0 < 0.5
+
+
 def test_rational_to_expr_roundtrip():
     e = PADE.to_expr()
     j = jet(e, 0, 2)
@@ -130,17 +138,20 @@ def test_check_sandwich_rejects_vanishing_q():
 # ---------------------------------------------------------------------------
 
 
-def _reverify_witness(w: Witness):
-    """Independent doubled-precision confirmation of a witness."""
+def _reverify_witness(w: Witness, r: RationalFn):
+    """Independent doubled-precision confirmation of a witness, with the
+    reported value of P/Q and with P/Q recomputed at 100 digits."""
     with mp.workdps(100):
         x = mpmath.mpmathify(w.x)
         ln_side = mpmath.ln(1 + x)
         cb_side = cb_direct(x)
-        if w.region == "upper":
-            margin = ln_side - w.rhs if w.side == "log" else w.lhs - cb_side
-        else:
-            margin = w.rhs - ln_side if w.side == "log" else cb_side - w.lhs
-    assert margin > mpf("1e-20")
+        reported = w.rhs if w.side == "log" else w.lhs
+        for v in (reported, r.value(x)):
+            if w.region == "upper":
+                margin = ln_side - v if w.side == "log" else v - cb_side
+            else:
+                margin = v - ln_side if w.side == "log" else cb_side - v
+            assert margin > mpf("1e-20")
 
 
 def test_witness_corpus_within_budget():
@@ -149,7 +160,7 @@ def test_witness_corpus_within_budget():
                       (IDENTITY, "lower")):
         w = find_witness(r, region)
         assert w.margin > mpf("1e-20")
-        _reverify_witness(w)
+        _reverify_witness(w, r)
     assert time.monotonic() - t0 < 30
 
 
@@ -180,7 +191,7 @@ def test_fitted_candidate_still_has_witness():
     r = RationalFn(rep.p_coeffs, rep.q_coeffs)
     w = find_witness(r, "upper")
     assert w.margin > mpf("1e-20")
-    _reverify_witness(w)
+    _reverify_witness(w, r)
 
 
 # ---------------------------------------------------------------------------
