@@ -148,11 +148,15 @@ class Certificate:
 
 
 def condition_tolerance(p: Precision = DEFAULT_PRECISION) -> mpf:
-    """Shared tolerance for equality and strict margins: 10^(10-digits).
+    """Shared tolerance of the conditions and the radius slack: 10^(10-digits).
 
-    Jet coefficients at the default 50 digits carry error far below
-    this, so exact-zero margins (boundary candidates) fail strict
-    conditions as they should.
+    A condition compares its margin against this tolerance times
+    max(1, |target|), because the jet's error is relative: at
+    j = 24 a target of size 24!*|c_24| carries an error far above an
+    absolute 10^(10-digits).  Jet coefficients at the default 50
+    digits carry error far below the scaled tolerance, so exact-zero
+    margins (boundary candidates) fail strict conditions as they
+    should.  The radius search uses the tolerance unscaled.
     """
     with mp.workdps(p.digits):
         return mpf(10) ** (10 - p.digits)
@@ -210,26 +214,54 @@ def _case3_constant(j: int, digits: int, paper_literal: bool) -> mpf:
         return +val
 
 
-def _report(label, kind, target, actual, tol, digits):
+def _report(label, kind, target, actual, tol):
+    # target and actual already carry the working precision
+    if kind == "equality":
+        margin = actual - target
+        passed = abs(margin) <= tol
+    elif kind == "strict":
+        margin = actual - target
+        passed = margin > tol
+    elif kind == "strict-below":
+        margin = target - actual
+        passed = margin > tol
+        kind = "strict"
+    else:  # at-least
+        margin = actual - target
+        passed = margin >= -tol
+    return ConditionReport(label, kind, target, actual, margin, bool(passed))
+
+
+@lru_cache(maxsize=_CONSTANTS_KEPT)
+def _conditions(case: str, n: Optional[int], digits: int, paper_literal: bool) -> tuple:
+    """(label, kind, derivative order, target, tolerance) of each
+    condition of one case, all at `digits`."""
+    p = Precision(digits)
     with mp.workdps(digits):
-        target = +mpmath.mpmathify(target)
-        actual = +mpmath.mpmathify(actual)
-        if kind == "equality":
-            margin = actual - target
-            passed = abs(margin) <= tol
-        elif kind == "strict":
-            margin = actual - target
-            passed = margin > tol
-        elif kind == "strict-below":
-            margin = target - actual
-            passed = margin > tol
-            kind = "strict"
-        elif kind == "at-least":
-            margin = actual - target
-            passed = margin >= -tol
-        else:
-            raise ValueError(f"unknown condition kind {kind!r}")
-        return ConditionReport(label, kind, target, actual, +margin, bool(passed))
+
+        def eq_g(j):
+            return (f"j={j} equality", "equality", j, -equality_constant(j, p))
+
+        conds = [("P(1)", "equality", 0, mpf(0))]
+        if case == "I":
+            conds.append(("j=1 slope", "at-least", 1, mpf(2)))
+            conds += [eq_g(j) for j in range(2, n + 2)]
+            conds.append((f"j={n + 2} strict", "strict", n + 2, -equality_constant(n + 2, p)))
+        elif case == "II":
+            conds += [eq_g(j) for j in range(1, n + 1)]
+            conds.append((f"j={n + 1} strict", "strict", n + 1, -equality_constant(n + 1, p)))
+        elif case == "III":
+            conds += [eq_g(j) for j in range(1, 5)]
+            conds += [(f"j={j} equality", "equality", j, -case3_constant(j, p, paper_literal))
+                      for j in range(5, n + 1)]
+            conds.append((f"j={n + 1} strict (below)", "strict-below", n + 1,
+                          -case3_constant(n + 1, p, paper_literal)))
+        else:  # case IV
+            conds += [eq_g(j) for j in range(1, 5)]
+            conds.append(("j=5 above -12", "strict", 5, mpf(-12)))
+            conds.append(("j=5 below -8", "strict-below", 5, mpf(-8)))
+        tol = condition_tolerance(p)
+        return tuple((*c, tol * max(1, abs(c[3]))) for c in conds)
 
 
 def check_case(
@@ -247,58 +279,21 @@ def check_case(
     """
     if case not in CASES:
         raise ValueError(f"unknown case {case!r}")
-    tol = condition_tolerance(p)
-    d = c.derivatives
+    if case == "I" and (n is None or n < 1 or n % 2 == 0):
+        raise ValueError("case I needs an odd n >= 1")
+    if case in ("II", "III") and (n is None or n < 6 or n % 2 == 1):
+        raise ValueError(f"case {case} needs an even n >= 6")
+    conds = _conditions(case, None if case == "IV" else n, p.digits,
+                        case == "III" and bool(paper_literal))
     order = c.jet_at_1.order
-    digits = p.digits
-
-    def need(k):
-        if order < k:
-            raise ValueError(f"case {case} with n={n} needs jet order >= {k}, have {order}")
-
-    def eq_g(j):
-        cj = equality_constant(j, p)
-        return _report(f"j={j} equality", "equality", -cj, d[j], tol, digits)
-
-    reports = [_report("P(1)", "equality", mpf(0), d[0], tol, digits)]
-
-    if case == "I":
-        if n is None or n < 1 or n % 2 == 0:
-            raise ValueError("case I needs an odd n >= 1")
-        need(n + 2)
-        reports.append(_report("j=1 slope", "at-least", mpf(2), d[1], tol, digits))
-        for j in range(2, n + 2):
-            reports.append(eq_g(j))
-        cj = equality_constant(n + 2, p)
-        reports.append(_report(f"j={n + 2} strict", "strict", -cj, d[n + 2], tol, digits))
-    elif case == "II":
-        if n is None or n < 6 or n % 2 == 1:
-            raise ValueError("case II needs an even n >= 6")
-        need(n + 1)
-        for j in range(1, n + 1):
-            reports.append(eq_g(j))
-        cj = equality_constant(n + 1, p)
-        reports.append(_report(f"j={n + 1} strict", "strict", -cj, d[n + 1], tol, digits))
-    elif case == "III":
-        if n is None or n < 6 or n % 2 == 1:
-            raise ValueError("case III needs an even n >= 6")
-        need(n + 1)
-        for j in range(1, 5):
-            reports.append(eq_g(j))
-        for j in range(5, n + 1):
-            qj = case3_constant(j, p, paper_literal)
-            reports.append(_report(f"j={j} equality", "equality", -qj, d[j], tol, digits))
-        qn1 = case3_constant(n + 1, p, paper_literal)
-        reports.append(
-            _report(f"j={n + 1} strict (below)", "strict-below", -qn1, d[n + 1], tol, digits)
-        )
-    else:  # case IV
-        need(5)
-        for j in range(1, 5):
-            reports.append(eq_g(j))
-        reports.append(_report("j=5 above -12", "strict", mpf(-12), d[5], tol, digits))
-        reports.append(_report("j=5 below -8", "strict-below", mpf(-8), d[5], tol, digits))
-    return reports
+    need = conds[-1][2]
+    if order < need:
+        raise ValueError(f"case {case} with n={n} needs jet order >= {need}, have {order}")
+    d = c.derivatives
+    with mp.workdps(p.digits):
+        if c.jet_at_1.digits != p.digits:
+            d = [+v for v in d]
+        return [_report(label, kind, target, d[j], tol) for label, kind, j, target, tol in conds]
 
 
 def _attempts(max_n: int):

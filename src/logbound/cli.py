@@ -38,6 +38,21 @@ EXIT_USAGE = 2
 # go above the ceiling, so it bounds the option, not Precision.
 MAX_DIGITS = 500
 
+# Ceilings of the grid and sample sizes, checked before any work.  At
+# the default 50 digits on a 2-core x86 host the largest accepted value
+# of each takes 4-5 s idle and about 10 s with the host loaded (this
+# host's speed swings about 2x): table and compare 4.3-4.6 s idle;
+# sandwich check 4.4 s idle with P and Q of degree 100 (0.6 s at
+# degree 3).
+MAX_POINTS = 20000  # table and compare
+MAX_GRID = 5000  # sandwich check
+# sandwich fit: --samples times the n+m+2 coefficients of a cell, since
+# the simplex's work grows with both; the slowest cell at its ceiling
+# took 4.9 s idle ((7,7) at 81 samples).
+MAX_FIT_SIZE = 1300
+
+_CEILINGS = {"digits": MAX_DIGITS, "points": MAX_POINTS, "grid": MAX_GRID}
+
 
 class Report(NamedTuple):
     """One result in every report format: the exit code, the csv header
@@ -265,6 +280,10 @@ def _cmd_sandwich_fit(args) -> Report:
     for d in degrees:
         if len(d) != 2:
             raise LogboundError("--deg expects n,m")
+        size = d[0] + d[1] + 2  # fit_sandwich rejects a negative degree
+        if size > 0 and args.samples > MAX_FIT_SIZE // size:
+            raise LogboundError(f"--samples must be <= {MAX_FIT_SIZE // size} for degrees "
+                                f"({d[0]},{d[1]}), got {args.samples}")
     xmaxes = list(dict.fromkeys(args.xmax or [1.0]))
     cells = {}
     for (n, m) in degrees:
@@ -400,8 +419,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        if args.digits > MAX_DIGITS:
-            raise ValueError(f"--digits must be <= {MAX_DIGITS}, got {args.digits}")
+        for name, ceiling in _CEILINGS.items():
+            value = getattr(args, name, None)
+            if value is not None and value > ceiling:
+                raise ValueError(f"--{name} must be <= {ceiling}, got {value}")
         report = args.fn(args)
         _emit(_render(report, args.format), args.out)
     except (LogboundError, ValueError) as exc:

@@ -16,6 +16,8 @@ rule and its Taylor-series rule -- sits in one row of the op table
 ``_OPS``; the parser's function names come from the same rows.  Point
 evaluation compiles a tree once into a closure over the value rules,
 with its variable-free subtrees computed once per working precision.
+The aliases share their argument node, so a tree is a DAG: expansion,
+evaluation and the depth check each do a shared node's work once.
 """
 
 from __future__ import annotations
@@ -186,6 +188,13 @@ def _s_var(center: mpf, n: int) -> list:
 
 
 def _s_mul(a: list, b: list) -> list:
+    # a constant operand scales the other term by term: fsum of one
+    # rounded product and zeros is that product, so the bits are those
+    # of the full Cauchy product
+    if not any(a[1:]):
+        return [a[0] * v for v in b]
+    if not any(b[1:]):
+        return [v * b[0] for v in a]
     n = len(a) - 1
     out = []
     for k in range(n + 1):
@@ -333,7 +342,7 @@ class _Op(NamedTuple):
 _OPS: dict = {
     Const: _Op("leaf", "value", _PREC_ATOM,
                _const_value, lambda e, c: _s_scal(_const_value(e), c[1])),
-    Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x, lambda e, c: _s_var(*c)),
+    Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x, lambda e, c: _s_var(c[0], c[1])),
     Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a]),
     Add: _Op("infix", " + ", _PREC_ADD,
              lambda e, a, b: a + b, lambda e, a, b: [x + y for x, y in zip(a, b)]),
@@ -362,8 +371,16 @@ def _step(kind: str, rule: Callable) -> Callable:
 
 
 def _series(e: Expr, ctx: tuple) -> list:
-    """Taylor coefficients 0..n of e; ctx is (center, n)."""
-    return _SERIES[e.__class__](e, ctx)
+    """Taylor coefficients 0..n of e; ctx is (center, n, memo).
+
+    memo maps id(node) to the node's series for one expansion, so a
+    shared subtree is expanded once; series lists are never changed in
+    place, so every parent may hold the same list."""
+    memo = ctx[2]
+    s = memo.get(id(e))
+    if s is None:
+        s = memo[id(e)] = _SERIES[e.__class__](e, ctx)
+    return s
 
 
 _SERIES = {cls: _step(op.kind, op.series) for cls, op in _OPS.items()}
@@ -394,15 +411,55 @@ def _per_prec(fn: Callable) -> Callable:
     return once
 
 
-def _build(e: Expr):
+def _per_point(fn: Callable) -> Callable:
+    """fn of a varying node with more than one parent, computed once per
+    point: every parent in one walk passes the same x object."""
+    memo = (None, None, None)
+
+    def once(x):
+        nonlocal memo
+        prec = mp.prec
+        if memo[0] is not x or memo[1] != prec:
+            memo = (x, prec, fn(x))
+        return memo[2]
+
+    return once
+
+
+def _parent_counts(e: Expr, counts: dict) -> dict:
+    """counts[id(node)] += number of links into each node below e, each
+    distinct node walked once."""
+    kind = _OPS[e.__class__].kind
+    if kind != "leaf":
+        for c in _children(e, kind):
+            counts[id(c)] = counts.get(id(c), 0) + 1
+            if counts[id(c)] == 1:
+                _parent_counts(c, counts)
+    return counts
+
+
+def _build(e: Expr, memo: dict, parents: dict):
     """(closure x -> value of e, whether e depends on x), from the point
     rules of _OPS.  The closure applies the rules in the order of the
     tree walk it replaces, so values and errors are those of the walk;
-    variable-free subtrees below a varying node go through _per_prec."""
+    variable-free subtrees below a varying node go through _per_prec.
+    memo maps id(node) to its result, so each distinct node is built
+    once, and a varying node with several parents (parents counts them)
+    is evaluated once per point."""
+    built = memo.get(id(e))
+    if built is None:
+        fn, varying = _build_node(e, memo, parents)
+        if varying and e.__class__ is not Var and parents.get(id(e), 0) > 1:
+            fn = _per_point(fn)
+        built = memo[id(e)] = fn, varying
+    return built
+
+
+def _build_node(e: Expr, memo: dict, parents: dict):
     kind, _, _, rule, _ = _OPS[e.__class__]
     if kind == "leaf":
         return partial(rule, e), e.__class__ is Var
-    parts = [_build(c) for c in _children(e, kind)]
+    parts = [_build(c, memo, parents) for c in _children(e, kind)]
     varying = any(v for _, v in parts)
     fns = [fn if v or not varying else _per_prec(fn) for fn, v in parts]
     if kind == "infix":
@@ -419,7 +476,7 @@ def _compiled(e: Expr) -> Callable:
     precision, kept on e itself so that it lives as long as the tree."""
     fn = e.__dict__.get("_point")
     if fn is None:
-        fn, varying = _build(e)
+        fn, varying = _build(e, {}, _parent_counts(e, {}))
         if not varying:
             fn = _per_prec(fn)
         # nodes are frozen; the closure is not a field, so equality,
@@ -624,10 +681,12 @@ class _Parser:
 
 
 def _depth(e: Expr) -> int:
+    # height of the tree; each level keeps one copy of a shared node
     depth, level = 0, [e]
     while level:
         depth += 1
-        level = [c for node in level for c in vars(node).values() if isinstance(c, Expr)]
+        level = list({id(c): c for node in level for c in vars(node).values()
+                      if isinstance(c, Expr)}.values())
     return depth
 
 
@@ -697,7 +756,7 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
     if order < 0:
         raise ValueError("order must be >= 0")
     with mp.workdps(p.digits + GUARD_DIGITS + order):
-        coeffs = _series(e, (mpmath.mpmathify(center), order))
+        coeffs = _series(e, (mpmath.mpmathify(center), order, {}))
     with mp.workdps(p.digits):
         return Jet(
             center=+mpmath.mpmathify(center),

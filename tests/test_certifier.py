@@ -181,6 +181,25 @@ def test_check_case_validation():
         check_case(cand, "V")
 
 
+def test_condition_targets_carry_the_working_precision():
+    # -c_25 = -2*23! needs 79 bits; a target negated at the ambient 15
+    # digits would keep only 53 of them
+    cand = CandidateJet.build(parse("2*t*ln(t)"), "0.5", order=27, p=Precision(50))
+    reports = check_case(cand, "I", 25, Precision(50))
+    target = next(r.target for r in reports if r.label == "j=25 equality")
+    assert target == -2 * math.factorial(23)
+
+
+def test_condition_tolerance_scales_with_the_target():
+    # the jet's error is relative: the j = 24 equality misses its target
+    # of about 2.2e21 by about 3e-30, far above the absolute tolerance
+    # 1e-40 and far below 1e-40 * |target|
+    cert = certify(parse("2*t*ln(t) + (t-1)^25"), "0.5", max_n=23)
+    assert (cert.case, cert.n, cert.radius) == ("I", 23, mpf("0.5"))
+    j24 = next(r for r in cert.conditions if r.label == "j=24 equality")
+    assert abs(j24.margin) > certifier.condition_tolerance() and j24.passed
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------

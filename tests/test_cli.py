@@ -7,12 +7,13 @@ import os
 import stat
 import subprocess
 import sys
+import time
 
 import pytest
 
 from logbound import sandwich
 from logbound.certifier import MAX_N_CEILING
-from logbound.cli import MAX_DIGITS, main
+from logbound.cli import MAX_DIGITS, MAX_FIT_SIZE, MAX_GRID, MAX_POINTS, main
 
 
 def run(capsys, *argv):
@@ -206,6 +207,18 @@ def test_deep_expression_exit_2(capsys, expr):
     assert err.startswith("error: expression nests deeper than") and err.count("\n") == 1
 
 
+def test_nested_aliases_certify_quickly(capsys):
+    # f(u) holds u three times, so 9 nested f are 3^9 paths through a
+    # DAG of about 200 nodes; each shared node is expanded once
+    expr = "t"
+    for _ in range(9):
+        expr = f"f({expr})"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "--expr", expr, "--a", "0.5", "--no-radius")
+    assert time.perf_counter() - start < 2
+    assert code == 1 and err == "" and out.startswith("case: none")
+
+
 def test_huge_polynomial_degree_exit_2(capsys):
     code, out, err = run(capsys, "sandwich", "check", "--p", "x^100000000", "--q", "1")
     assert code == 2 and out == ""
@@ -301,6 +314,24 @@ def test_limits_of_max_n_and_digits_exit_2(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, ceiling", [
+    (["table", "--points", str(MAX_POINTS + 1)], MAX_POINTS),
+    (["compare", "--points", str(MAX_POINTS + 1)], MAX_POINTS),
+    (["sandwich", "check", "--p", "x", "--q", "1", "--grid", str(MAX_GRID + 1)], MAX_GRID),
+    (["sandwich", "fit", "--deg", "8,8", "--samples", str(MAX_FIT_SIZE // 18 + 1)],
+     f"{MAX_FIT_SIZE // 18} for degrees (8,8)"),
+    (["sandwich", "fit", "--deg", "0,0", "--deg", "1,1", "--samples",
+      str(MAX_FIT_SIZE // 4 + 1)], f"{MAX_FIT_SIZE // 4} for degrees (1,1)"),
+], ids=["table points", "compare points", "grid", "samples", "samples batch"])
+def test_grid_and_sample_ceilings_exit_2(capsys, argv, ceiling):
+    # each ceiling is checked before any point is computed or cell fitted
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == f"error: {argv[-2]} must be <= {ceiling}, got {argv[-1]}\n"
 
 
 def test_limits_of_max_n_and_digits_are_accepted(capsys):

@@ -1,6 +1,7 @@
 """Expression language, jets, and the finite-difference oracle."""
 
 import pickle
+import time
 
 import mpmath
 import pytest
@@ -14,12 +15,14 @@ from logbound.errors import (
     NonDifferentiableError,
     ParseError,
 )
+from logbound import exprjet
 from logbound.exprjet import (
     MAX_DEPTH,
     Add,
     Const,
     Ln,
     Mul,
+    PowInt,
     Precision,
     Var,
     decimal_text,
@@ -87,6 +90,23 @@ def test_parse_bounds_the_nesting_depth():
     for text in ("-" * MAX_DEPTH + "t", "+".join(["t"] * (MAX_DEPTH + 1))):
         with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
             parse(text)
+
+
+def nested(alias, k):
+    return alias + "(" + nested(alias, k - 1) + ")" if k else "t"
+
+
+def test_parse_measures_nested_aliases_by_height():
+    # f(u) holds u three times and adds 5 levels, H(u) adds 7: 19 nested
+    # f are 96 levels high, 14 nested H 99; the depth check walks each
+    # shared node once per level, so neither costs 3^k
+    for alias, most in (("f", 19), ("H", 14)):
+        for k in range(1, most + 1):
+            start = time.perf_counter()
+            parse(nested(alias, k))
+            assert time.perf_counter() - start < 1, f"{k} nested {alias}"
+    with pytest.raises(ParseError, match=f"deeper than {MAX_DEPTH} levels"):
+        parse(nested("f", 20))
 
 
 @settings(max_examples=120, deadline=None)
@@ -205,6 +225,37 @@ def test_jet_domain_errors():
     assert jet(parse("sqrt(t)"), 0, 0).derivatives() == [0]
     with pytest.raises(DomainError):
         jet(parse("1/(t-1)"), 1, 2)
+
+
+def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
+    # H(t) shares one t^2 - 1 node three times; the reparsed text holds
+    # three distinct copies, which the expansion and the evaluation each
+    # compute separately
+    shared = parse("H(t) - 0.5*(t-1)^5")
+    copies = parse(to_text(shared))
+    assert copies == shared
+    powint = exprjet._s_powint
+    expanded = []
+    monkeypatch.setattr(exprjet, "_s_powint", lambda u, k: expanded.append(k) or powint(u, k))
+    row = exprjet._OPS[PowInt]
+    evaluated = []
+    monkeypatch.setitem(exprjet._OPS, PowInt, row._replace(
+        point=lambda e, b: evaluated.append(e.exponent) or row.point(e, b)))
+    for e, powers in ((shared, 2), (copies, 4)):  # t^2 once and (t-1)^5 once
+        evaluated.clear()
+        eval_expr(e, "1.5")
+        assert len(evaluated) == powers
+    for digits in (30, 50, 120):
+        p = Precision(digits)
+        expanded.clear()
+        a = jet(shared, 1, 14, p)
+        assert len(expanded) == 2
+        expanded.clear()
+        b = jet(copies, 1, 14, p)
+        assert len(expanded) == 4
+        assert [c._mpf_ for c in a.coeffs] == [c._mpf_ for c in b.coeffs]
+        for x in ("0.25", "1", "1.7", "-3"):
+            assert _outcome(shared, x, digits) == _outcome(copies, x, digits)
 
 
 # ---------------------------------------------------------------------------
