@@ -233,10 +233,18 @@ def atlas_rows(xs, p: Precision = DEFAULT_PRECISION):
     return rows
 
 
+def _finite_ends(lo: Num, hi: Num):
+    a, b = mpmath.mpmathify(lo), mpmath.mpmathify(hi)
+    if not (mpmath.isfinite(a) and mpmath.isfinite(b)):
+        raise ValueError("grid endpoints must be finite, got "
+                         f"[{mpmath.nstr(a, 8)}, {mpmath.nstr(b, 8)}]")
+    return a, b
+
+
 def log_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
-    """Log-spaced grid of count points on [lo, hi], lo > 0."""
+    """Log-spaced grid of count points on [lo, hi], 0 < lo < hi < inf."""
     with mp.workdps(p.digits):
-        a, b = mpmath.mpmathify(lo), mpmath.mpmathify(hi)
+        a, b = _finite_ends(lo, hi)
         if a <= 0 or b <= a or count < 2:
             raise ValueError("log grid needs 0 < lo < hi and count >= 2")
         la, lb = mpmath.ln(a), mpmath.ln(b)
@@ -244,9 +252,10 @@ def log_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
 
 
 def linear_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
-    """Uniform grid of count points on [lo, hi]; the last point is hi exactly."""
+    """Uniform grid of count points on [lo, hi], both finite; the last
+    point is hi exactly."""
     with mp.workdps(p.digits):
-        a, b = mpmath.mpmathify(lo), mpmath.mpmathify(hi)
+        a, b = _finite_ends(lo, hi)
         if count < 2:
             raise ValueError("grid needs count >= 2")
         return [a + (b - a) * i / (count - 1) for i in range(count - 1)] + [b]

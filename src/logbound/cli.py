@@ -143,6 +143,8 @@ def _cmd_compare(args) -> Report:
     p = Precision(args.digits)
     with mp.workdps(args.digits):
         slack = mpf(args.slack)
+    if not mp.isfinite(slack):
+        raise LogboundError(f"--slack must be a finite number, got {args.slack}")
     xs = bounds.log_grid(str(args.xmin), str(args.xmax), args.points, p)
     order = tuple(bid for bid in bounds.BOUNDS if bid != "CB")
     stats = {bid: {"max_gap_ln": mpf(0), "min_gap_cb": mpf("inf"), "violations": 0}

@@ -13,18 +13,19 @@ and its square-substituted form H(u) = f(u^2 - 1).
 
 Everything known about an operation -- its printed form, its value
 rule and its Taylor-series rule -- sits in one row of the op table
-``_OPS``; the parser's function names come from the same rows.  Point
-evaluation compiles a tree once into a closure over the value rules,
-with its variable-free subtrees computed once per working precision.
-The aliases share their argument node, so a tree is a DAG: expansion,
-evaluation and the depth check each do a shared node's work once.
+``_OPS``; the parser's function names come from the same rows.  A tree
+is flattened once into a tape, one slot per distinct node; values and
+jets are one loop over it, and its variable-free slots are evaluated
+once per working precision.  The aliases share their argument node, so
+a tree is a DAG: expansion, evaluation and the depth check each do a
+shared node's work once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from itertools import islice
 from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath
@@ -79,9 +80,9 @@ class Expr:
     __slots__ = ()
 
     def __getstate__(self):
-        # the compiled closure (see _compiled) cannot be pickled; a copy
-        # compiles its own on first use
-        return {k: v for k, v in self.__dict__.items() if k != "_point"}
+        # the tape (see _tape) holds _OPS rows, whose lambdas cannot be
+        # pickled; a copy builds its own on first use
+        return {k: v for k, v in self.__dict__.items() if k not in ("_tape", "_consts")}
 
 
 @dataclass(frozen=True)
@@ -299,13 +300,13 @@ def _const_value(e: Const, x: Optional[mpf] = None) -> mpf:
 
 def _div(e: Div, a: mpf, b: mpf) -> mpf:
     if b == 0:
-        raise DomainError(f"division by zero in {to_text(e)}")
+        raise DomainError(f"division by zero in {_quote(e)}")
     return a / b
 
 
 def _pow(e: PowInt, b: mpf) -> mpf:
     if e.exponent < 0 and b == 0:
-        raise DomainError(f"zero base with negative exponent in {to_text(e)}")
+        raise DomainError(f"zero base with negative exponent in {_quote(e)}")
     return b ** e.exponent
 
 
@@ -350,7 +351,7 @@ _OPS: dict = {
              lambda e, a, b: a - b, lambda e, a, b: [x - y for x, y in zip(a, b)]),
     Mul: _Op("infix", "*", _PREC_MUL, lambda e, a, b: a * b, lambda e, a, b: _s_mul(a, b)),
     Div: _Op("infix", "/", _PREC_MUL, _div,
-             lambda e, a, b: _s_div(a, b, lambda: to_text(e.right))),
+             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right))),
     PowInt: _Op("postfix", "^", _PREC_POW, _pow, lambda e, a: _s_powint(a, e.exponent)),
     Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln),
     Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt),
@@ -359,34 +360,9 @@ _OPS: dict = {
 }
 
 
-def _step(kind: str, rule: Callable) -> Callable:
-    """A series rule turned into a node step (node, (center, n)) of the walk."""
-    if kind == "leaf":
-        return rule
-    if kind == "infix":
-        return lambda e, c: rule(e, _series(e.left, c), _series(e.right, c))
-    if kind == "postfix":
-        return lambda e, c: rule(e, _series(e.base, c))
-    return lambda e, c: rule(_series(e.arg, c))
-
-
-def _series(e: Expr, ctx: tuple) -> list:
-    """Taylor coefficients 0..n of e; ctx is (center, n, memo).
-
-    memo maps id(node) to the node's series for one expansion, so a
-    shared subtree is expanded once; series lists are never changed in
-    place, so every parent may hold the same list."""
-    memo = ctx[2]
-    s = memo.get(id(e))
-    if s is None:
-        s = memo[id(e)] = _SERIES[e.__class__](e, ctx)
-    return s
-
-
-_SERIES = {cls: _step(op.kind, op.series) for cls, op in _OPS.items()}
-
-
 def _children(e: Expr, kind: str) -> tuple:
+    if kind == "leaf":
+        return ()
     if kind == "infix":
         return e.left, e.right
     if kind == "postfix":
@@ -394,116 +370,101 @@ def _children(e: Expr, kind: str) -> tuple:
     return (e.arg,)
 
 
-def _per_prec(fn: Callable) -> Callable:
-    """fn of a variable-free subtree, computed once per working precision.
+def _tape(e: Expr) -> list:
+    """e flattened once, and kept on e.  Slot 0 holds a walk's context;
+    slots 1.. are e's distinct nodes, each after its children, in the
+    order the tree walk first finishes them.  An entry is (slot, _OPS
+    row, the node for rules whose kind passes it or None, child slot,
+    second child slot or None, varying); a leaf's child is slot 0."""
+    tape = e.__dict__.get("_tape")
+    if tape is None:
+        tape, slots, varying = [], {}, [False]
 
-    A value is stored only when fn returns, so a domain error is raised
-    again, with the same message, on every call."""
-    memo = (None, None)
+        def visit(n):
+            k = slots.get(id(n))
+            if k is None:
+                op = _OPS[n.__class__]
+                kids = [visit(c) for c in _children(n, op.kind)] or [0]
+                k = slots[id(n)] = len(varying)
+                varying.append(n.__class__ is Var or varying[kids[0]] or varying[kids[-1]])
+                node = None if op.kind in ("prefix", "call") else n
+                tape.append((k, op, node, *(kids + [None])[:2], varying[k]))
+            return k
 
-    def once(x):
-        nonlocal memo
-        prec = mp.prec
-        if memo[0] != prec:
-            memo = (prec, fn(x))
-        return memo[1]
-
-    return once
-
-
-def _per_point(fn: Callable) -> Callable:
-    """fn of a varying node with more than one parent, computed once per
-    point: every parent in one walk passes the same x object."""
-    memo = (None, None, None)
-
-    def once(x):
-        nonlocal memo
-        prec = mp.prec
-        if memo[0] is not x or memo[1] != prec:
-            memo = (x, prec, fn(x))
-        return memo[2]
-
-    return once
+        visit(e)
+        # nodes are frozen; the tape is not a field, so equality, hashing
+        # and printing ignore it
+        object.__setattr__(e, "_tape", tape)
+    return tape
 
 
-def _parent_counts(e: Expr, counts: dict) -> dict:
-    """counts[id(node)] += number of links into each node below e, each
-    distinct node walked once."""
-    kind = _OPS[e.__class__].kind
-    if kind != "leaf":
-        for c in _children(e, kind):
-            counts[id(c)] = counts.get(id(c), 0) + 1
-            if counts[id(c)] == 1:
-                _parent_counts(c, counts)
-    return counts
+def _walk(e: Expr, series: bool, ctx, out: Optional[list] = None) -> list:
+    """Every slot's result, in tape order, by the series rules (ctx is
+    (center, n)) or the point rules (ctx is x); e's is the last.  A slot
+    already set in out is kept; values and errors are the tree walk's.
+    No rule changes its arguments in place, so parents share a slot."""
+    tape = _tape(e)
+    out = [None] * (len(tape) + 1) if out is None else out
+    out[0] = ctx
+    r = 4 if series else 3  # the field of the rule in an _Op row
+    for k, op, node, i, j, _ in tape:
+        if out[k] is None:
+            if node is None:
+                out[k] = op[r](out[i])
+            elif j is None:
+                out[k] = op[r](node, out[i])
+            else:
+                out[k] = op[r](node, out[i], out[j])
+    return out
 
 
-def _build(e: Expr, memo: dict, parents: dict):
-    """(closure x -> value of e, whether e depends on x), from the point
-    rules of _OPS.  The closure applies the rules in the order of the
-    tree walk it replaces, so values and errors are those of the walk;
-    variable-free subtrees below a varying node go through _per_prec.
-    memo maps id(node) to its result, so each distinct node is built
-    once, and a varying node with several parents (parents counts them)
-    is evaluated once per point."""
-    built = memo.get(id(e))
-    if built is None:
-        fn, varying = _build_node(e, memo, parents)
-        if varying and e.__class__ is not Var and parents.get(id(e), 0) > 1:
-            fn = _per_point(fn)
-        built = memo[id(e)] = fn, varying
-    return built
+def _point(e: Expr, x: mpf) -> mpf:
+    """Value of e at x at the working precision.  The variable-free slots
+    are kept from the first walk at this precision that returned; one
+    that raises is computed, and raises, again on every call."""
+    consts = e.__dict__.get("_consts")
+    if consts is not None and consts[0] == mp.prec:
+        return _walk(e, False, x, list(consts[1]))[-1]
+    out = _walk(e, False, x)
+    object.__setattr__(e, "_consts", (mp.prec, [None] + [
+        None if varying else out[k] for k, *_, varying in _tape(e)]))
+    return out[-1]
 
 
-def _build_node(e: Expr, memo: dict, parents: dict):
-    kind, _, _, rule, _ = _OPS[e.__class__]
+def _text(e: Expr, min_prec: int = 0):
+    """e's text in pieces, parenthesised when e binds less tightly than min_prec."""
+    kind, form, prec = _OPS[e.__class__][:3]
+    if prec < min_prec:
+        yield "("
     if kind == "leaf":
-        return partial(rule, e), e.__class__ is Var
-    parts = [_build(c, memo, parents) for c in _children(e, kind)]
-    varying = any(v for _, v in parts)
-    fns = [fn if v or not varying else _per_prec(fn) for fn, v in parts]
-    if kind == "infix":
-        a, b = fns
-        return (lambda x: rule(e, a(x), b(x))), varying
-    (a,) = fns
-    if kind == "postfix":
-        return (lambda x: rule(e, a(x))), varying
-    return (lambda x: rule(a(x))), varying
-
-
-def _compiled(e: Expr) -> Callable:
-    """e compiled once into a closure x -> value at the working
-    precision, kept on e itself so that it lives as long as the tree."""
-    fn = e.__dict__.get("_point")
-    if fn is None:
-        fn, varying = _build(e, {}, _parent_counts(e, {}))
-        if not varying:
-            fn = _per_prec(fn)
-        # nodes are frozen; the closure is not a field, so equality,
-        # hashing and printing ignore it
-        object.__setattr__(e, "_point", fn)
-    return fn
-
-
-def _wrap(e: Expr, min_prec: int) -> str:
-    s = to_text(e)
-    return f"({s})" if _OPS[e.__class__].prec < min_prec else s
+        yield getattr(e, form)
+    elif kind == "infix":
+        yield from _text(e.left, prec)
+        yield form
+        yield from _text(e.right, prec + 1)
+    elif kind == "postfix":
+        yield from _text(e.base, prec + 1)
+        yield f"{form}{e.exponent}"
+    else:
+        # a call's argument is always parenthesised; so is a nested Neg,
+        # for readability, though the grammar would accept the bare form
+        yield form
+        yield from _text(e.arg, prec + 1 if kind == "prefix" else _PREC_ATOM + 1)
+    if prec < min_prec:
+        yield ")"
 
 
 def to_text(e: Expr) -> str:
     """Render e so that parse(to_text(e)) is structurally equal to e."""
-    kind, form, prec = _OPS[e.__class__][:3]
-    if kind == "leaf":
-        return getattr(e, form)
-    if kind == "infix":
-        return f"{_wrap(e.left, prec)}{form}{_wrap(e.right, prec + 1)}"
-    if kind == "postfix":
-        return f"{_wrap(e.base, prec + 1)}{form}{e.exponent}"
-    if kind == "prefix":
-        # a nested Neg is parenthesised for readability; the grammar
-        # would accept the bare form as well
-        return form + _wrap(e.arg, prec + 1)
-    return f"{form}({to_text(e.arg)})"
+    return "".join(_text(e))
+
+
+def _quote(e: Expr, limit: int = 200) -> str:
+    """e's text for a message, cut to limit characters and "...".  No
+    piece is empty, so at most limit + 1 are rendered, however far a
+    shared tree unfolds."""
+    text = "".join(islice(_text(e), limit + 1))
+    return text if len(text) <= limit else text[:limit] + "..."
 
 
 # ---------------------------------------------------------------------------
@@ -515,9 +476,9 @@ _FUNCS: dict = {op.form: cls for cls, op in _OPS.items() if op.kind == "call"}
 _ALIASES: dict = {"f": f_of, "H": h_of}
 _VAR_NAMES = ("t", "x")
 
-# Deepest expression tree (and parser nesting) accepted.  Evaluation,
-# expansion and printing recurse once or twice per level, so this keeps
-# them well inside Python's default recursion limit.
+# Deepest expression tree (and parser nesting) accepted.  Flattening
+# into a tape and printing recurse once or twice per level, so this
+# keeps them well inside Python's default recursion limit.
 MAX_DEPTH = 100
 
 
@@ -713,9 +674,8 @@ def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
 
     Domain violations raise DomainError rather than returning NaN.
     """
-    fn = _compiled(e)
     with mp.workdps(p.digits + GUARD_DIGITS):
-        val = fn(mpmath.mpmathify(x))
+        val = _point(e, mpmath.mpmathify(x))
     with mp.workdps(p.digits):
         return +val
 
@@ -756,7 +716,7 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
     if order < 0:
         raise ValueError("order must be >= 0")
     with mp.workdps(p.digits + GUARD_DIGITS + order):
-        coeffs = _series(e, (mpmath.mpmathify(center), order, {}))
+        coeffs = _walk(e, True, (mpmath.mpmathify(center), order))[-1]
     with mp.workdps(p.digits):
         return Jet(
             center=+mpmath.mpmathify(center),
@@ -802,7 +762,7 @@ def fd_derivative(
     with mp.workdps(wd):
         x0 = mpmath.mpmathify(center)
         h = mpf(10) ** (-mpf(p.digits) / (k + 2))
-        fn = _compiled(e)
+        fn = lambda x: _point(e, x)
         d0 = _central_diff(fn, x0, k, h)
         d1 = _central_diff(fn, x0, k, h / 2)
         d2 = _central_diff(fn, x0, k, h / 4)

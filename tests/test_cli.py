@@ -219,6 +219,37 @@ def test_nested_aliases_certify_quickly(capsys):
     assert code == 1 and err == "" and out.startswith("case: none")
 
 
+def test_division_message_quotes_a_bounded_prefix(capsys):
+    # F - F unfolds to 3^10 copies of t: its whole text is 2.9 MB, and
+    # the message quotes at most 200 characters of it
+    expr = "t"
+    for _ in range(10):
+        expr = f"f({expr})"
+    start = time.perf_counter()
+    code, out, err = run(capsys, "certify", "--expr", f"1/({expr} - {expr})", "--no-radius")
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and len(err.encode()) <= 300
+    assert err.startswith("error: division by zero at expansion center (pi + 1/2*(4 + pi)*")
+    assert err.endswith("...)\n") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["sandwich", "check", "--p", "x", "--q", "1", "--xmax", "inf", "--grid", "3"],
+    ["sandwich", "fit", "--deg", "1,1", "--xmax", "inf"],
+    ["table", "--xmax", "inf"],
+    ["compare", "--xmax", "inf"],
+    ["compare", "--slack", "nan"],
+    ["compare", "--slack", "inf"],
+], ids=["check xmax inf", "fit xmax inf", "table xmax inf", "compare xmax inf", "slack nan",
+        "slack inf"])
+def test_non_finite_inputs_exit_2(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith(("error: grid endpoints must be finite, got [",
+                           "error: --slack must be a finite number, got "))
+
+
 def test_huge_polynomial_degree_exit_2(capsys):
     code, out, err = run(capsys, "sandwich", "check", "--p", "x^100000000", "--q", "1")
     assert code == 2 and out == ""

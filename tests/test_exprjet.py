@@ -24,6 +24,7 @@ from logbound.exprjet import (
     Mul,
     PowInt,
     Precision,
+    Sub,
     Var,
     decimal_text,
     eval_expr,
@@ -256,6 +257,39 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
         assert [c._mpf_ for c in a.coeffs] == [c._mpf_ for c in b.coeffs]
         for x in ("0.25", "1", "1.7", "-3"):
             assert _outcome(shared, x, digits) == _outcome(copies, x, digits)
+
+
+def test_point_walk_evaluates_each_slot_once(monkeypatch):
+    # point rules counted through patched rows; the trees are parsed
+    # fresh, so their tapes read the patched rows
+    calls = []
+    for cls in (Const, Sub):
+        row = exprjet._OPS[cls]
+        monkeypatch.setitem(exprjet._OPS, cls, row._replace(
+            point=lambda e, *a, rule=row.point: calls.append(e) or rule(e, *a)))
+    h = parse("H(t)")
+    u = h.left.right.right  # the t^2 - 1 that H holds three times
+    assert to_text(u) == "t^2 - 1"
+    consts = lambda: sum(type(e) is Const for e in calls)
+    eval_expr(h, "1.5")
+    n = consts()
+    assert n == 8  # pi, 1, 2, 4, 2, 2, 1 of f, and the 1 of t^2 - 1
+    assert sum(e is u for e in calls) == 1
+    eval_expr(h, "2.5")
+    assert consts() == n and sum(e is u for e in calls) == 2
+    eval_expr(h, "2.5", Precision(60))
+    assert consts() == 2 * n and sum(e is u for e in calls) == 3
+    # a variable-free ln(-1) keeps nothing, so it is evaluated and raises
+    # the same message on every call
+    bad = parse("t + ln(-1)")
+    messages = []
+    for x in ("1", "2", "3"):
+        calls.clear()
+        with pytest.raises(DomainError) as err:
+            eval_expr(bad, x)
+        messages.append(str(err.value))
+        assert consts() == 1
+    assert messages == ["ln of non-positive value -1.0"] * 3
 
 
 # ---------------------------------------------------------------------------
