@@ -434,21 +434,38 @@ def _bisect_gap_sign(e: Expr, t_good: mpf, t_bad: mpf, drr: bool, digits: int, s
         return lo
 
 
+def _scan(av: mpf):
+    """(last clean t, t) for each sample of the outward doubling scan, at
+    the caller's working precision: annuli (frontier, r] from r = 1e-6,
+    doubling up to av, each sampled at 24 points on both sides of 1;
+    t = 1 - dt <= 0 is skipped."""
+    frontier, r, samples = mpf(0), min(mpf("1e-6"), av), 24
+    while frontier < av:
+        right, left = 1 + frontier, 1 - frontier
+        for i in range(1, samples + 1):
+            dt = frontier + (r - frontier) * i / samples
+            t_right, t_left = 1 + dt, 1 - dt
+            yield right, t_right
+            if t_left > 0:
+                yield left, t_left
+            right, left = t_right, t_left
+        frontier, r = r, min(2 * r, av)
+
+
 def find_radius(
     e: Expr,
     cert: Certificate,
     p: Precision = DEFAULT_PRECISION,
     a: Optional[Num] = None,
-    grid_points: int = 1000,
 ) -> mpf:
     """Largest r in (0, a] such that the certified pattern holds on a
     grid of [1-r, 1+r].
 
-    Outward doubling scan from r = 1e-6 locates the first violating
-    sample of G (or Q for two-sided certificates); 60 bisection steps
-    pin down the sign change; the resulting radius is then re-verified
-    on the full grid at precision p, shrinking below any violation the
-    coarse scan missed.
+    Outward doubling scan from r = 1e-6 (see _scan) locates the first
+    violating sample of G (or Q for two-sided certificates); 60
+    bisection steps pin down the sign change; the resulting radius is
+    then re-verified on the full grid at precision p, shrinking below
+    any violation the coarse scan missed.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
@@ -460,36 +477,12 @@ def find_radius(
 
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
-        r = mpf("1e-6")
-        bracket = None  # (which, t_good, t_bad)
-        # Outward doubling; each new annulus is sampled on both sides.
-        frontier = mpf(0)
-        while bracket is None and frontier < av:
-            r = min(r, av)
-            samples = 24
-            for i in range(1, samples + 1):
-                dt = frontier + (r - frontier) * i / samples
-                for t in (1 + dt, 1 - dt):
-                    if t <= 0:
-                        continue
-                    which = _violation(e, t, drr, digits, slack)
-                    if which is not None:
-                        t_good = 1 + (frontier + (r - frontier) * (i - 1) / samples) * (
-                            1 if t >= 1 else -1
-                        )
-                        bracket = (which, t_good, t)
-                        break
-                if bracket:
-                    break
-            if bracket is None:
-                if r >= av:
-                    break
-                frontier = r
-                r = min(2 * r, av)
-        candidate = av if bracket is None else None
-        if bracket is not None:
-            _, t_good, t_bad = bracket
-            t_star = _bisect_gap_sign(e, t_good, t_bad, drr, digits, slack)
+        bracket = next(((t_good, t) for t_good, t in _scan(av)
+                        if _violation(e, t, drr, digits, slack) is not None), None)
+        if bracket is None:
+            candidate = av
+        else:
+            t_star = _bisect_gap_sign(e, *bracket, drr, digits, slack)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         # Full-grid confirmation; shrink past any missed dip.
         for _ in range(64):
@@ -498,7 +491,7 @@ def find_radius(
                     "no positive verified radius at this precision; "
                     "inconsistent with a valid certificate"
                 )
-            bad = verify_pattern_on_grid(e, candidate, drr, grid_points, p)
+            bad = verify_pattern_on_grid(e, candidate, drr, p=p)
             if bad is None:
                 with mp.workdps(digits):
                     return +candidate

@@ -4,7 +4,8 @@ Subcommands: table, compare, certify, radius, sandwich check,
 sandwich fit, selftest.  Exit codes: 0 = checks passed / artifact
 produced; 1 = a violation or infeasibility was found where the
 inequality was asserted to hold (the payload carries the witness);
-2 = usage or domain error.
+2 = usage or domain error; 3 = internal error (one line naming the
+exception type, no traceback).
 
 All real numbers in reports are decimal strings at the working
 precision; byte output for fixed argv and version is deterministic.
@@ -31,6 +32,7 @@ from .exprjet import Precision, decimal_text, parse
 EXIT_OK = 0
 EXIT_FINDING = 1
 EXIT_USAGE = 2
+EXIT_INTERNAL = 3
 
 # Ceiling of --digits.  Work grows faster than quadratically with the
 # precision (certify with a radius takes seconds at this ceiling); the
@@ -430,6 +432,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (LogboundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     return report.code
 
 

@@ -7,12 +7,12 @@ executable:
 
   * check_sandwich verifies a candidate on a finite grid and returns
     the first confirmed violation as a Witness;
-  * find_witness hunts a guaranteed violation, guided by the mechanics
-    of the impossibility proof: any candidate must match ln(1+x) to
-    fourth order at 0 (the corridor gap is x^5/960 + O(x^6) there),
-    every rational eventually exits the corridor as x -> oo (the upper
-    wall grows like sqrt(x), the lower like ln x, a rational like a
-    power of x), and near -1 the lower wall diverges;
+  * find_witness hunts a violation within a fixed budget, guided by
+    the mechanics of the impossibility proof: any candidate must match
+    ln(1+x) to fourth order at 0 (the corridor gap is x^5/960 + O(x^6)
+    there), every rational eventually exits the corridor as x -> oo
+    (the upper wall grows like sqrt(x), the lower like ln x, a rational
+    like a power of x), and near -1 the lower wall diverges;
   * fit_sandwich probes the complementary fact that on a compact
     interval the corridor does admit rational inhabitants, by solving
     the sampled linear feasibility problem in the coefficients through
@@ -52,12 +52,15 @@ from .exprjet import (
     Precision,
     Sub,
     Var,
+    _s_div,
     decimal_text,
-    jet,
 )
 
-REGIONS = ("upper", "lower")
 WITNESS_MARGIN = mpf("1e-20")
+# Probes of each asymptotic exit, and the fallback grid sizes of the
+# witness search; a search that exhausts them raises BudgetError.
+WITNESS_DOUBLINGS = 120
+WITNESS_GRIDS = (1000, 10000)
 # Highest polynomial degree expr_to_poly multiplies out.
 MAX_POLY_DEGREE = 100
 
@@ -113,27 +116,12 @@ class RationalFn:
             raise DomainError("denominator vanishes at evaluation point")
         return self.p_value(x) / q
 
-    def to_expr(self, var: str = "x") -> Expr:
-        return Div(_poly_expr(self.p_coeffs, var), _poly_expr(self.q_coeffs, var))
-
 
 def _horner(coeffs: Sequence, x: mpf) -> mpf:
     acc = mpf(0)
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _poly_expr(coeffs: Sequence, var: str) -> Expr:
-    terms = None
-    v = Var(var)
-    for k, c in enumerate(coeffs):
-        lit = Const(mpmath.nstr(c, mp.dps)) if c != 0 else None
-        if lit is None:
-            continue
-        term = lit if k == 0 else Mul(lit, v if k == 1 else PowInt(v, k))
-        terms = term if terms is None else Add(terms, term)
-    return terms if terms is not None else Const("0")
 
 
 def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
@@ -154,6 +142,13 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
         if d > MAX_POLY_DEGREE:
             raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_POLY_DEGREE}")
 
+    def product(a, b):
+        out = [mpf(0)] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
     def go(e):
         if isinstance(e, Const):
             with mp.workdps(p.digits + GUARD_DIGITS):
@@ -172,11 +167,7 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
         if isinstance(e, Mul):
             a, b = trim(go(e.left)), trim(go(e.right))
             check_degree(len(a) + len(b) - 2)
-            out = [mpf(0)] * (len(a) + len(b) - 1)
-            for i, x in enumerate(a):
-                for j, y in enumerate(b):
-                    out[i + j] += x * y
-            return out
+            return product(a, b)
         if isinstance(e, Div):
             b = go(e.right)
             if len(trim(list(b))) != 1:
@@ -193,11 +184,7 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
                 return [base[0] ** e.exponent]
             out = [mpf(1)]
             for _ in range(e.exponent):
-                nxt = [mpf(0)] * (len(out) + len(base) - 1)
-                for i, x in enumerate(out):
-                    for j, y in enumerate(base):
-                        nxt[i + j] += x * y
-                out = nxt
+                out = product(out, base)
             return out
         raise ValueError(f"not a polynomial expression: {type(e).__name__}")
 
@@ -290,7 +277,11 @@ def _region_grid(region: str, xmax, delta, count: int, p: Precision):
             d = mpmath.mpmathify(delta)
             if not (0 < d < 1):
                 raise ValueError("lower region needs delta in (0, 1)")
-            return linear_grid(mpf(-1) + d, 0, count, p)
+            ts = linear_grid(mpf(-1) + d, 0, count, p)
+            if not ts[0] > -1:
+                raise ValueError(f"lower region: -1 + delta rounds to -1 at {p.digits} digits; "
+                                 "raise --digits")
+            return ts
     raise ValueError(f"unknown region {region!r}")
 
 
@@ -334,23 +325,22 @@ def _violation_margins(r: RationalFn, x: mpf, region: str, p: Precision):
         return [(s, +l, +rr, +m) for (s, l, rr, m) in out]
 
 
-def _confirm_witness(r: RationalFn, x: mpf, region: str, p: Precision) -> Optional[Witness]:
-    """Re-check a candidate violation at doubled precision."""
+def _witness_at(r: RationalFn, x: mpf, region: str, p: Precision) -> Optional[Witness]:
+    """The witness at x re-checked at doubled precision, or None where
+    Q(x) = 0 or no violation at working precision exceeds
+    WITNESS_MARGIN / 2."""
+    with mp.workdps(p.digits + GUARD_DIGITS):
+        if r.q_value(x) == 0:
+            return None
+        hits = _violation_margins(r, x, region, p)
+    if not hits or max(h[3] for h in hits) <= WITNESS_MARGIN / 2:
+        return None
     p2 = p.doubled()
     with mp.workdps(p2.digits):
-        hits = _violation_margins(r, mpmath.mpmathify(x), region, p2)
-        best = None
-        for side, lhs, rhs, margin in hits:
-            if margin > WITNESS_MARGIN and (best is None or margin > best.margin):
-                best = Witness(
-                    x=+mpmath.mpmathify(x),
-                    side=side,
-                    lhs=lhs,
-                    rhs=rhs,
-                    margin=margin,
-                    region=region,
-                )
-        return best
+        hits = [h for h in _violation_margins(r, x, region, p2) if h[3] > WITNESS_MARGIN]
+        if hits:
+            return Witness(+x, *max(hits, key=lambda h: h[3]), region)
+    return None
 
 
 def check_sandwich(
@@ -370,97 +360,71 @@ def check_sandwich(
     ts = _region_grid(region, xmax, delta, grid, p)
     _check_q_sign(r, ts, p)
     for t in ts:
-        hits = _violation_margins(r, t, region, p)
-        if hits and max(h[3] for h in hits) > WITNESS_MARGIN / 2:
-            w = _confirm_witness(r, t, region, p)
-            if w is not None:
-                return w
+        w = _witness_at(r, t, region, p)
+        if w is not None:
+            return w
     return None
 
 
 # ---------------------------------------------------------------------------
-# Guaranteed witness search
+# Witness search
 # ---------------------------------------------------------------------------
 
 
 def _contact_mismatch(r: RationalFn, p: Precision) -> bool:
-    """True when P/Q fails to match ln(1+x) to 4th order at 0."""
-    j = jet(r.to_expr(), 0, 4, p)
+    """True when P/Q fails to match ln(1+x) to 4th order at 0.
+
+    P and Q are their own Taylor coefficients at 0, so their quotient's
+    jet is one series division, rounded to p.digits as jet() rounds."""
+    pad = lambda c: list(c[:5]) + [mpf(0)] * (5 - len(c))
+    with mp.workdps(p.digits + GUARD_DIGITS + 4):
+        coeffs = _s_div(pad(r.p_coeffs), pad(r.q_coeffs), lambda: "Q")
     with mp.workdps(p.digits):
         for k, want in enumerate(LN1P_CONTACT, start=1):
-            d = j.derivative(k)
+            d = +coeffs[k] * mpmath.factorial(k)
             if abs(d - want) > mpf("1e-6") * max(1, abs(mpf(want))):
                 return True
     return False
 
 
-def find_witness(
-    r: RationalFn,
-    region: str = "upper",
-    p: Precision = DEFAULT_PRECISION,
-    max_doublings: int = 120,
-) -> Witness:
+def _probes(r: RationalFn, region: str, p: Precision):
+    """Probe points of the witness search in order; iterate at
+    p.digits + GUARD_DIGITS.  A broken contact at 0 shows up arbitrarily
+    close to 0: halve toward it from 0.5, where the margin is still
+    confirmable.  Then the asymptotic exit: double outward from 1 (the
+    corridor walls grow like ln x and sqrt x), or halve toward -1, where
+    the log wall diverges, interleaved with the approach to 0."""
+    sign = 1 if region == "upper" else -1
+    if _contact_mismatch(r, p):
+        for i in range(2 * p.digits):
+            yield sign * (mpf("0.5") / 2 ** i)
+    for i in range(WITNESS_DOUBLINGS):
+        if region == "upper":
+            yield mpf(2) ** i
+        else:
+            yield mpf(-1) + mpf("0.5") / 2 ** i
+            yield -mpf("0.5") / 2 ** i
+
+
+def find_witness(r: RationalFn, region: str = "upper",
+                 p: Precision = DEFAULT_PRECISION) -> Witness:
     """Find a verified violation of the proposed sandwich.
 
-    Strategy: (1) if the fourth-order contact at 0 fails, scan
-    geometrically toward 0 where the corridor is thinner than the
-    candidate's defect; (2) upper region: double x outward — the
-    corridor walls grow like ln x and sqrt x, so any rational exits;
-    (3) lower region: scan geometrically toward -1 (where the log wall
-    diverges) interleaved with the approach to 0; (4) fall back to
-    successively refined grids.  Exhausting the budget raises
-    BudgetError (raise the precision and retry).
+    Walks the probe points of _probes, then checks the region on the
+    grids of WITNESS_GRIDS.  Exhausting them raises BudgetError (raise
+    the precision and retry).
     """
-    if region not in REGIONS:
-        raise ValueError(f"unknown region {region!r}")
     probe = _region_grid(region, 1, "1e-6", 64, p)
     _check_q_sign(r, probe, p)
-
-    def attempt(x) -> Optional[Witness]:
-        with mp.workdps(p.digits + GUARD_DIGITS):
-            xv = mpmath.mpmathify(x)
-            if r.q_value(xv) == 0:
-                return None
-            hits = _violation_margins(r, xv, region, p)
-        if hits:
-            return _confirm_witness(r, xv, region, p)
-        return None
-
-    # Stage 1: broken contact at 0 shows up arbitrarily close to 0;
-    # scan from moderate offsets down so the margin stays confirmable.
-    if _contact_mismatch(r, p):
-        with mp.workdps(p.digits + GUARD_DIGITS):
-            for i in range(2 * p.digits):
-                off = mpf("0.5") / 2 ** i
-                xs = [off] if region == "upper" else [-off]
-                for x in xs:
-                    w = attempt(x)
-                    if w is not None:
-                        return w
-
-    # Stage 2/3: region-specific asymptotic exits.
     with mp.workdps(p.digits + GUARD_DIGITS):
-        if region == "upper":
-            x = mpf(1)
-            for _ in range(max_doublings):
-                w = attempt(x)
-                if w is not None:
-                    return w
-                x *= 2
-        else:
-            for i in range(max_doublings):
-                for x in (mpf(-1) + mpf("0.5") / 2 ** i, -mpf("0.5") / 2 ** i):
-                    w = attempt(x)
-                    if w is not None:
-                        return w
-
-    # Stage 4: refined grids.
-    grid = 1000
-    while grid <= 10 ** 7:
+        for x in _probes(r, region, p):
+            w = _witness_at(r, x, region, p)
+            if w is not None:
+                return w
+    for grid in WITNESS_GRIDS:
         w = check_sandwich(r, region, xmax=2 ** 16, delta="1e-9", grid=grid, p=p)
         if w is not None:
             return w
-        grid *= 10
     raise BudgetError(
         "witness search exhausted its budget; raise the working precision and retry"
     )
@@ -551,24 +515,9 @@ def fit_sandwich(
 
         status, y, infeas = _phase1_simplex(rows, rhs, nv, p)
         if status == "feasible":
-            a = tuple(y[: n + 1])
-            b = tuple(y[n + 1 :])
-            slack = min(
-                _horner_dot(row, y) - r0 for row, r0 in zip(rows, rhs)
-            )
-            with mp.workdps(p.digits):
-                return FeasibilityReport(
-                    degree_p=n,
-                    degree_q=m,
-                    region=region,
-                    lo=+lo,
-                    hi=+hi,
-                    sample_count=samples,
-                    status="feasible",
-                    max_slack=+slack,
-                    p_coeffs=tuple(+c for c in a),
-                    q_coeffs=tuple(+c for c in b),
-                )
+            slack = min(_horner_dot(row, y) - r0 for row, r0 in zip(rows, rhs))
+        else:
+            slack = -infeas
         with mp.workdps(p.digits):
             return FeasibilityReport(
                 degree_p=n,
@@ -577,10 +526,10 @@ def fit_sandwich(
                 lo=+lo,
                 hi=+hi,
                 sample_count=samples,
-                status="infeasible",
-                max_slack=+(-infeas),
-                p_coeffs=None,
-                q_coeffs=None,
+                status=status,
+                max_slack=+slack,
+                p_coeffs=tuple(+c for c in y[: n + 1]) if y else None,
+                q_coeffs=tuple(+c for c in y[n + 1 :]) if y else None,
             )
 
 

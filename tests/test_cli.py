@@ -11,7 +11,7 @@ import time
 
 import pytest
 
-from logbound import sandwich
+from logbound import bounds, sandwich
 from logbound.certifier import MAX_N_CEILING
 from logbound.cli import MAX_DIGITS, MAX_FIT_SIZE, MAX_GRID, MAX_POINTS, main
 
@@ -248,6 +248,31 @@ def test_non_finite_inputs_exit_2(capsys, argv):
     assert err.count("\n") == 1
     assert err.startswith(("error: grid endpoints must be finite, got [",
                            "error: --slack must be a finite number, got "))
+
+
+def test_lower_region_below_resolution_exit_2(capsys):
+    # at 50 digits the first lower-region point -1 + 1e-60 rounds to -1
+    lower = ("--region", "lower", "--delta", "1e-60")
+    errs = []
+    for argv in (("sandwich", "fit", "--deg", "1,1"),
+                 ("sandwich", "check", "--p", "x", "--q", "1")):
+        code, out, err = run(capsys, *argv, *lower)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        errs.append(err)
+    assert errs[0] == errs[1] and errs[0].startswith("error: ") and "raise --digits" in errs[0]
+    code, out, err = run(capsys, "sandwich", "fit", "--deg", "1,1", *lower, "--digits", "100")
+    assert code == 0 and err == "" and out.startswith("degrees (1,1) on [")
+
+
+def test_internal_error_exit_3(capsys, monkeypatch):
+    # an exception that is not a usage or domain error is one line, not a traceback
+    def broken(*args, **kwargs):
+        raise RuntimeError("atlas failed")
+
+    monkeypatch.setattr(bounds, "atlas_rows", broken)
+    code, out, err = run(capsys, "table", "--points", "3")
+    assert code == 3 and out == ""
+    assert err == "error: RuntimeError: atlas failed\n"
 
 
 def test_huge_polynomial_degree_exit_2(capsys):

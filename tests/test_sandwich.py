@@ -8,7 +8,8 @@ import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from logbound.errors import PrecisionError, QVanishesError
+from logbound import sandwich
+from logbound.errors import BudgetError, PrecisionError, QVanishesError
 from logbound.exprjet import Precision, jet, parse
 from logbound.sandwich import (
     MAX_POLY_DEGREE,
@@ -17,6 +18,7 @@ from logbound.sandwich import (
     Witness,
     check_sandwich,
     expr_to_poly,
+    _contact_mismatch,
     _phase1_simplex,
     find_witness,
     fit_sandwich,
@@ -84,12 +86,6 @@ def test_expr_to_poly_raises_a_constant_base_once():
     assert expr_to_poly(parse("1^1000000 + x")) == [1, 1]
     assert expr_to_poly(parse("(1/2)^3")) == [mpf("0.125")]
     assert time.monotonic() - t0 < 0.5
-
-
-def test_rational_to_expr_roundtrip():
-    e = PADE.to_expr()
-    j = jet(e, 0, 2)
-    assert j.derivative(0) == 0 and j.derivative(1) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +190,29 @@ def test_fitted_candidate_still_has_witness():
     _reverify_witness(w, r)
 
 
+def test_witness_fallback_grids_are_budgeted(monkeypatch):
+    # with no violation anywhere the search tries two grids, then gives up
+    grids = []
+    monkeypatch.setattr(sandwich, "_violation_margins", lambda *args: [])
+    monkeypatch.setattr(sandwich, "check_sandwich", lambda r, region, grid, **kw: grids.append(grid))
+    with pytest.raises(BudgetError):
+        find_witness(PADE, "upper")
+    assert grids == [1000, 10000]
+
+
 # ---------------------------------------------------------------------------
 # contact necessity
 # ---------------------------------------------------------------------------
 
 
+def _poly_text(coeffs) -> str:
+    fixed = lambda c: mpmath.nstr(c, 60, min_fixed=-mpmath.inf, max_fixed=mpmath.inf)
+    return " + ".join(f"({fixed(c)})*x^{k}" for k, c in enumerate(coeffs))
+
+
 def _contact_orders_match(r: RationalFn, tol=mpf("1e-6")):
-    j = jet(r.to_expr(), 0, 4)
+    """Tree-jet check of the fourth-order contact with ln(1+x) at 0."""
+    j = jet(parse(f"({_poly_text(r.p_coeffs)})/({_poly_text(r.q_coeffs)})"), 0, 4)
     return all(
         abs(j.derivative(k) - want) <= tol * max(1, abs(mpf(want)))
         for k, want in enumerate(LN1P_CONTACT, start=1)
@@ -215,6 +227,39 @@ def test_contact_necessity_on_narrow_interval():
     for r in (PADE, KARAMATA):
         assert not _contact_orders_match(r)
         assert check_sandwich(r, "upper", xmax="0.1", grid=10 ** 4) is not None
+
+
+WITNESS_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "witness_golden.json")
+
+
+def _witness_corpus():
+    """(name, rational, region) of the pinned witness searches."""
+    fitted = fit_sandwich(3, 2, "upper", xmax=1)
+    assert fitted.status == "feasible"
+    return [
+        ("PADE upper", PADE, "upper"),  # contact broken: probes toward 0
+        ("PADE32 upper", PADE32, "upper"),  # contact matched: doubling outward
+        ("PADE32 lower", PADE32, "lower"),  # contact matched: probes toward -1
+        ("IDENTITY lower", IDENTITY, "lower"),
+        ("fit (3,2) on [0, 1]", RationalFn(fitted.p_coeffs, fitted.q_coeffs), "upper"),
+        # the benchmark's random_rational at seeds 0 and 5
+        ("seed 0 upper", RationalFn((3, 0, -3), (3, 2)), "upper"),
+        ("seed 5 upper", RationalFn((-1, 2, -1, 3), (3, 0, 1)), "upper"),
+        ("seed 0 lower", RationalFn((3, 0, -3), (4, 2)), "lower"),
+        ("seed 5 lower", RationalFn((-1, 2, -1, 3), (5, 2, 2)), "lower"),
+    ]
+
+
+def test_witness_bytes_are_pinned():
+    # every witness keeps its 50-digit report, and the coefficient-list
+    # contact test agrees with the tree jet of P/Q
+    with open(WITNESS_GOLDEN) as fh:
+        golden = json.load(fh)
+    corpus = _witness_corpus()
+    assert sorted(golden) == sorted(name for name, _, _ in corpus)
+    for name, r, region in corpus:
+        assert find_witness(r, region).to_json_dict(50) == golden[name], name
+        assert _contact_mismatch(r, Precision(50)) == (not _contact_orders_match(r)), name
 
 
 # ---------------------------------------------------------------------------
