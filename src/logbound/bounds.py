@@ -233,6 +233,29 @@ def atlas_rows(xs, p: Precision = DEFAULT_PRECISION):
     return rows
 
 
+def chain_stats(xs, slack: mpf, p: Precision = DEFAULT_PRECISION):
+    """The chain ln(1+x) <= CB <= every other bound over xs (x >= 0): per
+    bound, CB first, the largest gap to ln(1+x), the least link (CB -
+    ln(1+x) for CB, the bound - CB for the others) and the count of links
+    below -slack; and the first x with such a link, or None."""
+    stats = {bid: {"max_gap_ln": mpf(0), "min_gap_cb": mpf("inf"), "violations": 0}
+             for bid in ("CB", *BOUNDS)}
+    broken = None
+    with mp.workdps(p.digits):
+        for x, l, *vals in atlas_rows(xs, p):
+            values = dict(zip(BOUNDS, vals))
+            for bid, s in stats.items():
+                v = values[bid]
+                link = v - (l if bid == "CB" else values["CB"])
+                s["max_gap_ln"] = max(s["max_gap_ln"], v - l)
+                s["min_gap_cb"] = min(s["min_gap_cb"], link)
+                if link < -slack:
+                    s["violations"] += 1
+                    if broken is None:
+                        broken = x
+    return stats, broken
+
+
 def _finite_ends(lo: Num, hi: Num):
     a, b = mpmath.mpmathify(lo), mpmath.mpmathify(hi)
     if not (mpmath.isfinite(a) and mpmath.isfinite(b)):

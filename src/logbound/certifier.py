@@ -40,7 +40,7 @@ import mpmath
 from mpmath import mp, mpf
 
 from .bounds import H_deriv, H_value, atan_deriv
-from .errors import PrecisionError
+from .errors import BudgetError, PrecisionError
 from .exprjet import (
     DEFAULT_PRECISION,
     Expr,
@@ -60,6 +60,12 @@ DEFAULT_MAX_N = 12
 # both grow with it, so the cost of certify grows about quadratically.
 MAX_N_CEILING = 40
 DEFAULT_JET_ORDER = 7
+
+# A radius candidate is confirmed on a grid of GRID_POINTS points of
+# [1-r, 1+r]; each rejection bisects to a smaller candidate, and after
+# RADIUS_CONFIRMATIONS grids the search gives up with BudgetError.
+GRID_POINTS = 1000
+RADIUS_CONFIRMATIONS = 4
 
 
 @dataclass(frozen=True)
@@ -369,53 +375,30 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-def _gap_values(e: Expr, t: mpf, drr: bool, digits: int):
-    """(G(t), Q(t) or None) at working precision."""
+def _violates(e: Expr, t: mpf, drr: bool, digits: int, slack: mpf) -> bool:
+    """Whether t breaks the gap pattern.  Right of 1 the pattern requires
+    G = P - 2t*ln(t) >= 0 (and Q = P - H <= 0 for drr); left of 1 it
+    requires G <= 0 (and Q >= 0).  Q is computed only where G holds."""
     with mp.workdps(digits + GUARD_DIGITS):
         pt = eval_expr(e, t, Precision(digits))
         g = pt - 2 * t * mpmath.ln(t)
-        q = None
-        if drr:
-            q = pt - H_value(t, Precision(digits))
-        return g, q
+        if (g < -slack) if t >= 1 else (g > slack):
+            return True
+        if not drr:
+            return False
+        q = pt - H_value(t, Precision(digits))
+        return (q > slack) if t >= 1 else (q < -slack)
 
 
-def _violation(e: Expr, t: mpf, drr: bool, digits: int, slack: mpf):
-    """Name of the first gap condition violated at t, or None.
-
-    Right of 1 the pattern requires G >= 0 (and Q <= 0 for drr);
-    left of 1 it requires G <= 0 (and Q >= 0).
-    """
-    g, q = _gap_values(e, t, drr, digits)
-    if t >= 1:
-        if g < -slack:
-            return "G-right"
-        if drr and q > slack:
-            return "Q-right"
-    else:
-        if g > slack:
-            return "G-left"
-        if drr and q < -slack:
-            return "Q-left"
-    return None
-
-
-def verify_pattern_on_grid(
-    e: Expr,
-    r: Num,
-    drr: bool,
-    points: int = 1000,
-    p: Precision = DEFAULT_PRECISION,
-):
-    """First grid point of [1-r, 1+r] violating the pattern, or None."""
+def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PRECISION):
+    """First point of the GRID_POINTS-point grid of [1-r, 1+r] violating
+    the pattern, or None."""
     slack = condition_tolerance(p)
     with mp.workdps(p.digits):
         rv = mpmath.mpmathify(r)
-        ts = [1 - rv + 2 * rv * i / (points - 1) for i in range(points)]
+        ts = [1 - rv + 2 * rv * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     for t in ts:
-        if t <= 0:
-            return t
-        if _violation(e, t, drr, p.digits, slack) is not None:
+        if t <= 0 or _violates(e, t, drr, p.digits, slack):
             return t
     return None
 
@@ -427,7 +410,7 @@ def _bisect_gap_sign(e: Expr, t_good: mpf, t_bad: mpf, drr: bool, digits: int, s
         lo, hi = t_good, t_bad
         for _ in range(60):
             mid = (lo + hi) / 2
-            if _violation(e, mid, drr, digits, slack) is None:
+            if not _violates(e, mid, drr, digits, slack):
                 lo = mid
             else:
                 hi = mid
@@ -465,7 +448,8 @@ def find_radius(
     violating sample of G (or Q for two-sided certificates); 60
     bisection steps pin down the sign change; the resulting radius is
     then re-verified on the full grid at precision p, shrinking below
-    any violation the coarse scan missed.
+    any violation the coarse scan missed, at most RADIUS_CONFIRMATIONS
+    times before BudgetError.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
@@ -478,14 +462,14 @@ def find_radius(
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
         bracket = next(((t_good, t) for t_good, t in _scan(av)
-                        if _violation(e, t, drr, digits, slack) is not None), None)
+                        if _violates(e, t, drr, digits, slack)), None)
         if bracket is None:
             candidate = av
         else:
             t_star = _bisect_gap_sign(e, *bracket, drr, digits, slack)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         # Full-grid confirmation; shrink past any missed dip.
-        for _ in range(64):
+        for _ in range(RADIUS_CONFIRMATIONS):
             if candidate <= mpf(10) ** (-digits // 2):
                 raise PrecisionError(
                     "no positive verified radius at this precision; "
@@ -497,4 +481,5 @@ def find_radius(
                     return +candidate
             t_star = _bisect_gap_sign(e, mpf(1), bad, drr, digits, slack)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
-        raise PrecisionError("radius verification did not stabilize")
+        raise BudgetError(f"radius confirmation exhausted its budget of {RADIUS_CONFIRMATIONS} "
+                          "grids; raise the working precision and retry")

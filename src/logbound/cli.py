@@ -148,27 +148,8 @@ def _cmd_compare(args) -> Report:
     if not mp.isfinite(slack):
         raise LogboundError(f"--slack must be a finite number, got {args.slack}")
     xs = bounds.log_grid(str(args.xmin), str(args.xmax), args.points, p)
-    order = tuple(bid for bid in bounds.BOUNDS if bid != "CB")
-    stats = {bid: {"max_gap_ln": mpf(0), "min_gap_cb": mpf("inf"), "violations": 0}
-             for bid in ("CB",) + order}
-    violations = 0
-    with mp.workdps(p.digits):
-        for x in xs:
-            l = bounds.ln1p(x, p)
-            cb = bounds.bound_value("CB", x, p)
-            s = stats["CB"]
-            s["max_gap_ln"] = max(s["max_gap_ln"], cb - l)
-            s["min_gap_cb"] = min(s["min_gap_cb"], cb - l)
-            if cb - l < -slack:
-                s["violations"] += 1
-            for bid in order:
-                v = bounds.bound_value(bid, x, p)
-                s = stats[bid]
-                s["max_gap_ln"] = max(s["max_gap_ln"], v - l)
-                s["min_gap_cb"] = min(s["min_gap_cb"], v - cb)
-                if v - cb < -slack:
-                    s["violations"] += 1
-        violations = sum(s["violations"] for s in stats.values())
+    stats, _ = bounds.chain_stats(xs, slack, p)
+    violations = sum(s["violations"] for s in stats.values())
     header = ("bound", "max_gap_to_ln1p", "min_gap_to_cb", "violations")
     rows = [
         (bid, decimal_text(s["max_gap_ln"], args.digits),

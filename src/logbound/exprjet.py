@@ -13,7 +13,8 @@ and its square-substituted form H(u) = f(u^2 - 1).
 
 Everything known about an operation -- its printed form, its value
 rule and its Taylor-series rule -- sits in one row of the op table
-``_OPS``; the parser's function names come from the same rows.  A tree
+``_OPS``; the parser takes its function names, infix operators and
+their precedences from the same rows.  A tree
 is flattened once into a tape, one slot per distinct node; values and
 jets are one loop over it, and its variable-free slots are evaluated
 once per working precision.  The aliases share their argument node, so
@@ -472,8 +473,13 @@ def _quote(e: Expr, limit: int = 200) -> str:
 # ---------------------------------------------------------------------------
 
 
-_FUNCS: dict = {op.form: cls for cls, op in _OPS.items() if op.kind == "call"}
-_ALIASES: dict = {"f": f_of, "H": h_of}
+# every name that takes a parenthesised argument: the call rows, then the
+# aliases, which expand at parse time
+_FUNCS: dict = {**{op.form: cls for cls, op in _OPS.items() if op.kind == "call"},
+                "f": f_of, "H": h_of}
+# infix token -> (node class, precedence), from the rows the printer reads
+_INFIX: dict = {op.form.strip(): (cls, op.prec) for cls, op in _OPS.items()
+                if op.kind == "infix"}
 _VAR_NAMES = ("t", "x")
 
 # Deepest expression tree (and parser nesting) accepted.  Flattening
@@ -482,153 +488,120 @@ _VAR_NAMES = ("t", "x")
 MAX_DEPTH = 100
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def peek(self):
-        return self._scan(advance=False)
-
-    def next(self):
-        return self._scan(advance=True)
-
-    def _scan(self, advance: bool):
-        text, i = self.text, self.pos
-        while i < len(text) and text[i] in " \t":
-            i += 1
-        if i >= len(text):
-            tok = ("eof", "", i)
-        else:
-            ch = text[i]
-            if ch in "+-*/^()":
-                tok = (ch, ch, i)
-                i += 1
-            elif ch.isdigit() or ch == ".":
-                j = i
-                while j < len(text) and (text[j].isdigit() or text[j] == "."):
-                    j += 1
-                lit = text[i:j]
-                if lit.count(".") > 1 or lit == ".":
-                    raise ParseError(f"malformed number {lit!r}", i)
-                tok = ("num", lit, i)
-                i = j
-            elif ch.isalpha() or ch == "_":
-                j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                    j += 1
-                tok = ("ident", text[i:j], i)
-                i = j
-            else:
-                raise ParseError(f"unexpected character {ch!r}", i)
-        if advance:
-            self.pos = i
-        return tok
-
-
 class _Parser:
-    """Recursive descent over the grammar
+    """Precedence climbing over the grammar
 
-        expr   := term (('+'|'-') term)*
-        term   := factor (('*'|'/') factor)*
+        expr   := factor (infix factor)*, infix operators binding by
+                  their _OPS precedence, each left-associative
         factor := '-' factor | base ('^' integer)?
         base   := number | 'pi' | variable | func '(' expr ')' | '(' expr ')'
 
     Unary minus is accepted at the factor level so that printed Neg
-    nodes re-parse to themselves.
+    nodes re-parse to themselves.  A token is lexed when the parser first
+    peeks at it and kept until it is consumed, so of two errors in the
+    text the first in reading order is raised.
     """
 
     def __init__(self, text: str):
-        self.toks = _Tokenizer(text)
+        self.text = text
+        self.pos = 0
+        self.tok = None  # (kind, text, position) peeked and not yet consumed
         self.var_seen: Optional[str] = None
         self.nesting = 0
 
+    def peek(self):
+        if self.tok is None:
+            self.tok = self._lex()
+        return self.tok
+
+    def next(self):
+        tok = self.peek()
+        self.tok = None
+        return tok
+
+    def _lex(self):
+        text, i = self.text, self.pos
+        while i < len(text) and text[i] in " \t":
+            i += 1
+        j = i + 1
+        if i >= len(text):
+            kind, j = "eof", i
+        elif text[i] in "+-*/^()":
+            kind = text[i]
+        elif text[i].isdigit() or text[i] == ".":
+            kind = "num"
+            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+                j += 1
+            lit = text[i:j]
+            if lit.count(".") > 1 or lit == ".":
+                raise ParseError(f"malformed number {lit!r}", i)
+        elif text[i].isalpha() or text[i] == "_":
+            kind = "ident"
+            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+        else:
+            raise ParseError(f"unexpected character {text[i]!r}", i)
+        self.pos = j
+        return kind, text[i:j], i
+
     def parse(self) -> Expr:
         e = self.expr()
-        kind, _, pos = self.toks.peek()
+        kind, _, pos = self.peek()
         if kind != "eof":
             raise ParseError("unexpected trailing input", pos)
         return e
 
-    def expr(self) -> Expr:
-        e = self.term()
-        while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "+":
-                self.toks.next()
-                e = Add(e, self.term())
-            elif kind == "-":
-                self.toks.next()
-                e = Sub(e, self.term())
-            else:
-                return e
-
-    def term(self) -> Expr:
+    def expr(self, min_prec: int = _PREC_ADD) -> Expr:
         e = self.factor()
         while True:
-            kind, _, _ = self.toks.peek()
-            if kind == "*":
-                self.toks.next()
-                e = Mul(e, self.factor())
-            elif kind == "/":
-                self.toks.next()
-                e = Div(e, self.factor())
-            else:
+            cls, prec = _INFIX.get(self.peek()[0], (None, 0))
+            if prec < min_prec:
                 return e
+            self.next()
+            e = cls(e, self.expr(prec + 1))
 
     def factor(self) -> Expr:
         # every recursive descent passes through here, so this bounds
         # the parser's own stack
-        kind, _, pos = self.toks.peek()
+        kind, _, pos = self.peek()
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
             raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels", pos)
         if kind == "-":
-            self.toks.next()
+            self.next()
             e = Neg(self.factor())
         else:
             e = self.base()
-            if self.toks.peek()[0] == "^":
-                self.toks.next()
+            if self.peek()[0] == "^":
+                self.next()
                 e = PowInt(e, self.integer())
         self.nesting -= 1
         return e
 
     def integer(self) -> int:
         sign = 1
-        kind, lit, pos = self.toks.next()
+        kind, lit, pos = self.next()
         if kind == "-":
             sign = -1
-            kind, lit, pos = self.toks.next()
+            kind, lit, pos = self.next()
         if kind != "num" or "." in lit:
             raise ParseError("expected integer exponent", pos)
         return sign * int(lit)
 
     def base(self) -> Expr:
-        kind, lit, pos = self.toks.next()
+        kind, lit, pos = self.next()
         if kind == "num":
             return Const(lit)
         if kind == "(":
-            e = self.expr()
-            kind, _, pos = self.toks.next()
-            if kind != ")":
-                raise ParseError("expected ')'", pos)
-            return e
+            return self.closed(self.expr())
         if kind == "ident":
             if lit == "pi":
                 return Const("pi")
-            nkind, _, _ = self.toks.peek()
-            if nkind == "(":
-                if lit not in _FUNCS and lit not in _ALIASES:
+            if self.peek()[0] == "(":
+                if lit not in _FUNCS:
                     raise ParseError(f"unknown function {lit!r}", pos)
-                self.toks.next()
-                arg = self.expr()
-                kind, _, cpos = self.toks.next()
-                if kind != ")":
-                    raise ParseError("expected ')'", cpos)
-                if lit in _ALIASES:
-                    return _ALIASES[lit](arg)
-                return _FUNCS[lit](arg)
+                self.next()
+                return _FUNCS[lit](self.closed(self.expr()))
             if lit in _VAR_NAMES:
                 if self.var_seen is not None and self.var_seen != lit:
                     raise ParseError(
@@ -639,6 +612,12 @@ class _Parser:
                 return Var(lit)
             raise ParseError(f"unknown identifier {lit!r}", pos)
         raise ParseError(f"unexpected token {lit!r}" if lit else "unexpected end of input", pos)
+
+    def closed(self, e: Expr) -> Expr:
+        kind, _, pos = self.next()
+        if kind != ")":
+            raise ParseError("expected ')'", pos)
+        return e
 
 
 def _depth(e: Expr) -> int:

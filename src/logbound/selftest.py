@@ -22,17 +22,10 @@ Suite = Callable[[Precision], Tuple[bool, str]]
 
 def _chain(p: Precision):
     xs = bounds.log_grid("1e-6", "1e6", 500, p)
-    slack = mpf("1e-30")
-    worst = mpf("inf")
-    with mp.workdps(p.digits):
-        for x in xs:
-            l = bounds.ln1p(x, p)
-            cb = bounds.bound_value("CB", x, p)
-            gaps = [cb - l] + [bounds.bound_value(bid, x, p) - cb
-                               for bid in bounds.BOUNDS if bid != "CB"]
-            worst = min(worst, min(gaps))
-            if min(gaps) < -slack:
-                return False, f"chain broken at x = {mpmath.nstr(x, 10)}"
+    stats, broken = bounds.chain_stats(xs, mpf("1e-30"), p)
+    if broken is not None:
+        return False, f"chain broken at x = {mpmath.nstr(broken, 10)}"
+    worst = min(s["min_gap_cb"] for s in stats.values())
     return True, f"500 log-spaced points, worst slack {mpmath.nstr(worst, 5)}"
 
 

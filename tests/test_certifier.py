@@ -16,6 +16,7 @@ from logbound.certifier import (
     equality_constant,
     find_radius,
 )
+from logbound.errors import BudgetError
 from logbound.exprjet import Jet, Precision, parse
 
 
@@ -308,6 +309,23 @@ def test_find_radius_refined_family_matches_sign_change_oracle():
 
         assert G(mpf("1.5")) > 0 > G(mpf("1.6"))
         assert mpf("0.5") < r < mpf("0.6")
+
+
+def test_radius_confirmation_is_budgeted(monkeypatch):
+    # every grid rejects its candidate r at t = 1 + r/2, so each rejection
+    # about halves the candidate and only the budget ends the loop
+    calls = []
+
+    def rejecting(e, r, drr, p):
+        calls.append(r)
+        return 1 + r / 2
+
+    monkeypatch.setattr(certifier, "verify_pattern_on_grid", rejecting)
+    expr = parse("H(t) - (1/60)*(t-1)^5")
+    cert = certify(expr, "0.9", compute_radius=False)
+    with pytest.raises(BudgetError):
+        find_radius(expr, cert, a="0.9")
+    assert len(calls) == 4
 
 
 def test_certified_radii_reverify_independently():

@@ -10,10 +10,14 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logbound import bounds, sandwich
 from logbound.certifier import MAX_N_CEILING
 from logbound.cli import MAX_DIGITS, MAX_FIT_SIZE, MAX_GRID, MAX_POINTS, main
+from logbound.exprjet import to_text
+from strategies import exprs
 
 
 def run(capsys, *argv):
@@ -436,3 +440,64 @@ def test_main_calls_in_one_process_match_each_call_alone(monkeypatch):
     ]
     for argv in argvs:
         assert _in_process(argv) == _alone(argv, env), argv
+
+
+# ---------------------------------------------------------------------------
+# fuzzing: every argv gets an answer or one clean error line
+# ---------------------------------------------------------------------------
+
+_COMMANDS = (["table"], ["compare"], ["certify"], ["radius"], ["sandwich", "check"],
+             ["sandwich", "fit"], ["sandwich"], [], ["bogus"])
+_OPTIONS = ("--digits", "--format", "--xmin", "--xmax", "--points", "--log", "--slack",
+            "--expr", "--a", "--max-n", "--paper-literal", "--no-radius", "--p", "--q",
+            "--region", "--delta", "--grid", "--deg", "--samples", "--help", "--version",
+            "--bogus")
+_VALUES = ("0", "1", "2", "3", "-1", "0.5", "1e-6", "1e6", "inf", "nan", "abc", "", "16", "20",
+           "0,0", "1,1", "2,1", "1,2,3", "t", "x", "2*t*ln(t)", "x^2 + 1", "2*q", "(t",
+           "99999999", "json", "csv", "text", "upper", "lower")
+_COEFFS = ("0", "1", "-1", "2", "0.5", "-0.25", "3", "0.001")
+
+
+def _poly(coeffs):
+    return " + ".join(f"{c}*x^{k}" for k, c in enumerate(coeffs))
+
+
+# an expression is passed as --expr=TEXT, since TEXT may start with '-'
+_ARGVS = st.one_of(
+    st.builds(
+        lambda cmd, e, a, n, d: [cmd, "--expr=" + e, "--a", a, "--max-n", str(n),
+                                 "--digits", str(d)],
+        st.sampled_from(("certify", "radius")),
+        st.one_of(exprs().map(to_text),
+                  # a certified family, perturbed at seventh order: the radius runs
+                  exprs(safe=True, max_leaves=4).map(
+                      lambda e: f"H(t) - (1/60)*(t-1)^5 + (t-1)^7*({to_text(e)})")),
+        st.sampled_from(("0.3", "0.5", "0.9")), st.integers(1, 8),
+        st.sampled_from((15, 20, 30))),
+    st.builds(
+        lambda p, q, region, grid: ["sandwich", "check", "--p=" + p, "--q=" + q,
+                                    "--region", region, "--xmax", "2", "--grid", str(grid)],
+        st.one_of(st.lists(st.sampled_from(_COEFFS), min_size=1, max_size=4).map(_poly),
+                  exprs("x", max_leaves=4).map(to_text)),
+        st.lists(st.sampled_from(_COEFFS[1:]), min_size=1, max_size=3).map(
+            lambda qs: _poly(["1"] + qs)),
+        st.sampled_from(("upper", "lower")), st.integers(1, 20)),
+    st.builds(
+        lambda cmd, rest: cmd + [w for ws in rest for w in ws],
+        st.sampled_from(_COMMANDS),
+        st.lists(st.one_of(st.tuples(st.sampled_from(_OPTIONS), st.sampled_from(_VALUES)),
+                           st.tuples(st.sampled_from(_OPTIONS + _VALUES))), max_size=5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_ARGVS)
+def test_fuzzed_argv_exits_cleanly(argv):
+    start = time.perf_counter()
+    code, out, err = _in_process(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), (argv, code, err)
+    assert "Traceback" not in out + err, argv
+    if err.startswith("error:"):
+        assert err.count("\n") == 1, (argv, err)
+    assert elapsed < 5, (argv, elapsed)

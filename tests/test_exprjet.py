@@ -20,8 +20,10 @@ from logbound.exprjet import (
     MAX_DEPTH,
     Add,
     Const,
+    Div,
     Ln,
     Mul,
+    Neg,
     PowInt,
     Precision,
     Sub,
@@ -71,16 +73,76 @@ def test_parse_alias_H_expands_to_f_of_square():
     assert jet(e, 1, 5).derivatives() == [0, 2, 2, -2, 4, -10]
 
 
+# (text, exception type, message) recorded before the parser became one
+# precedence-climbing loop; together they reach every ParseError site.
+# When an input holds two errors, the first in reading order wins: the
+# lexer reads a token only when the parser first looks at it.
+PARSE_ERRORS = [
+    ("1.2.3", ParseError, "malformed number '1.2.3' (at position 0)"),
+    (".", ParseError, "malformed number '.' (at position 0)"),
+    ("t $ 1", ParseError, "unexpected character '$' (at position 2)"),
+    ("t t", ParseError, "unexpected trailing input (at position 2)"),
+    ("2*t + q", ParseError, "unknown identifier 'q' (at position 6)"),
+    ("cos(t)", ParseError, "unknown function 'cos' (at position 0)"),
+    ("t + x", ParseError, "second variable 'x' (already using 't') (at position 4)"),
+    ("t^1.5", ParseError, "expected integer exponent (at position 2)"),
+    ("(t", ParseError, "expected ')' (at position 2)"),
+    ("ln(t", ParseError, "expected ')' (at position 4)"),
+    ("*t", ParseError, "unexpected token '*' (at position 0)"),
+    (")", ParseError, "unexpected token ')' (at position 0)"),
+    ("", ParseError, "unexpected end of input (at position 0)"),
+    ("t +", ParseError, "unexpected end of input (at position 3)"),
+    ("-" * 100 + "t", ParseError, "expression nests deeper than 100 levels (at position 100)"),
+    ("+".join(["t"] * 101), ParseError,
+     "expression nests deeper than 100 levels (at position 0)"),
+    ("f(" * 20 + "t" + ")" * 20, ParseError,
+     "expression nests deeper than 100 levels (at position 0)"),
+    ("x^a$", ParseError, "expected integer exponent (at position 2)"),
+    ("cos($", ParseError, "unknown function 'cos' (at position 0)"),
+    ("1 2$", ParseError, "unexpected trailing input (at position 2)"),
+    ("(t $", ParseError, "unexpected character '$' (at position 3)"),
+    # str.isdigit accepts '²', which mpf and int then refuse
+    ("\u00b2", ValueError, "could not convert string to float: '\u00b2'"),
+    ("x^\u00b2", ValueError, "invalid literal for int() with base 10: '\u00b2'"),
+]
+
+
 def test_parse_errors_carry_position():
+    assert MAX_DEPTH == 100
+    for text, exc, message in PARSE_ERRORS:
+        with pytest.raises(exc) as err:
+            parse(text)
+        assert type(err.value) is exc and str(err.value) == message, text
     with pytest.raises(ParseError) as err:
         parse("2*t + q")
     assert err.value.position == 6
-    with pytest.raises(ParseError):
-        parse("ln(t")
-    with pytest.raises(ParseError):
-        parse("t + x")  # one variable per expression
-    with pytest.raises(ParseError):
-        parse("t^1.5")
+
+
+def test_parse_trees_are_pinned():
+    t, one, two, three = Var("t"), Const("1"), Const("2"), Const("3")
+    assert parse("t - 1 - 2") == Sub(Sub(t, one), two)
+    assert parse("t/2/3") == Div(Div(t, two), three)
+    assert parse("-t^2") == Neg(PowInt(t, 2))
+    assert parse("2*-t") == Mul(two, Neg(t))
+    assert parse("t^-2") == PowInt(t, -2)
+    assert parse("1 + 2*t^2/3 - -t") == Sub(
+        Add(one, Div(Mul(two, PowInt(t, 2)), three)), Neg(t))
+
+
+def test_parse_lexes_each_token_once(monkeypatch):
+    # a peeked token is kept until it is consumed: 11 tokens and the end
+    # of input, each lexed once, in reading order
+    positions = []
+    lex = exprjet._Parser._lex
+
+    def recording(self):
+        tok = lex(self)
+        positions.append(tok[2])
+        return tok
+
+    monkeypatch.setattr(exprjet._Parser, "_lex", recording)
+    parse("3*x^2 - 2*x + 1")
+    assert positions == [0, 1, 2, 3, 4, 6, 8, 9, 10, 12, 14, 15]
 
 
 def test_parse_bounds_the_nesting_depth():
