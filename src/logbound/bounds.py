@@ -8,6 +8,9 @@ Five upper bounds of ln(1+x) on x >= 0 are tracked:
     CUBIC     (x+2)*((x+1)^3-1)/(3*(1+x)*((x+1)^2+1))
     CB        f(x)/sqrt(x+1)     with f(x) = pi + (1/2)(4+pi)x - 2(x+2)atan(sqrt(x+1))
 
+f is defined once, by exprjet.f_of: CB, f_cb, H_value and gap_R
+evaluate trees parsed from it.
+
 CB is the tightest of the family and flips to a lower bound on (-1, 0].
 In the substituted variable t = sqrt(x+1) the CB bound reads
 2t*ln(t) <= H(t) for t >= 1 (reversed on (0,1]), where H(t) = f(t^2-1);
@@ -74,9 +77,9 @@ class GapValue:
     value: mpf
 
 
-def _f(x: mpf) -> mpf:
-    # the one closed form of f, unrounded at the caller's working precision
-    return mp.pi + (4 + mp.pi) * x / 2 - 2 * (x + 2) * mpmath.atan(mpmath.sqrt(x + 1))
+_F = parse("f(x)")
+_H = parse("H(t)")
+_R = parse("2*t*ln(t) - H(t)")
 
 
 def f_cb(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -85,9 +88,7 @@ def f_cb(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
         xv = mpmath.mpmathify(x)
         if xv < -1:
             raise DomainError(f"f is defined on x >= -1, got {mpmath.nstr(xv, 8)}")
-        val = _f(xv)
-    with mp.workdps(p.digits):
-        return +val
+    return eval_expr(_F, xv, p)
 
 
 def bound_value(bound_id: str, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -124,9 +125,9 @@ def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> GapValue:
         tv = mpmath.mpmathify(t)
         if tv <= 0:
             raise DomainError(f"R is defined for t > 0, got {mpmath.nstr(tv, 8)}")
-        val = 2 * tv * mpmath.ln(tv) - _f(tv * tv - 1)
+    value = eval_expr(_R, tv, p)
     with mp.workdps(p.digits):
-        return GapValue(t=+tv, value=+val)
+        return GapValue(t=+tv, value=value)
 
 
 _PHI = parse("ln(t) - ((1/2)*(4+pi)*t - 2*t*atan(t) - 2)")
@@ -171,11 +172,7 @@ def atan_deriv(n: int, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
 
 def H_value(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """H(t) = f(t^2 - 1), defined for all real t."""
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        tv = mpmath.mpmathify(t)
-        val = _f(tv * tv - 1)
-    with mp.workdps(p.digits):
-        return +val
+    return eval_expr(_H, t, p)
 
 
 def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:

@@ -320,6 +320,15 @@ def _cmd_selftest(args) -> Report:
 # ---------------------------------------------------------------------------
 
 
+class _ArgParser(argparse.ArgumentParser):
+    """Names the --opt=VALUE form when a value such as -t was read as an option."""
+
+    def error(self, message):
+        if message.endswith(": expected one argument"):
+            message += "\nhint: attach a value that starts with '-' with '=', as in --expr=-t"
+        super().error(message)
+
+
 @lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built once per process: parse_args keeps no state
@@ -331,7 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="report format (default text)")
     common.add_argument("--out", default=None, help="write the report to this path")
 
-    ap = argparse.ArgumentParser(
+    ap = _ArgParser(
         prog="logbound",
         description="Certified bounds for ln(1+x) and local certificates for 2t*ln(t).",
     )

@@ -12,9 +12,11 @@ time into the arctangent-corridor function
 and its square-substituted form H(u) = f(u^2 - 1).
 
 Everything known about an operation -- its printed form, its value
-rule and its Taylor-series rule -- sits in one row of the op table
-``_OPS``; the parser takes its function names, infix operators and
-their precedences from the same rows.  A tree
+rule, its Taylor-series rule and, for the rational operations, its
+polynomial-degree rule -- sits in one row of the op table ``_OPS``; the
+parser takes its function names, infix operators and their precedences
+from the same rows.  A polynomial is its own jet at 0, so
+sandwich.expr_to_poly expands one by the series rules.  A tree
 is flattened once into a tape, one slot per distinct node; values and
 jets are one loop over it, and its variable-free slots are evaluated
 once per working precision.  The aliases share their argument node, so
@@ -323,6 +325,18 @@ def _sqrt(a: mpf) -> mpf:
     return mpmath.sqrt(a)
 
 
+def _div_degree(e: Div, a: int, b: int) -> int:
+    if b:
+        raise ValueError("division by a non-constant is not polynomial")
+    return a
+
+
+def _pow_degree(e: PowInt, a: int) -> int:
+    if e.exponent < 0:
+        raise ValueError("negative powers are not polynomial")
+    return a * e.exponent
+
+
 class _Op(NamedTuple):
     """One row of the op table.
 
@@ -332,6 +346,11 @@ class _Op(NamedTuple):
     base^exponent).  Leaf rules get the node and the walk's context (x,
     or (center, n)); prefix and call rules get the child's result;
     infix and postfix rules get the node, then the children's results.
+
+    A degree rule takes children's degrees where the others take their
+    results, and a leaf's takes only the node; it raises ValueError for
+    a non-polynomial node, and the call rows have none.  A polynomial is
+    its own jet at 0, of order its degree.
     """
 
     kind: str
@@ -339,21 +358,25 @@ class _Op(NamedTuple):
     prec: int
     point: Callable
     series: Callable
+    degree: Optional[Callable] = None
 
 
 _OPS: dict = {
-    Const: _Op("leaf", "value", _PREC_ATOM,
-               _const_value, lambda e, c: _s_scal(_const_value(e), c[1])),
-    Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x, lambda e, c: _s_var(c[0], c[1])),
-    Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a]),
-    Add: _Op("infix", " + ", _PREC_ADD,
-             lambda e, a, b: a + b, lambda e, a, b: [x + y for x, y in zip(a, b)]),
-    Sub: _Op("infix", " - ", _PREC_ADD,
-             lambda e, a, b: a - b, lambda e, a, b: [x - y for x, y in zip(a, b)]),
-    Mul: _Op("infix", "*", _PREC_MUL, lambda e, a, b: a * b, lambda e, a, b: _s_mul(a, b)),
+    Const: _Op("leaf", "value", _PREC_ATOM, _const_value,
+               lambda e, c: _s_scal(_const_value(e), c[1]), lambda e: 0),
+    Var: _Op("leaf", "name", _PREC_ATOM,
+             lambda e, x: x, lambda e, c: _s_var(c[0], c[1]), lambda e: 1),
+    Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a], lambda a: a),
+    Add: _Op("infix", " + ", _PREC_ADD, lambda e, a, b: a + b,
+             lambda e, a, b: [x + y for x, y in zip(a, b)], lambda e, a, b: max(a, b)),
+    Sub: _Op("infix", " - ", _PREC_ADD, lambda e, a, b: a - b,
+             lambda e, a, b: [x - y for x, y in zip(a, b)], lambda e, a, b: max(a, b)),
+    Mul: _Op("infix", "*", _PREC_MUL, lambda e, a, b: a * b,
+             lambda e, a, b: _s_mul(a, b), lambda e, a, b: a + b),
     Div: _Op("infix", "/", _PREC_MUL, _div,
-             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right))),
-    PowInt: _Op("postfix", "^", _PREC_POW, _pow, lambda e, a: _s_powint(a, e.exponent)),
+             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right)), _div_degree),
+    PowInt: _Op("postfix", "^", _PREC_POW, _pow,
+                lambda e, a: _s_powint(a, e.exponent), _pow_degree),
     Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln),
     Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt),
     Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan),
@@ -419,16 +442,24 @@ def _walk(e: Expr, series: bool, ctx, out: Optional[list] = None) -> list:
     return out
 
 
+# Working precisions whose variable-free slots an expression keeps: a
+# witness is checked at p and then at p.doubled(), each with its own.
+_KEPT_PRECISIONS = 4
+
+
 def _point(e: Expr, x: mpf) -> mpf:
     """Value of e at x at the working precision.  The variable-free slots
-    are kept from the first walk at this precision that returned; one
-    that raises is computed, and raises, again on every call."""
-    consts = e.__dict__.get("_consts")
-    if consts is not None and consts[0] == mp.prec:
-        return _walk(e, False, x, list(consts[1]))[-1]
+    are kept from the first walk at this precision that returned, for the
+    last _KEPT_PRECISIONS precisions; one that raises is computed, and
+    raises, again on every call."""
+    kept = e.__dict__.setdefault("_consts", {})
+    consts = kept.get(mp.prec)
+    if consts is not None:
+        return _walk(e, False, x, list(consts))[-1]
     out = _walk(e, False, x)
-    object.__setattr__(e, "_consts", (mp.prec, [None] + [
-        None if varying else out[k] for k, *_, varying in _tape(e)]))
+    if len(kept) >= _KEPT_PRECISIONS:
+        del kept[next(iter(kept))]
+    kept[mp.prec] = [None] + [None if varying else out[k] for k, *_, varying in _tape(e)]
     return out[-1]
 
 
@@ -481,6 +512,9 @@ _FUNCS: dict = {**{op.form: cls for cls, op in _OPS.items() if op.kind == "call"
 _INFIX: dict = {op.form.strip(): (cls, op.prec) for cls, op in _OPS.items()
                 if op.kind == "infix"}
 _VAR_NAMES = ("t", "x")
+# ASCII only: str.isdigit also accepts characters such as '²' that no
+# number conversion reads
+_NUMBER_CHARS = "0123456789."
 
 # Deepest expression tree (and parser nesting) accepted.  Flattening
 # into a tape and printing recurse once or twice per level, so this
@@ -528,9 +562,9 @@ class _Parser:
             kind, j = "eof", i
         elif text[i] in "+-*/^()":
             kind = text[i]
-        elif text[i].isdigit() or text[i] == ".":
+        elif text[i] in _NUMBER_CHARS:
             kind = "num"
-            while j < len(text) and (text[j].isdigit() or text[j] == "."):
+            while j < len(text) and text[j] in _NUMBER_CHARS:
                 j += 1
             lit = text[i:j]
             if lit.count(".") > 1 or lit == ".":

@@ -39,20 +39,14 @@ from .errors import (
     QVanishesError,
 )
 from .exprjet import (
-    Add,
-    Const,
+    _OPS,
     DEFAULT_PRECISION,
-    Div,
     Expr,
     GUARD_DIGITS,
-    Mul,
-    Neg,
     Num,
-    PowInt,
     Precision,
-    Sub,
-    Var,
     _s_div,
+    _tape,
     decimal_text,
 )
 
@@ -129,67 +123,29 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
 
     Supports the rational-arithmetic subset of the language: constants,
     the variable, +, -, *, non-negative integer powers, and division by
-    a nonzero constant.  Products and powers of degree above
-    MAX_POLY_DEGREE raise ValueError before they are multiplied out.
+    a nonzero constant.  One pass over e's tape: each slot's degree
+    comes from its row's degree rule, and its coefficients from its
+    series rule at center 0 and that order, trailing zeros trimmed.
+    Slots of degree above MAX_POLY_DEGREE raise ValueError before they
+    are multiplied out.
     """
-
-    def trim(c):
-        while len(c) > 1 and c[-1] == 0:
-            c.pop()
-        return c
-
-    def check_degree(d):
-        if d > MAX_POLY_DEGREE:
-            raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_POLY_DEGREE}")
-
-    def product(a, b):
-        out = [mpf(0)] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-        return out
-
-    def go(e):
-        if isinstance(e, Const):
-            with mp.workdps(p.digits + GUARD_DIGITS):
-                return [+mp.pi if e.value == "pi" else mpf(e.value)]
-        if isinstance(e, Var):
-            return [mpf(0), mpf(1)]
-        if isinstance(e, Neg):
-            return [-c for c in go(e.arg)]
-        if isinstance(e, (Add, Sub)):
-            a, b = go(e.left), go(e.right)
-            n = max(len(a), len(b))
-            a += [mpf(0)] * (n - len(a))
-            b += [mpf(0)] * (n - len(b))
-            sign = 1 if isinstance(e, Add) else -1
-            return [x + sign * y for x, y in zip(a, b)]
-        if isinstance(e, Mul):
-            a, b = trim(go(e.left)), trim(go(e.right))
-            check_degree(len(a) + len(b) - 2)
-            return product(a, b)
-        if isinstance(e, Div):
-            b = go(e.right)
-            if len(trim(list(b))) != 1:
-                raise ValueError("division by a non-constant is not polynomial")
-            if b[0] == 0:
-                raise DomainError("division by zero")
-            return [c / b[0] for c in go(e.left)]
-        if isinstance(e, PowInt):
-            if e.exponent < 0:
-                raise ValueError("negative powers are not polynomial")
-            base = trim(go(e.base))
-            check_degree(e.exponent * (len(base) - 1))
-            if len(base) == 1:
-                return [base[0] ** e.exponent]
-            out = [mpf(1)]
-            for _ in range(e.exponent):
-                out = product(out, base)
-            return out
-        raise ValueError(f"not a polynomial expression: {type(e).__name__}")
-
+    out = [None]  # slot k's coefficients; slot 0, a leaf's child, is unused
     with mp.workdps(p.digits + GUARD_DIGITS):
-        return trim(go(e))
+        for _, op, node, i, j, _ in _tape(e):
+            if op.degree is None:
+                name = next(cls.__name__ for cls, row in _OPS.items() if row is op)
+                raise ValueError(f"not a polynomial expression: {name}")
+            kids = [out[k] for k in (i, j) if k]
+            head = () if node is None else (node,)
+            d = op.degree(*head, *(len(c) - 1 for c in kids))
+            if d > MAX_POLY_DEGREE:
+                raise ValueError(f"polynomial degree {d} exceeds the limit {MAX_POLY_DEGREE}")
+            args = [(c + [mpf(0)] * d)[:d + 1] for c in kids] or [(mpf(0), d)]
+            c = op.series(*head, *args)
+            while len(c) > 1 and c[-1] == 0:
+                c = c[:-1]
+            out.append(c)
+    return out[-1]
 
 
 @dataclass(frozen=True)

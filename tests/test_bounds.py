@@ -20,7 +20,7 @@ from logbound.bounds import (
     phi_identity,
 )
 from logbound.errors import DomainError, OutOfRegionError
-from logbound.exprjet import fd_derivative, jet, parse
+from logbound.exprjet import decimal_text, fd_derivative, jet, parse
 
 # 50-digit oracle anchors (independent high-precision evaluation of the
 # closed forms; see also the values re-derived inline below)
@@ -36,6 +36,49 @@ def test_f_cb_anchors():
         assert abs(f_cb(3) - mpf(F3)) < mpf("1e-45")
     with pytest.raises(DomainError):
         f_cb("-1.0000001")
+
+
+# 50-digit report strings of f, H and R, as the closed form
+# pi + (4+pi)*x/2 - 2*(x+2)*atan(sqrt(x+1)) evaluated directly gives them
+F_PINS = {
+    "-1": "-0.42920367320510338076867830836024855790141530031245",
+    "-0.75": "-0.69562361400839451649648846410334670244811176110586",
+    "0": "0.0",
+    "1e-20": "9.9999999999999999999999999999999999999999583333966e-21",
+    "0.5": "0.49660519802417302136218611945594147439990479649443",
+    "3": "2.7824944560335780659859538564133868097924470444234",
+    "123.456": "72.277471814206106455664752648584384715565032433941",
+    "1e4": "4488.9184715475579295815338348655941601705333071668",
+}
+
+H_PINS = {
+    "1e-3": "-0.43120010374210965253884002935601727601430309407815",
+    "0.1": "-0.59482638796930170988082625359745263577185166477429",
+    "0.5": "-0.69562361400839451649648846410334670244811176110586",
+    "1": "0.0",
+    "1.5": "1.216928860975775070594676526233863092590696825379",
+    "2": "2.7824944560335780659859538564133868097924470444234",
+    "30": "442.75694413039959534795747164913584244080116956576",
+    "1e4": "42940363.749847344615037878272512687953564691147667",
+}
+
+R_PINS = {
+    "1e-3": "0.41738459318414537843473208062791109076869648514638",
+    "0.1": "0.13430936937049257307722796266057979425163136704853",
+    "0.5": "0.0024764334484492070792563426451701343726116267456043",
+    "1": "0.0",
+    "1.5": "-0.00053353665128192466063717984081568287472555499147875",
+    "2": "-0.0099057337937968283170253705806805374904465069824171",
+    "30": "-238.68510123067027282316327015272244770588564677867",
+    "1e4": "-42756156.942407820960316438956137938816956603028577",
+}
+
+
+def test_f_H_R_report_strings_are_pinned():
+    for fn, pins in ((f_cb, F_PINS), (H_value, H_PINS),
+                     (lambda t: gap_R(t).value, R_PINS)):
+        for x, text in pins.items():
+            assert decimal_text(fn(x), 50) == text, x
 
 
 def test_bound_value_anchors():

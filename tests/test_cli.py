@@ -203,6 +203,18 @@ def test_malformed_expression_exit_2(capsys):
     assert code == 2 and "position" in err
 
 
+def test_expression_starting_with_dash_gets_a_hint(capsys):
+    # argparse reads -t as an option; --expr=-t passes it
+    code, out, err = run(capsys, "certify", "--expr", "-t", "--no-radius")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-2:] == [
+        "logbound certify: error: argument --expr: expected one argument",
+        "hint: attach a value that starts with '-' with '=', as in --expr=-t",
+    ]
+    code, out, err = run(capsys, "certify", "--expr=-t", "--no-radius")
+    assert code in (0, 1) and err == ""
+
+
 @pytest.mark.parametrize("expr", ["(" * 2000 + "t" + ")" * 2000, "+".join(["t"] * 3000)],
                          ids=["2000-parens", "3000-terms"])
 def test_deep_expression_exit_2(capsys, expr):

@@ -101,9 +101,9 @@ PARSE_ERRORS = [
     ("cos($", ParseError, "unknown function 'cos' (at position 0)"),
     ("1 2$", ParseError, "unexpected trailing input (at position 2)"),
     ("(t $", ParseError, "unexpected character '$' (at position 3)"),
-    # str.isdigit accepts '²', which mpf and int then refuse
-    ("\u00b2", ValueError, "could not convert string to float: '\u00b2'"),
-    ("x^\u00b2", ValueError, "invalid literal for int() with base 10: '\u00b2'"),
+    # numbers are ASCII digits only; str.isdigit would accept '²'
+    ("\u00b2", ParseError, "unexpected character '\u00b2' (at position 0)"),
+    ("x^\u00b2", ParseError, "unexpected character '\u00b2' (at position 2)"),
 ]
 
 

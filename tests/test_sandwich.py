@@ -9,7 +9,7 @@ import pytest
 from mpmath import mp, mpf
 
 from logbound import sandwich
-from logbound.errors import BudgetError, PrecisionError, QVanishesError
+from logbound.errors import BudgetError, DomainError, PrecisionError, QVanishesError
 from logbound.exprjet import Precision, jet, parse
 from logbound.sandwich import (
     MAX_POLY_DEGREE,
@@ -70,6 +70,24 @@ def test_expr_to_poly():
         expr_to_poly(parse("ln(x)"))
     with pytest.raises(ValueError):
         expr_to_poly(parse("1/(1+x)"))
+
+
+@pytest.mark.parametrize("text, exc, message", [
+    ("ln(x)", ValueError, "not a polynomial expression: Ln"),
+    ("2 + sqrt(x)", ValueError, "not a polynomial expression: Sqrt"),
+    ("x*atan(1)", ValueError, "not a polynomial expression: Atan"),
+    ("sin(x)^2", ValueError, "not a polynomial expression: Sin"),
+    ("x^-2", ValueError, "negative powers are not polynomial"),
+    ("x/(x+1)", ValueError, "division by a non-constant is not polynomial"),
+    ("x/0", DomainError, "division by zero at expansion center (0)"),
+    ("x/(x - x)", DomainError, "division by zero at expansion center (x - x)"),
+    # of two faults the first in tape order, the dividend's, is reported
+    ("ln(x)/(x+1)", ValueError, "not a polynomial expression: Ln"),
+])
+def test_expr_to_poly_refusals(text, exc, message):
+    with pytest.raises(exc) as err:
+        expr_to_poly(parse(text))
+    assert type(err.value) is exc and str(err.value) == message
 
 
 def test_expr_to_poly_bounds_the_degree():
