@@ -39,18 +39,22 @@ from typing import Optional
 import mpmath
 from mpmath import mp, mpf
 
-from .bounds import H_deriv, H_value, atan_deriv
+from .bounds import H_deriv, atan_deriv
 from .errors import BudgetError, PrecisionError
 from .exprjet import (
+    _U,
+    _ball,
     DEFAULT_PRECISION,
     Expr,
     GUARD_DIGITS,
     Jet,
     Num,
     Precision,
+    Tape,
     decimal_text,
-    eval_expr,
+    eval_expr,  # not called here; perfbench/test_perfbench.py checks this binding
     jet,
+    parse,
 )
 
 CASES = ("I", "II", "III", "IV")
@@ -375,42 +379,101 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-def _violates(e: Expr, t: mpf, drr: bool, digits: int, slack: mpf) -> bool:
-    """Whether t breaks the gap pattern.  Right of 1 the pattern requires
-    G = P - 2t*ln(t) >= 0 (and Q = P - H <= 0 for drr); left of 1 it
-    requires G <= 0 (and Q >= 0).  Q is computed only where G holds."""
-    with mp.workdps(digits + GUARD_DIGITS):
-        pt = eval_expr(e, t, Precision(digits))
-        g = pt - 2 * t * mpmath.ln(t)
-        if (g < -slack) if t >= 1 else (g > slack):
+def _gap_tape(e: Expr, drr: bool) -> Tape:
+    """P, 2t*ln(t) and, for drr, H(t) on one tape with structurally
+    equal subtrees shared, built on first use and kept on e."""
+    kept = e.__dict__.setdefault("_gap_tapes", {})
+    if drr not in kept:
+        roots = (e, parse("2*t*ln(t)")) + ((parse("H(t)"),) if drr else ())
+        kept[drr] = Tape(roots, share_equal=True)
+    return kept[drr]
+
+
+def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> Optional[bool]:
+    """_walk_verdict's answer where binary64 balls prove it, else None.
+
+    The roots' balls enclose their exact values at t; the ball of t
+    covers float(t)'s rounding.  _walk_verdict's G and Q differ from the
+    exact ones by the rounding of P and H to digits, at most
+    10^-(digits+1) of each, and by its walk's own error.  That walk
+    rounds the same operations with a unit roundoff about
+    10^-(digits+14)/u times u = 2^-53, so its error is at most that
+    factor times the balls' errors.  A pad of 10^-digits * (|P| + |2t*ln(t)
+    or H| + their errors/u) covers both, and with the conversion of
+    slack it is added to the gap's error before the comparison.  A walk
+    that raises, or overflows to inf or NaN, decides nothing.
+    """
+    tf = float(t)
+    try:
+        (vp, ep), *others = tape.ball(tf, 2 * _U * abs(tf))
+    except (ArithmeticError, ValueError):
+        return None
+    rho = 10.0 ** -min(digits, 300)  # 10^-digits or more, a normal float
+    cut = float(slack)
+    # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
+    for (vo, eo), sign in zip(others, (1, -1)):
+        v, e = _ball(vp - vo, ep + eo)
+        pad = rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * cut
+        # signed distance into the pattern
+        above, err = _ball((v if right else -v) * sign + cut, e + pad)
+        if above < -err:
             return True
-        if not drr:
+        if not above > err:
+            return None
+    return False
+
+
+def _walk_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> bool:
+    """The pattern test at digits+GUARD_DIGITS, with P and H rounded to
+    digits first."""
+    with mp.workdps(digits + GUARD_DIGITS):
+        pt, two_t_ln_t, *h = tape.point(t)
+        with mp.workdps(digits):
+            pt, h = +pt, [+v for v in h]
+        g = pt - two_t_ln_t
+        if (g < -slack) if right else (g > slack):
+            return True
+        if not h:
             return False
-        q = pt - H_value(t, Precision(digits))
-        return (q > slack) if t >= 1 else (q < -slack)
+        q = pt - h[0]
+        return (q > slack) if right else (q < -slack)
+
+
+def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
+    """Whether t breaks the gap pattern of the tape's P (see _gap_tape).
+    Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
+    Q = P - H <= slack for drr); left of 1 it requires G <= slack (and
+    Q >= -slack).  Decided in binary64 where the balls' error bounds
+    keep G and Q clear of the thresholds (see _float_verdict); at
+    digits+GUARD_DIGITS where they do not, or where the float walk
+    raises or overflows."""
+    right = t >= 1
+    verdict = _float_verdict(tape, t, right, digits, slack)
+    return _walk_verdict(tape, t, right, digits, slack) if verdict is None else verdict
 
 
 def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PRECISION):
     """First point of the GRID_POINTS-point grid of [1-r, 1+r] violating
     the pattern, or None."""
     slack = condition_tolerance(p)
+    tape = _gap_tape(e, drr)
     with mp.workdps(p.digits):
         rv = mpmath.mpmathify(r)
         ts = [1 - rv + 2 * rv * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
     for t in ts:
-        if t <= 0 or _violates(e, t, drr, p.digits, slack):
+        if t <= 0 or _violates(tape, t, p.digits, slack):
             return t
     return None
 
 
-def _bisect_gap_sign(e: Expr, t_good: mpf, t_bad: mpf, drr: bool, digits: int, slack):
+def _bisect_gap_sign(tape: Tape, t_good: mpf, t_bad: mpf, digits: int, slack):
     """Bisect toward the first sign change of the violated gap between
     a clean point and a violating point; returns the last clean t."""
     with mp.workdps(digits + GUARD_DIGITS):
         lo, hi = t_good, t_bad
         for _ in range(60):
             mid = (lo + hi) / 2
-            if not _violates(e, mid, drr, digits, slack):
+            if not _violates(tape, mid, digits, slack):
                 lo = mid
             else:
                 hi = mid
@@ -449,7 +512,10 @@ def find_radius(
     bisection steps pin down the sign change; the resulting radius is
     then re-verified on the full grid at precision p, shrinking below
     any violation the coarse scan missed, at most RADIUS_CONFIRMATIONS
-    times before BudgetError.
+    times before BudgetError.  Every point is tested by _violates on
+    one tape of P, 2t*ln(t) and, for two-sided certificates, H (see
+    _gap_tape): in binary64 where a proved error bound decides it, at
+    digits+GUARD_DIGITS elsewhere, with the same verdict either way.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
@@ -458,15 +524,16 @@ def find_radius(
     drr = cert.direction_pair == "drr"
     slack = condition_tolerance(p)
     digits = p.digits
+    tape = _gap_tape(e, drr)
 
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
         bracket = next(((t_good, t) for t_good, t in _scan(av)
-                        if _violates(e, t, drr, digits, slack)), None)
+                        if _violates(tape, t, digits, slack)), None)
         if bracket is None:
             candidate = av
         else:
-            t_star = _bisect_gap_sign(e, *bracket, drr, digits, slack)
+            t_star = _bisect_gap_sign(tape, *bracket, digits, slack)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         # Full-grid confirmation; shrink past any missed dip.
         for _ in range(RADIUS_CONFIRMATIONS):
@@ -479,7 +546,7 @@ def find_radius(
             if bad is None:
                 with mp.workdps(digits):
                     return +candidate
-            t_star = _bisect_gap_sign(e, mpf(1), bad, drr, digits, slack)
+            t_star = _bisect_gap_sign(tape, mpf(1), bad, digits, slack)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         raise BudgetError(f"radius confirmation exhausted its budget of {RADIUS_CONFIRMATIONS} "
                           "grids; raise the working precision and retry")

@@ -321,11 +321,23 @@ def _cmd_selftest(args) -> Report:
 
 
 class _ArgParser(argparse.ArgumentParser):
-    """Names the --opt=VALUE form when a value such as -t was read as an option."""
+    """Names the --opt=VALUE form when a value such as -t was read as an
+    option.  error() is not told the offending token, so each parse
+    keeps its argv to look it up."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self._argv = list(sys.argv[1:] if args is None else args)
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
-        if message.endswith(": expected one argument"):
-            message += "\nhint: attach a value that starts with '-' with '=', as in --expr=-t"
+        head, _, tail = message.partition(": ")
+        if tail == "expected one argument" and head.startswith("argument "):
+            names = head[len("argument "):].split("/")
+            argv = getattr(self, "_argv", [])
+            hit = next((f"{opt}={value}" for opt, value in zip(argv, argv[1:])
+                        if opt in names and value.startswith("-")), None)
+            if hit is not None:
+                message += f"\nhint: attach a value that starts with '-' with '=', as in {hit}"
         super().error(message)
 
 

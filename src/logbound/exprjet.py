@@ -12,16 +12,18 @@ time into the arctangent-corridor function
 and its square-substituted form H(u) = f(u^2 - 1).
 
 Everything known about an operation -- its printed form, its value
-rule, its Taylor-series rule and, for the rational operations, its
-polynomial-degree rule -- sits in one row of the op table ``_OPS``; the
-parser takes its function names, infix operators and their precedences
-from the same rows.  A polynomial is its own jet at 0, so
-sandwich.expr_to_poly expands one by the series rules.  A tree
-is flattened once into a tape, one slot per distinct node; values and
-jets are one loop over it, and its variable-free slots are evaluated
-once per working precision.  The aliases share their argument node, so
-a tree is a DAG: expansion, evaluation and the depth check each do a
-shared node's work once.
+rule, its Taylor-series rule, its binary64 value-and-error-bound rule
+and, for the rational operations, its polynomial-degree rule -- sits in
+one row of the op table ``_OPS``; the parser takes its function names,
+infix operators and their precedences from the same rows.  A polynomial
+is its own jet at 0, so sandwich.expr_to_poly expands one by the series
+rules.  A tree is flattened once into a tape, one slot per distinct
+node; values, jets and binary64 balls are one loop over it, and its
+variable-free slots are evaluated once per working precision.  Several
+expressions can share one tape, structurally equal subtrees in one
+slot.  The aliases share their argument node, so a tree is a DAG:
+expansion, evaluation and the depth check each do a shared node's work
+once.
 """
 
 from __future__ import annotations
@@ -83,9 +85,9 @@ class Expr:
     __slots__ = ()
 
     def __getstate__(self):
-        # the tape (see _tape) holds _OPS rows, whose lambdas cannot be
-        # pickled; a copy builds its own on first use
-        return {k: v for k, v in self.__dict__.items() if k not in ("_tape", "_consts")}
+        # tapes kept on a node (see _tape) hold _OPS rows, whose lambdas
+        # cannot be pickled; a copy builds its own on first use
+        return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
 
 @dataclass(frozen=True)
@@ -199,11 +201,13 @@ def _s_mul(a: list, b: list) -> list:
         return [a[0] * v for v in b]
     if not any(b[1:]):
         return [v * b[0] for v in a]
+    # coefficient k sums a_j*b_(k-j) over the j where neither factor is
+    # a padded zero; fsum skips exact zeros, so the bits are the same
     n = len(a) - 1
-    out = []
-    for k in range(n + 1):
-        out.append(mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)))
-    return out
+    da = max(j for j, v in enumerate(a) if v)
+    db = max(j for j, v in enumerate(b) if v)
+    return [mpmath.fsum(a[j] * b[k - j] for j in range(max(0, k - db), min(k, da) + 1))
+            for k in range(n + 1)]
 
 
 def _s_div(w: list, v: list, what: Callable[[], str]) -> list:
@@ -325,6 +329,70 @@ def _sqrt(a: mpf) -> mpf:
     return mpmath.sqrt(a)
 
 
+# Ball rules: binary64 value and absolute error bound (see _Op).
+_U = 2.0 ** -53  # unit roundoff of binary64
+_LIBM = 8 * _U  # 4 ulps: libm's log, atan, sin and integer pow
+_TINY = 2.0 ** -1070  # covers the underflow of each operation's few roundings
+_GROW = 1 + 2.0 ** -40  # covers the roundings of the error terms themselves
+
+
+def _ball(v: float, err: float, rel: float = _U) -> tuple:
+    """(v, bound): err, the inputs' propagated error, plus v's own rounding."""
+    return v, (err + rel * abs(v)) * _GROW + _TINY
+
+
+def _const_ball(e: Const, ctx=None) -> tuple:
+    return _ball(math.pi if e.value == "pi" else float(e.value), 0.0)
+
+
+def _mul_ball(e: Mul, a: tuple, b: tuple) -> tuple:
+    (x, ex), (y, ey) = a, b
+    return _ball(x * y, abs(x) * ey + abs(y) * ex + ex * ey)
+
+
+def _div_ball(e: Div, a: tuple, b: tuple) -> tuple:
+    (x, ex), (y, ey) = a, b
+    if not abs(y) > 2 * ey:
+        raise ArithmeticError("divisor ball reaches 0")
+    q = x / y
+    # _TINY: the division would scale up an underflow in the numerator
+    return _ball(q, (ex + abs(q) * ey + _TINY) / (abs(y) - ey))
+
+
+def _pow_ball(e: PowInt, a: tuple) -> tuple:
+    # |x^k - v^k| <= |k| * m^(k-1) * err, with m the largest |x| in the
+    # ball for k > 0 and the smallest for k < 0
+    (x, ex), k = a, e.exponent
+    if k == 0:
+        return 1.0, 0.0
+    if k < 0 and not abs(x) > 2 * ex:
+        raise ArithmeticError("base ball of a negative power reaches 0")
+    m = abs(x) + ex if k > 0 else abs(x) - ex
+    # _TINY: |k| would scale up an underflow of m^(k-1)
+    return _ball(x ** k, abs(k) * (m ** (k - 1) + _TINY) * ex, _LIBM)
+
+
+def _ln_ball(a: tuple) -> tuple:
+    x, ex = a
+    if not x > 2 * ex:
+        raise ArithmeticError("ln argument ball reaches 0")
+    return _ball(math.log(x), ex / (x - ex), _LIBM)
+
+
+def _sqrt_ball(a: tuple) -> tuple:
+    x, ex = a
+    if not x > 2 * ex:
+        raise ArithmeticError("sqrt argument ball reaches 0")
+    r = math.sqrt(x)
+    return _ball(r, ex / r)
+
+
+def _atan_ball(a: tuple) -> tuple:
+    x, ex = a
+    d = abs(x) - ex  # the slope 1/(1+s^2) is largest at the smallest |s|
+    return _ball(math.atan(x), ex / (1 + d * d) if d > 0 else ex, _LIBM)
+
+
 def _div_degree(e: Div, a: int, b: int) -> int:
     if b:
         raise ValueError("division by a non-constant is not polynomial")
@@ -347,6 +415,23 @@ class _Op(NamedTuple):
     or (center, n)); prefix and call rules get the child's result;
     infix and postfix rules get the node, then the children's results.
 
+    A ball rule is a point rule in binary64: its context is (x, err),
+    and each result is (v, err) with the exact value of the node within
+    err of v whenever the exact values of its children are within
+    their errs.  Every result's err adds to the propagated input errors
+    the rounding of v: u*|v| with u = 2^-53 for + - * / and sqrt, and
+    8u*|v| (4 ulps) for libm's log, atan, sin and integer pow; an
+    absolute 2^-1070 per operation covers underflow, and a factor
+    1 + 2^-40 the roundings of the error terms.  The propagated terms
+    are |x|ey + |y|ex + ex*ey for a product, (ex + |q|ey)/(|y| - ey) for
+    a quotient, |k|*m^(k-1)*ex for x^k (m the largest |x| in the ball,
+    the smallest if k < 0), ex/(x - ex) for ln, ex/sqrt(x) for sqrt,
+    ex/(1 + (|x| - ex)^2) for atan and ex for sin; where a quotient or
+    |k| would scale up an underflowed term, that term gets 2^-1070 too.  Div, negative
+    PowInt, Ln and Sqrt raise ArithmeticError when the argument's ball
+    comes within a factor 2 of the pole or the domain edge, so that a
+    ball never vouches for a value the point rules would reject.
+
     A degree rule takes children's degrees where the others take their
     results, and a leaf's takes only the node; it raises ValueError for
     a non-polynomial node, and the call rows have none.  A polynomial is
@@ -358,29 +443,34 @@ class _Op(NamedTuple):
     prec: int
     point: Callable
     series: Callable
+    ball: Callable
     degree: Optional[Callable] = None
 
 
 _OPS: dict = {
     Const: _Op("leaf", "value", _PREC_ATOM, _const_value,
-               lambda e, c: _s_scal(_const_value(e), c[1]), lambda e: 0),
-    Var: _Op("leaf", "name", _PREC_ATOM,
-             lambda e, x: x, lambda e, c: _s_var(c[0], c[1]), lambda e: 1),
-    Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a], lambda a: a),
+               lambda e, c: _s_scal(_const_value(e), c[1]), _const_ball, lambda e: 0),
+    Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x,
+             lambda e, c: _s_var(c[0], c[1]), lambda e, c: c, lambda e: 1),
+    Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a],
+             lambda a: (-a[0], a[1]), lambda a: a),
     Add: _Op("infix", " + ", _PREC_ADD, lambda e, a, b: a + b,
-             lambda e, a, b: [x + y for x, y in zip(a, b)], lambda e, a, b: max(a, b)),
+             lambda e, a, b: [x + y for x, y in zip(a, b)],
+             lambda e, a, b: _ball(a[0] + b[0], a[1] + b[1]), lambda e, a, b: max(a, b)),
     Sub: _Op("infix", " - ", _PREC_ADD, lambda e, a, b: a - b,
-             lambda e, a, b: [x - y for x, y in zip(a, b)], lambda e, a, b: max(a, b)),
+             lambda e, a, b: [x - y for x, y in zip(a, b)],
+             lambda e, a, b: _ball(a[0] - b[0], a[1] + b[1]), lambda e, a, b: max(a, b)),
     Mul: _Op("infix", "*", _PREC_MUL, lambda e, a, b: a * b,
-             lambda e, a, b: _s_mul(a, b), lambda e, a, b: a + b),
+             lambda e, a, b: _s_mul(a, b), _mul_ball, lambda e, a, b: a + b),
     Div: _Op("infix", "/", _PREC_MUL, _div,
-             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right)), _div_degree),
+             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right)), _div_ball, _div_degree),
     PowInt: _Op("postfix", "^", _PREC_POW, _pow,
-                lambda e, a: _s_powint(a, e.exponent), _pow_degree),
-    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln),
-    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt),
-    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan),
-    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin),
+                lambda e, a: _s_powint(a, e.exponent), _pow_ball, _pow_degree),
+    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln, _ln_ball),
+    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt, _sqrt_ball),
+    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan, _atan_ball),
+    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin,
+             lambda a: _ball(math.sin(a[0]), a[1], _LIBM)),
 }
 
 
@@ -394,43 +484,47 @@ def _children(e: Expr, kind: str) -> tuple:
     return (e.arg,)
 
 
-def _tape(e: Expr) -> list:
-    """e flattened once, and kept on e.  Slot 0 holds a walk's context;
-    slots 1.. are e's distinct nodes, each after its children, in the
-    order the tree walk first finishes them.  An entry is (slot, _OPS
-    row, the node for rules whose kind passes it or None, child slot,
-    second child slot or None, varying); a leaf's child is slot 0."""
-    tape = e.__dict__.get("_tape")
-    if tape is None:
-        tape, slots, varying = [], {}, [False]
+def _flatten(roots, share_equal: bool) -> tuple:
+    """(tape, root slots) of the roots flattened together.  Slot 0 holds
+    a walk's context; slots 1.. are the roots' distinct nodes, each after
+    its children, in the order the tree walks first finish them.  An
+    entry is (slot, _OPS row, the node for rules whose kind passes it or
+    None, child slot, second child slot or None, varying); a leaf's child
+    is slot 0.  A node reached twice is one slot; with share_equal, so
+    are structurally equal nodes (every variable is the same variable)."""
+    tape, slots, varying, equal = [], {}, [False], {}
 
-        def visit(n):
-            k = slots.get(id(n))
-            if k is None:
-                op = _OPS[n.__class__]
-                kids = [visit(c) for c in _children(n, op.kind)] or [0]
-                k = slots[id(n)] = len(varying)
-                varying.append(n.__class__ is Var or varying[kids[0]] or varying[kids[-1]])
-                node = None if op.kind in ("prefix", "call") else n
-                tape.append((k, op, node, *(kids + [None])[:2], varying[k]))
-            return k
+    def visit(n):
+        k = slots.get(id(n))
+        if k is None:
+            op = _OPS[n.__class__]
+            kids = [visit(c) for c in _children(n, op.kind)] or [0]
+            if share_equal:
+                key = (n.__class__, getattr(n, "value", None), getattr(n, "exponent", None), *kids)
+                k = slots[id(n)] = equal.setdefault(key, len(varying))
+                if k < len(varying):
+                    return k
+            k = slots[id(n)] = len(varying)
+            varying.append(n.__class__ is Var or varying[kids[0]] or varying[kids[-1]])
+            node = None if op.kind in ("prefix", "call") else n
+            tape.append((k, op, node, *(kids + [None])[:2], varying[k]))
+        return k
 
-        visit(e)
-        # nodes are frozen; the tape is not a field, so equality, hashing
-        # and printing ignore it
-        object.__setattr__(e, "_tape", tape)
-    return tape
+    return tape, [visit(r) for r in roots]
 
 
-def _walk(e: Expr, series: bool, ctx, out: Optional[list] = None) -> list:
-    """Every slot's result, in tape order, by the series rules (ctx is
-    (center, n)) or the point rules (ctx is x); e's is the last.  A slot
-    already set in out is kept; values and errors are the tree walk's.
-    No rule changes its arguments in place, so parents share a slot."""
-    tape = _tape(e)
+# the fields of the rules in an _Op row
+_POINT, _SERIES, _BALL = (_Op._fields.index(f) for f in ("point", "series", "ball"))
+
+
+def _walk(tape: list, r: int, ctx, out: Optional[list] = None) -> list:
+    """Every slot's result, in tape order, by the rule in field r of each
+    row (_POINT: ctx is x; _SERIES: (center, n); _BALL: (x, err)).  A
+    slot already set in out is kept; values and errors are the tree
+    walk's.  No rule changes its arguments in place, so parents share a
+    slot."""
     out = [None] * (len(tape) + 1) if out is None else out
     out[0] = ctx
-    r = 4 if series else 3  # the field of the rule in an _Op row
     for k, op, node, i, j, _ in tape:
         if out[k] is None:
             if node is None:
@@ -442,25 +536,65 @@ def _walk(e: Expr, series: bool, ctx, out: Optional[list] = None) -> list:
     return out
 
 
-# Working precisions whose variable-free slots an expression keeps: a
-# witness is checked at p and then at p.doubled(), each with its own.
+# Working precisions whose variable-free slots a tape keeps: a witness
+# is checked at p and then at p.doubled(), each with its own.
 _KEPT_PRECISIONS = 4
 
 
+class Tape:
+    """Expressions flattened into one tape, and walked together.
+
+    Built with share_equal, structurally equal subtrees of the roots
+    share one slot, so a value they have in common is computed once
+    per point.  The variable-free slots are kept from the first walk
+    that returned, per working precision for the last _KEPT_PRECISIONS
+    of them and once for the binary64 walk; one that raises is computed,
+    and raises, again on every call.
+    """
+
+    def __init__(self, roots, share_equal: bool = False):
+        self.entries, self.roots = _flatten(roots, share_equal)
+        # rule field -> {mp.prec, or None for _BALL: variable-free slots}
+        self._kept = {_POINT: {}, _BALL: {}}
+
+    def _kept_walk(self, r: int, key, ctx) -> list:
+        kept = self._kept[r]
+        consts = kept.get(key)
+        if consts is not None:
+            return _walk(self.entries, r, ctx, list(consts))
+        out = _walk(self.entries, r, ctx)
+        if len(kept) >= _KEPT_PRECISIONS:
+            del kept[next(iter(kept))]
+        kept[key] = [None] + [None if varying else out[k] for k, *_, varying in self.entries]
+        return out
+
+    def point(self, x: mpf) -> list:
+        """The roots' values at x at the working precision."""
+        out = self._kept_walk(_POINT, mp.prec, x)
+        return [out[k] for k in self.roots]
+
+    def ball(self, x: float, err: float) -> list:
+        """The roots' (value, error bound) pairs in binary64 at a point
+        within err of x (see _Op for the bounds).  Raises ArithmeticError
+        or ValueError where a ball cannot vouch for its value."""
+        out = self._kept_walk(_BALL, None, (x, err))
+        return [out[k] for k in self.roots]
+
+
+def _tape(e: Expr) -> Tape:
+    """e flattened once, and kept on e."""
+    tape = e.__dict__.get("_tape")
+    if tape is None:
+        tape = Tape((e,))
+        # nodes are frozen; the tape is not a field, so equality, hashing
+        # and printing ignore it
+        object.__setattr__(e, "_tape", tape)
+    return tape
+
+
 def _point(e: Expr, x: mpf) -> mpf:
-    """Value of e at x at the working precision.  The variable-free slots
-    are kept from the first walk at this precision that returned, for the
-    last _KEPT_PRECISIONS precisions; one that raises is computed, and
-    raises, again on every call."""
-    kept = e.__dict__.setdefault("_consts", {})
-    consts = kept.get(mp.prec)
-    if consts is not None:
-        return _walk(e, False, x, list(consts))[-1]
-    out = _walk(e, False, x)
-    if len(kept) >= _KEPT_PRECISIONS:
-        del kept[next(iter(kept))]
-    kept[mp.prec] = [None] + [None if varying else out[k] for k, *_, varying in _tape(e)]
-    return out[-1]
+    """Value of e at x at the working precision."""
+    return _tape(e)._kept_walk(_POINT, mp.prec, x)[-1]  # e's slot is the last
 
 
 def _text(e: Expr, min_prec: int = 0):
@@ -729,7 +863,7 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
     if order < 0:
         raise ValueError("order must be >= 0")
     with mp.workdps(p.digits + GUARD_DIGITS + order):
-        coeffs = _walk(e, True, (mpmath.mpmathify(center), order))[-1]
+        coeffs = _walk(_tape(e).entries, _SERIES, (mpmath.mpmathify(center), order))[-1]
     with mp.workdps(p.digits):
         return Jet(
             center=+mpmath.mpmathify(center),

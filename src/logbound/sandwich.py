@@ -131,7 +131,7 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
     """
     out = [None]  # slot k's coefficients; slot 0, a leaf's child, is unused
     with mp.workdps(p.digits + GUARD_DIGITS):
-        for _, op, node, i, j, _ in _tape(e):
+        for _, op, node, i, j, _ in _tape(e).entries:
             if op.degree is None:
                 name = next(cls.__name__ for cls, row in _OPS.items() if row is op)
                 raise ValueError(f"not a polynomial expression: {name}")

@@ -1,13 +1,16 @@
 """Condition checking, certificates, and verified radii."""
 
+import contextlib
+import json
 import math
+import os
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
 
-from logbound import certifier
+from logbound import certifier, cli, exprjet
 from logbound.certifier import (
     CandidateJet,
     case3_constant,
@@ -16,8 +19,8 @@ from logbound.certifier import (
     equality_constant,
     find_radius,
 )
-from logbound.errors import BudgetError
-from logbound.exprjet import Jet, Precision, parse
+from logbound.errors import BudgetError, LogboundError
+from logbound.exprjet import Atan, Jet, Precision, parse
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +348,100 @@ def test_case_I_radius_verifies_one_sided_pattern():
         return 2 * (t - 1) + (t - 1) ** 2
 
     assert direct_pattern_check(two_t_ln_t, P, None, cert.radius)
+
+
+# ---------------------------------------------------------------------------
+# binary64 decisions of the radius search against the full-precision walk
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture
+def decisions(monkeypatch):
+    """Every point the radius search decides from here on, as (t, the
+    binary64 verdict or None where the balls cannot decide, the verdict
+    of the walk at digits+GUARD_DIGITS)."""
+    seen = []
+    violates = certifier._violates
+
+    def recording(tape, t, digits, slack):
+        right = t >= 1
+        seen.append((t, certifier._float_verdict(tape, t, right, digits, slack),
+                     certifier._walk_verdict(tape, t, right, digits, slack)))
+        return violates(tape, t, digits, slack)
+
+    monkeypatch.setattr(certifier, "_violates", recording)
+    return seen
+
+
+def _mismatches(seen):
+    return [(t, fast, walk) for t, fast, walk in seen if fast is not None and fast != walk]
+
+
+GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden_cli.json")
+with open(GOLDEN_PATH) as fh:
+    GOLDEN_CERTIFY = [g["argv"] for g in json.load(fh) if g["argv"][0] in ("certify", "radius")]
+
+
+@pytest.mark.parametrize("argv", GOLDEN_CERTIFY, ids=" ".join)
+def test_golden_radius_decisions_match_the_walk(decisions, capsys, argv):
+    cli.main(argv)
+    assert _mismatches(decisions) == []
+
+
+# The benchmark's certify families at several eps, c and a (A: case IV
+# with a radius, B: no case, C: case I), then a candidate whose binary64
+# walk overflows, one whose (t-1)^99 passes through the subnormal
+# range, and one with sin.
+FILTER_CASES = [
+    ("H(t) - 0.002*(t-1)^5", "0.9"),
+    ("H(t) - 0.0167*(t-1)^5", "0.7"),
+    ("H(t) - 0.032*(t-1)^5", "0.5"),
+    ("H(t) - 0.05*(t-1)^5", "0.9"),
+    ("H(t) - 2.0*(t-1)^5", "0.5"),
+    ("2*t*ln(t) + 0.01*(t-1)^3", "0.5"),
+    ("2*t*ln(t) + 1.000*(t-1)^3", "0.9"),
+    ("2*t*ln(t) + 5.0*(t-1)^3", "0.7"),
+    ("2*t*ln(t) + (t-1)^3 + (t-1)^3*(10^200*(t-1))^2", "0.5"),
+    ("2*t*ln(t) + (t-1)^3 + (t-1)^99", "0.9"),
+    ("H(t) - 0.01*(t-1)^5 + sin(1000*(t-1))^2*(t-1)^8", "0.9"),
+]
+
+
+@pytest.mark.parametrize("expr, a", FILTER_CASES, ids=[c[0] for c in FILTER_CASES])
+def test_binary64_decisions_match_the_walk(decisions, expr, a):
+    cert = certify(parse(expr), a)
+    assert _mismatches(decisions) == []
+    decided = sum(fast is not None for _, fast, _ in decisions)
+    if cert.radius is None:  # family B: no case, no search
+        assert decisions == []
+    elif "10^200" in expr:  # every binary64 walk overflows and falls back
+        assert cert.radius == mpf(a) and decisions and decided == 0
+    else:
+        assert decided > len(decisions) / 4
+
+
+def test_binary64_decisions_differ_when_a_ball_rule_lies(decisions, monkeypatch):
+    # atan's ball shifted by 1/2 with no error moves H by about 2: the
+    # decisions of G flip, and the comparison above must see it
+    row = exprjet._OPS[Atan]
+    monkeypatch.setitem(exprjet._OPS, Atan, row._replace(
+        ball=lambda a: (row.ball(a)[0] + 0.5, 0.0)))
+    with contextlib.suppress(LogboundError):
+        certify(parse("H(t) - (1/60)*(t-1)^5"), "0.9")
+    assert _mismatches(decisions)
+
+
+def test_gap_tape_computes_the_shared_H_once_per_point(monkeypatch):
+    # P's H(t) and the tape's own H(t) are equal trees, so they share one
+    # slot: one atan per walk, in binary64 and at full precision alike
+    row = exprjet._OPS[Atan]
+    calls = []
+    monkeypatch.setitem(exprjet._OPS, Atan, row._replace(
+        point=lambda a: calls.append("point") or row.point(a),
+        ball=lambda a: calls.append("ball") or row.ball(a)))
+    tape = certifier._gap_tape(parse("H(x) - 0.01*(x-1)^5"), drr=True)
+    with mp.workdps(65):
+        p, two_t_ln_t, h = tape.point(mpf("1.25"))
+        assert p == h - mpf("0.01") * mpf("0.25") ** 5
+    tape.ball(1.25, 0.0)
+    assert calls == ["point", "ball"]

@@ -215,6 +215,24 @@ def test_expression_starting_with_dash_gets_a_hint(capsys):
     assert code in (0, 1) and err == ""
 
 
+def test_dash_value_hint_names_the_option_and_its_token(capsys):
+    code, out, err = run(capsys, "sandwich", "check", "--p", "x", "--q", "1",
+                         "--delta", "-1e-6")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-2:] == [
+        "logbound sandwich check: error: argument --delta: expected one argument",
+        "hint: attach a value that starts with '-' with '=', as in --delta=-1e-6",
+    ]
+
+
+def test_missing_value_gets_no_dash_hint(capsys):
+    code, out, err = run(capsys, "sandwich", "check", "--p", "x", "--q", "1", "--delta")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == (
+        "logbound sandwich check: error: argument --delta: expected one argument")
+    assert "hint" not in err
+
+
 @pytest.mark.parametrize("expr", ["(" * 2000 + "t" + ")" * 2000, "+".join(["t"] * 3000)],
                          ids=["2000-parens", "3000-terms"])
 def test_deep_expression_exit_2(capsys, expr):

@@ -321,6 +321,20 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
             assert _outcome(shared, x, digits) == _outcome(copies, x, digits)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-9, 9), min_size=2, max_size=12),
+       st.lists(st.integers(-9, 9), min_size=2, max_size=12), st.integers(0, 6))
+def test_series_product_skips_padded_zeros_with_the_same_bits(a, b, pad):
+    # the full order-n Cauchy product, every zero term included
+    n = max(len(a), len(b)) + pad - 1
+    with mp.workdps(40):
+        a = [mpf(v) / 7 for v in a] + [mpf(0)] * (n + 1 - len(a))
+        b = [mpf(v) / 3 for v in b] + [mpf(0)] * (n + 1 - len(b))
+        assume(any(a[1:]) and any(b[1:]))
+        full = [mpmath.fsum(a[j] * b[k - j] for j in range(k + 1)) for k in range(n + 1)]
+        assert [c._mpf_ for c in exprjet._s_mul(a, b)] == [c._mpf_ for c in full]
+
+
 def test_point_walk_evaluates_each_slot_once(monkeypatch):
     # point rules counted through patched rows; the trees are parsed
     # fresh, so their tapes read the patched rows
