@@ -49,8 +49,9 @@ MAX_DIGITS = 500
 MAX_POINTS = 20000  # table and compare
 MAX_GRID = 5000  # sandwich check
 # sandwich fit: --samples times the n+m+2 coefficients of a cell, since
-# the simplex's work grows with both; the slowest cell at its ceiling
-# took 4.9 s idle ((7,7) at 81 samples).
+# the simplex's work grows with both; the slowest cell at its ceiling,
+# (7,7) at 81 samples, took 5.0-6.7 s on a busy 2-core host where the
+# table ceiling took 5.9-8.0 s.
 MAX_FIT_SIZE = 1300
 
 _CEILINGS = {"digits": MAX_DIGITS, "points": MAX_POINTS, "grid": MAX_GRID}
@@ -334,8 +335,11 @@ class _ArgParser(argparse.ArgumentParser):
         if tail == "expected one argument" and head.startswith("argument "):
             names = head[len("argument "):].split("/")
             argv = getattr(self, "_argv", [])
+            # argparse also accepts a unique prefix such as --del for --delta
+            named = lambda opt: opt in names or (
+                len(opt) > 2 and sum(n.startswith(opt) for n in names) == 1)
             hit = next((f"{opt}={value}" for opt, value in zip(argv, argv[1:])
-                        if opt in names and value.startswith("-")), None)
+                        if named(opt) and value.startswith("-")), None)
             if hit is not None:
                 message += f"\nhint: attach a value that starts with '-' with '=', as in {hit}"
         super().error(message)

@@ -648,7 +648,8 @@ _INFIX: dict = {op.form.strip(): (cls, op.prec) for cls, op in _OPS.items()
 _VAR_NAMES = ("t", "x")
 # ASCII only: str.isdigit also accepts characters such as '²' that no
 # number conversion reads
-_NUMBER_CHARS = "0123456789."
+_DIGITS = "0123456789"
+_NUMBER_CHARS = _DIGITS + "."
 
 # Deepest expression tree (and parser nesting) accepted.  Flattening
 # into a tape and printing recurse once or twice per level, so this
@@ -703,6 +704,12 @@ class _Parser:
             lit = text[i:j]
             if lit.count(".") > 1 or lit == ".":
                 raise ParseError(f"malformed number {lit!r}", i)
+            # a decimal exponent: e or E, an optional sign, then digits
+            k = j + 1 + (text[j + 1:j + 2] in ("+", "-"))
+            if text[j:j + 1] in ("e", "E") and k < len(text) and text[k] in _DIGITS:
+                j = k + 1
+                while j < len(text) and text[j] in _DIGITS:
+                    j += 1
         elif text[i].isalpha() or text[i] == "_":
             kind = "ident"
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):
@@ -752,7 +759,7 @@ class _Parser:
         if kind == "-":
             sign = -1
             kind, lit, pos = self.next()
-        if kind != "num" or "." in lit:
+        if kind != "num" or not lit.isdigit():
             raise ParseError("expected integer exponent", pos)
         return sign * int(lit)
 

@@ -26,10 +26,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cmp_to_key
 from typing import Optional, Sequence
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import (
+    finf,
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_add,
+    mpf_cmp,
+    mpf_div,
+    mpf_gt,
+    mpf_lt,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+)
 
 from .bounds import f_cb, linear_grid, ln1p
 from .errors import (
@@ -493,6 +508,10 @@ def _horner_dot(row, y):
     return mpmath.fsum(a * b for a, b in zip(row, y))
 
 
+# sort key that orders raw libmp values by the numbers they hold
+_by_value = cmp_to_key(mpf_cmp)
+
+
 def _phase1_simplex(rows, rhs, nv: int, p: Precision):
     """Phase 1 for {A y >= rhs} with y free, solved through its LP dual.
 
@@ -505,87 +524,106 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
     Dantzig pivots with a switch to Bland's rule after a degenerate
     streak guard against cycling.
 
-    Returns ("feasible", y, 0) or ("infeasible", None, optimum).
+    The tableau, costs, bounds, basic values and optimum are raw libmp
+    values (mpf._mpf_), combined by the libmp functions that mpf's
+    operators call, at the working precision and rounding, in the order
+    the mpf expressions would evaluate.  Every libmp operation rounds
+    its exact result once, so each value, pivot choice and tie is the
+    one the mpf arithmetic gives; only the object layer is skipped.
+
+    Returns ("feasible", y, 0) or ("infeasible", None, optimum), as mpf.
     """
     wd = p.digits + GUARD_DIGITS
     with mp.workdps(wd):
-        zero = mpf(0)
+        prec, rnd = mp._prec_rounding
         m_rows = len(rows)
-        piv_tol = mpf(10) ** (-(wd - 10))
+        piv_tol = (mpf(10) ** (-(wd - 10)))._mpf_
         feas_tol = mpf(10) ** (-(p.digits - 10))
         # columns m_rows.. are the identity block: fixed at 0, never entering
-        tab = [[mpf(row[k]) for row in rows] + [mpf(k == j) for j in range(nv)]
+        tab = [[mpf(row[k])._mpf_ for row in rows] + [fone if k == j else fzero
+                                                        for j in range(nv)]
                for k in range(nv)]
-        cost = [mpf(r) for r in rhs] + [zero] * nv  # reduced costs
-        upper = [mpf(1) if r > 0 else mpmath.inf for r in rhs] + [zero] * nv
+        cost = [mpf(r)._mpf_ for r in rhs] + [fzero] * nv  # reduced costs
+        upper = [fone if r > 0 else finf for r in rhs] + [fzero] * nv
         at_upper = [False] * m_rows
         basis = [m_rows + k for k in range(nv)]
-        value = [zero] * nv  # of each row's basic variable
+        value = [fzero] * nv  # of each row's basic variable
 
         def pivot(r, j):
-            inv = 1 / tab[r][j]
-            tab[r] = prow = [v * inv for v in tab[r]]
+            inv = mpf_div(fone, tab[r][j], prec, rnd)
+            tab[r] = prow = [mpf_mul(v, inv, prec, rnd) for v in tab[r]]
             for i in range(nv):
                 f = tab[i][j]
-                if i != r and f != zero:
-                    tab[i] = [v - f * w for v, w in zip(tab[i], prow)]
+                if i != r and f != fzero:
+                    tab[i] = [mpf_sub(v, mpf_mul(f, w, prec, rnd), prec, rnd)
+                              for v, w in zip(tab[i], prow)]
             f = cost[j]
-            cost[:] = [v - f * w for v, w in zip(cost, prow)]
+            cost[:] = [mpf_sub(v, mpf_mul(f, w, prec, rnd), prec, rnd)
+                       for v, w in zip(cost, prow)]
             basis[r] = j
 
-        # Starting basis at w = 0: pivot each row on its largest entry.  A
-        # row with none above the tolerance depends on earlier rows
-        # (repeated sample points) and keeps its identity column at 0.
+        # Starting basis at w = 0: pivot each row on its largest entry
+        # (the first, on ties).  A row with none above the tolerance
+        # depends on earlier rows (repeated sample points) and keeps its
+        # identity column at 0.
         for k in range(nv):
-            j = max(range(m_rows), key=lambda j: abs(tab[k][j]))
-            if abs(tab[k][j]) > piv_tol:
+            size = [mpf_abs(v, prec, rnd) for v in tab[k][:m_rows]]
+            j = max(range(m_rows), key=lambda j: _by_value(size[j]))
+            if mpf_gt(size[j], piv_tol):
                 pivot(k, j)
 
-        optimum = zero
+        optimum = fzero
         degenerate_streak = 0
         bland = False
         for _ in range(20000):
             # raising a w_j at 0 gains cost[j]; lowering one at 1 gains -cost[j]
             enter, best = -1, piv_tol
             for j in range(m_rows):
-                gain = -cost[j] if at_upper[j] else cost[j]
-                if gain > best:
+                gain = mpf_neg(cost[j], prec, rnd) if at_upper[j] else cost[j]
+                if mpf_gt(gain, best):
                     enter, best = j, gain
                     if bland:
                         break
             if enter < 0:
                 break
             # ratio test; ties keep the bound flip, then the lowest basis index
-            sign = -1 if at_upper[enter] else 1
+            down = at_upper[enter]
             theta, leave, to_upper = upper[enter], -1, False
             for i in range(nv):
-                a = sign * tab[i][enter]
-                if abs(a) <= piv_tol:
+                a = mpf_neg(tab[i][enter], prec, rnd) if down else tab[i][enter]
+                if not mpf_gt(mpf_abs(a, prec, rnd), piv_tol):
                     continue
-                ratio = value[i] / a if a > 0 else (upper[basis[i]] - value[i]) / -a
-                if ratio < theta - piv_tol or (
-                    leave >= 0 and abs(ratio - theta) <= piv_tol and basis[i] < basis[leave]
+                if mpf_gt(a, fzero):
+                    ratio = mpf_div(value[i], a, prec, rnd)
+                else:
+                    ratio = mpf_div(mpf_sub(upper[basis[i]], value[i], prec, rnd),
+                                    mpf_neg(a, prec, rnd), prec, rnd)
+                if mpf_lt(ratio, mpf_sub(theta, piv_tol, prec, rnd)) or (
+                    leave >= 0
+                    and not mpf_gt(mpf_abs(mpf_sub(ratio, theta, prec, rnd), prec, rnd), piv_tol)
+                    and basis[i] < basis[leave]
                 ):
-                    theta, leave, to_upper = ratio, i, a < 0
-            if theta == mpmath.inf:
+                    theta, leave, to_upper = ratio, i, mpf_lt(a, fzero)
+            if theta == finf:
                 break  # unbounded dual ray: treat as stalled
-            degenerate_streak = degenerate_streak + 1 if theta <= piv_tol else 0
+            degenerate_streak = 0 if mpf_gt(theta, piv_tol) else degenerate_streak + 1
             bland = bland or degenerate_streak > 50
-            step = sign * theta
-            optimum += step * cost[enter]
+            step = mpf_neg(theta, prec, rnd) if down else theta
+            optimum = mpf_add(optimum, mpf_mul(step, cost[enter], prec, rnd), prec, rnd)
             for i in range(nv):
-                value[i] -= step * tab[i][enter]
+                value[i] = mpf_sub(value[i], mpf_mul(step, tab[i][enter], prec, rnd), prec, rnd)
             if leave < 0:
                 at_upper[enter] = not at_upper[enter]
                 continue
             if basis[leave] < m_rows:
                 at_upper[basis[leave]] = to_upper
-            value[leave] = (upper[enter] if at_upper[enter] else zero) + step
+            value[leave] = mpf_add(upper[enter] if at_upper[enter] else fzero, step, prec, rnd)
             at_upper[enter] = False
             pivot(leave, enter)
         else:
             raise BudgetError("simplex iteration guard exceeded")
 
+        optimum = mp.make_mpf(optimum)
         if optimum <= feas_tol:
-            return "feasible", [-c for c in cost[m_rows:]], zero
+            return "feasible", [mp.make_mpf(mpf_neg(c, prec, rnd)) for c in cost[m_rows:]], mpf(0)
         return "infeasible", None, optimum

@@ -198,6 +198,18 @@ def test_sandwich_fit_lower_region_reaches_zero(capsys):
     assert payload["hi"] == "0.0" and payload["status"] == "feasible"
 
 
+def test_sandwich_fit_output_checks_back(capsys):
+    # the fit prints p_0 in e-notation (1.99...e-50); check reads it back
+    code, out, err = run(capsys, "sandwich", "fit", "--deg", "3,3", "--xmax", "1")
+    assert code == 0 and err == ""
+    coeffs = dict(line.split(": ", 1) for line in out.splitlines()[1:])
+    assert "e-" in coeffs["p"]
+    poly = lambda cs: " + ".join(f"({c})*x^{k}" for k, c in enumerate(cs.split(", ")))
+    code, out, err = run(capsys, "sandwich", "check", f"--p={poly(coeffs['p'])}",
+                         f"--q={poly(coeffs['q'])}", "--xmax", "1", "--grid", "100")
+    assert code in (0, 1) and err == ""
+
+
 def test_malformed_expression_exit_2(capsys):
     code, out, err = run(capsys, "certify", "--expr", "2*q", "--a", "0.5")
     assert code == 2 and "position" in err
@@ -222,6 +234,17 @@ def test_dash_value_hint_names_the_option_and_its_token(capsys):
     assert err.splitlines()[-2:] == [
         "logbound sandwich check: error: argument --delta: expected one argument",
         "hint: attach a value that starts with '-' with '=', as in --delta=-1e-6",
+    ]
+
+
+def test_dash_value_hint_names_an_abbreviated_option(capsys):
+    # argparse reads --del as --delta and names --delta in its message
+    code, out, err = run(capsys, "sandwich", "check", "--p", "x", "--q", "1",
+                         "--del", "-1e-6")
+    assert code == 2 and out == ""
+    assert err.splitlines()[-2:] == [
+        "logbound sandwich check: error: argument --delta: expected one argument",
+        "hint: attach a value that starts with '-' with '=', as in --del=-1e-6",
     ]
 
 

@@ -98,6 +98,12 @@ PARSE_ERRORS = [
     ("f(" * 20 + "t" + ")" * 20, ParseError,
      "expression nests deeper than 100 levels (at position 0)"),
     ("x^a$", ParseError, "expected integer exponent (at position 2)"),
+    # an exponent needs digits after e (and its sign)
+    ("2e", ParseError, "unexpected trailing input (at position 1)"),
+    ("3E-", ParseError, "unexpected trailing input (at position 1)"),
+    ("2e+t", ParseError, "unexpected trailing input (at position 1)"),
+    ("1e5.5", ParseError, "unexpected trailing input (at position 3)"),
+    ("t^1e2", ParseError, "expected integer exponent (at position 2)"),
     ("cos($", ParseError, "unknown function 'cos' (at position 0)"),
     ("1 2$", ParseError, "unexpected trailing input (at position 2)"),
     ("(t $", ParseError, "unexpected character '$' (at position 3)"),
@@ -127,6 +133,8 @@ def test_parse_trees_are_pinned():
     assert parse("t^-2") == PowInt(t, -2)
     assert parse("1 + 2*t^2/3 - -t") == Sub(
         Add(one, Div(Mul(two, PowInt(t, 2)), three)), Neg(t))
+    assert parse("2e-50*t + 1.5E+3 - .5e2") == Sub(
+        Add(Mul(Const("2e-50"), t), Const("1.5E+3")), Const(".5e2"))
 
 
 def test_parse_lexes_each_token_once(monkeypatch):

@@ -1,5 +1,6 @@
 """Rational sandwich checks, witness search, and corridor feasibility."""
 
+import hashlib
 import json
 import os
 import time
@@ -381,12 +382,90 @@ def test_phase1_simplex_small_cases(rows, rhs, status, optimum):
         assert y is None
 
 
-@pytest.mark.parametrize("points", [["0.5"] * 32, ["0.25", "0.5"] * 16])
+REPEATED_POINTS = (["0.5"] * 32, ["0.25", "0.5"] * 16)
+
+
+@pytest.mark.parametrize("points", REPEATED_POINTS)
 def test_fit_repeated_sample_points(points):
     # rank-deficient constraint rows: the starting basis must skip the
     # dependent rows instead of pivoting on a zero entry
     rep = fit_sandwich(3, 3, "upper", sample_points=points)
     assert rep.status == "feasible" and rep.sample_count == 32
+
+
+# sha256 prefixes of the exact _mpf_ tuples (status, y, optimum) that
+# _phase1_simplex returned for each fit cell, recorded before the simplex
+# moved from mpf objects to raw libmp values; a last-bit change in any
+# coefficient or optimum changes its digest
+SIMPLEX_PINS = {
+    "0,0,upper,xmax=1,30": "4bb08f41cd8fa029",
+    "0,0,upper,xmax=1,50": "f9a41dc51ef18196",
+    "0,0,upper,xmax=4,30": "b83a8a875e33d22c",
+    "0,0,upper,xmax=4,50": "357902d731f3865a",
+    "0,0,lower,delta=0.5,30": "a04f487e5ac8730b",
+    "0,0,lower,delta=0.5,50": "872ec384e75da4c4",
+    "1,1,upper,xmax=1,30": "e321ca57cda19f6e",
+    "1,1,upper,xmax=1,50": "c54b562e2fe65f37",
+    "1,1,upper,xmax=4,30": "f09f06dc17b64c45",
+    "1,1,upper,xmax=4,50": "673ef804af6e0bc4",
+    "1,1,lower,delta=0.5,30": "a490e0aeee105c76",
+    "1,1,lower,delta=0.5,50": "9589f0c1b69c81dc",
+    "2,1,upper,xmax=1,30": "65be39fa4fac7536",
+    "2,1,upper,xmax=1,50": "05bd83521e069c2d",
+    "2,1,upper,xmax=4,30": "1a52e0c76e7535fe",
+    "2,1,upper,xmax=4,50": "2a10b6d10a214cc7",
+    "2,1,lower,delta=0.5,30": "466d89e71b88b864",
+    "2,1,lower,delta=0.5,50": "b65fa736631d0fab",
+    "3,2,upper,xmax=1,30": "95fbfb9e39c10996",
+    "3,2,upper,xmax=1,50": "07bbcfba6e0e966d",
+    "3,2,upper,xmax=4,30": "c775d7c3dca8bab8",
+    "3,2,upper,xmax=4,50": "936b816b868e9903",
+    "3,2,lower,delta=0.5,30": "088cfeb241b2c750",
+    "3,2,lower,delta=0.5,50": "17a89f9e92c1bc6a",
+    "3,3,upper,xmax=1,30": "92d38ae210a0dd42",
+    "3,3,upper,xmax=1,50": "321431b7ed68bab8",
+    "3,3,upper,xmax=4,30": "b383e3ff5304d5a2",
+    "3,3,upper,xmax=4,50": "db74f69b62c3ce09",
+    "3,3,lower,delta=0.5,30": "f4f6db43930d1547",
+    "3,3,lower,delta=0.5,50": "d433e3a1573a4ac6",
+    "4,4,upper,xmax=1,30": "fc8587a99d6bbcce",
+    "4,4,upper,xmax=1,50": "c7030018a205bc05",
+    "4,4,upper,xmax=4,30": "0e4f9b710415a9fb",
+    "4,4,upper,xmax=4,50": "a90dd9bda263f550",
+    "4,4,lower,delta=0.5,30": "48947cd5c6599c36",
+    "4,4,lower,delta=0.5,50": "22ec1a6c4cb8393b",
+    "3,3,points=0.5": "18e16799af7c4981",
+    "3,3,points=0.25,0.5": "505829b789ef2552",
+}
+
+
+def test_phase1_simplex_bits_are_pinned(monkeypatch):
+    returned = []
+    real = sandwich._phase1_simplex
+
+    def recording(*args):
+        returned.append(real(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(sandwich, "_phase1_simplex", recording)
+    raw = lambda v: tuple(int(c) for c in v._mpf_)
+
+    def digest():
+        status, y, optimum = returned.pop()
+        key = (status, None if y is None else [raw(c) for c in y], raw(optimum))
+        return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
+
+    got = {}
+    for n, m in ((0, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 4)):
+        for region, name, bound in (("upper", "xmax", "1"), ("upper", "xmax", "4"),
+                                    ("lower", "delta", "0.5")):
+            for digits in (30, 50):
+                fit_sandwich(n, m, region, p=Precision(digits), **{name: bound})
+                got[f"{n},{m},{region},{name}={bound},{digits}"] = digest()
+    for points in REPEATED_POINTS:
+        fit_sandwich(3, 3, "upper", sample_points=points)
+        got["3,3,points=" + ",".join(sorted(set(points)))] = digest()
+    assert got == SIMPLEX_PINS
 
 
 def test_fit_validation_and_precision_guard():
