@@ -38,10 +38,15 @@ from typing import Optional
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import fone, mpf_sub, round_nearest, to_float
 
 from .bounds import H_deriv, atan_deriv
-from .errors import BudgetError, PrecisionError
+from .errors import BudgetError, LogboundError, PrecisionError
 from .exprjet import (
+    _F64Ball,
+    _GROW,
+    _MPBall,
+    _TINY,
     _U,
     _ball,
     DEFAULT_PRECISION,
@@ -389,14 +394,104 @@ def _gap_tape(e: Expr, drr: bool) -> Tape:
     return kept[drr]
 
 
+# The Taylor-model tier of the radius search (see _model_balls): each
+# gap's Taylor polynomial of order MODEL_ORDER at t = 1, with a remainder
+# bound over the box |t - 1| <= MODEL_RADIUS.
+MODEL_RADIUS = 1 / 64
+MODEL_ORDER = 8
+
+
+def _build_gap_model(tape: Tape, digits: int) -> tuple:
+    """Per gap (G, then Q for drr): the rows (g_k, w_k, s_k) for
+    k = MODEL_ORDER..0 and the remainder bound R of _model_balls.
+
+    The gaps' coefficients at t = 1 are mpf balls from the series walk
+    at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's) cancel there
+    and not at each point.  g_k is the float nearest the midpoint; w_k
+    bounds the ball's radius, that rounding and the Horner rounding of
+    _model_balls per unit of |d|^k; s_k = (k+1)|g_(k+1)| is the slope's
+    coefficient.  R bounds the gap's order-(MODEL_ORDER+1) coefficient
+    at every center in the box (binary64 balls, see exprjet._Ball), so
+    that R*|d|^(MODEL_ORDER+1) bounds the Lagrange remainder.
+    """
+    with mp.workdps(digits + GUARD_DIGITS):
+        p, *others = tape.series(_MPBall(mpf(1)), MODEL_ORDER)
+        coeffs = [[a - b for a, b in zip(p, o)] for o in others]
+    # the box reaches past MODEL_RADIUS by more than d's rounding
+    p, *others = tape.series(_F64Ball(1.0, MODEL_RADIUS * _GROW ** 2), MODEL_ORDER + 1)
+    models = []
+    for c, o in zip(coeffs, others):
+        g = [float(b.v) for b in c] + [0.0]
+        rows = tuple((g[k], (c[k].e + (2 * MODEL_ORDER + 2) * _U * abs(g[k]) + _TINY) * _GROW,
+                      (k + 1) * abs(g[k + 1])) for k in reversed(range(MODEL_ORDER + 1)))
+        r = p[-1] - o[-1]
+        models.append((rows, (abs(r.v) + r.e) * _GROW))
+    return tuple(models)
+
+
+def _gap_model(tape: Tape, digits: int) -> Optional[tuple]:
+    """_build_gap_model's result, built on first use per digits and kept
+    on the tape; None where the build raises, a pole or domain edge in
+    the box for one: then no point is decided by the model."""
+    kept = tape.__dict__.setdefault("_gap_models", {})
+    if digits not in kept:
+        try:
+            kept[digits] = _build_gap_model(tape, digits)
+        except (ArithmeticError, ValueError, LogboundError):
+            kept[digits] = None
+    return kept[digits]
+
+
+def _model_balls(tape: Tape, t: mpf, digits: int) -> list:
+    """The gaps' (value, error bound) pairs at t from the Taylor model;
+    none where |t - 1| > MODEL_RADIUS or there is no model.
+
+    With d the float of the exact t - 1, within ed = 2u|d| of it, and
+    a = |d| + ed, the gap at t is within
+    sum (rad_k + (2N+2)u|g_k|) a^k + R a^(N+1) + ed * sum k|g_k| a^(k-1)
+    of the floats' Horner value of sum g_k d^k (N = MODEL_ORDER): the
+    coefficients' balls and float roundings, the Horner rounding (at
+    most 2N u per unit of sum |g_k||d|^k), the Lagrange remainder, and
+    the slope times d's rounding.
+    """
+    d = to_float(mpf_sub(t._mpf_, fone), rnd=round_nearest)  # exact t - 1, rounded once
+    model = _gap_model(tape, digits) if abs(d) <= MODEL_RADIUS else None
+    if model is None:
+        return []
+    ed = 2 * _U * abs(d) + _TINY
+    a = (abs(d) + ed) * _GROW
+    balls = []
+    for rows, rem in model:
+        v, err, slope = 0.0, rem, 0.0
+        for g, w, s in rows:
+            v = v * d + g
+            err = err * a + w
+            slope = slope * a + s
+        balls.append((v, (err + slope * ed) * _GROW + 2 * _TINY))
+    return balls
+
+
+def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optional[bool]:
+    """True where the gap ball (v, e) proves the pattern broken, False
+    where it proves it kept, None where it cannot tell."""
+    v, e = gap
+    # signed distance into the pattern
+    above, err = _ball((v if right else -v) * sign + cut, e + pad)
+    if above < -err:
+        return True
+    return False if above > err else None
+
+
 def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> Optional[bool]:
     """_walk_verdict's answer where binary64 balls prove it, else None.
 
     The roots' balls enclose their exact values at t; the ball of t
-    covers float(t)'s rounding.  _walk_verdict's G and Q differ from the
-    exact ones by the rounding of P and H to digits, at most
-    10^-(digits+1) of each, and by its walk's own error.  That walk
-    rounds the same operations with a unit roundoff about
+    covers float(t)'s rounding.  A gap whose ball cannot decide it takes
+    the Taylor model's ball at t instead, where |t - 1| <= MODEL_RADIUS
+    (see _model_balls); both enclose the exact gap.  _walk_verdict's G
+    and Q differ from the exact ones by the rounding of P and H to
+    digits, at most 10^-(digits+1) of each, and by its walk's own error.
+    That walk rounds the same operations with a unit roundoff about
     10^-(digits+14)/u times u = 2^-53, so its error is at most that
     factor times the balls' errors.  A pad of 10^-digits * (|P| + |2t*ln(t)
     or H| + their errors/u) covers both, and with the conversion of
@@ -410,16 +505,21 @@ def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> 
         return None
     rho = 10.0 ** -min(digits, 300)  # 10^-digits or more, a normal float
     cut = float(slack)
+    near = None  # the Taylor model's balls, computed on first need
     # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-    for (vo, eo), sign in zip(others, (1, -1)):
-        v, e = _ball(vp - vo, ep + eo)
+    for i, ((vo, eo), sign) in enumerate(zip(others, (1, -1))):
         pad = rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * cut
-        # signed distance into the pattern
-        above, err = _ball((v if right else -v) * sign + cut, e + pad)
-        if above < -err:
+        verdict = _past(_ball(vp - vo, ep + eo), sign, right, cut, pad)
+        if verdict is None:
+            if near is None:
+                near = _model_balls(tape, t, digits)
+            if not near:
+                return None
+            verdict = _past(near[i], sign, right, cut, pad)
+            if verdict is None:
+                return None
+        if verdict:
             return True
-        if not above > err:
-            return None
     return False
 
 
@@ -443,10 +543,14 @@ def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
     """Whether t breaks the gap pattern of the tape's P (see _gap_tape).
     Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
     Q = P - H <= slack for drr); left of 1 it requires G <= slack (and
-    Q >= -slack).  Decided in binary64 where the balls' error bounds
-    keep G and Q clear of the thresholds (see _float_verdict); at
-    digits+GUARD_DIGITS where they do not, or where the float walk
-    raises or overflows."""
+    Q >= -slack).  Three tiers decide it, each with the same verdict:
+    binary64 balls of the tape's roots at t, where their error bounds
+    keep G and Q clear of the thresholds; for |t - 1| <= MODEL_RADIUS,
+    the Taylor model of the gaps at t = 1 (see _model_balls), which
+    encloses them where the balls' errors, O(u*|t-1|), swamp gaps that
+    vanish to high order at 1; and the walk at digits+GUARD_DIGITS,
+    where neither enclosure clears the thresholds by _float_verdict's
+    pad, or the float walk raises or overflows."""
     right = t >= 1
     verdict = _float_verdict(tape, t, right, digits, slack)
     return _walk_verdict(tape, t, right, digits, slack) if verdict is None else verdict
@@ -514,8 +618,10 @@ def find_radius(
     any violation the coarse scan missed, at most RADIUS_CONFIRMATIONS
     times before BudgetError.  Every point is tested by _violates on
     one tape of P, 2t*ln(t) and, for two-sided certificates, H (see
-    _gap_tape): in binary64 where a proved error bound decides it, at
-    digits+GUARD_DIGITS elsewhere, with the same verdict either way.
+    _gap_tape): in binary64 where a proved error bound decides it, then,
+    within MODEL_RADIUS of 1, by the gaps' Taylor model at t = 1, built
+    once per tape and precision; at digits+GUARD_DIGITS elsewhere, with
+    the same verdict whichever tier decides.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")

@@ -15,7 +15,9 @@ Everything known about an operation -- its printed form, its value
 rule, its Taylor-series rule, its binary64 value-and-error-bound rule
 and, for the rational operations, its polynomial-degree rule -- sits in
 one row of the op table ``_OPS``; the parser takes its function names,
-infix operators and their precedences from the same rows.  A polynomial
+infix operators and their precedences from the same rows.  The series
+rules run in mpf, or in balls (binary64 or mpf midpoints) that enclose
+the exact coefficients.  A polynomial
 is its own jet at 0, so sandwich.expr_to_poly expands one by the series
 rules.  A tree is flattened once into a tape, one slot per distinct
 node; values, jets and binary64 balls are one loop over it, and its
@@ -29,7 +31,9 @@ once.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
+from functools import partialmethod
 from itertools import islice
 from typing import Callable, NamedTuple, Optional, Union
 
@@ -178,18 +182,27 @@ def h_of(u: Expr) -> Expr:
 # ---------------------------------------------------------------------------
 # Truncated power series: coefficient lists c_0..c_n at a center
 # ---------------------------------------------------------------------------
+#
+# The rules are generic over the arithmetic of the coefficients: mpf
+# (the mp arithmetic) or a ball (_F64Ball, _MPBall; see _Ball).  They
+# add, multiply and divide coefficients and small ints, subtract and
+# negate coefficients, compare a coefficient with 0, test it for truth
+# (an exact zero is false), and take fsum, the functions and the
+# scalars from _arith(coefficient).  On mpf these are the mpmath calls,
+# so each rule makes the same calls in the same order whatever the
+# arithmetic.
 
 
-def _s_scal(v: mpf, n: int) -> list:
-    s = [mpf(0)] * (n + 1)
+def _s_scal(v, n: int) -> list:
+    s = [_arith(v).scalar(0)] * (n + 1)
     s[0] = v
     return s
 
 
-def _s_var(center: mpf, n: int) -> list:
+def _s_var(center, n: int) -> list:
     s = _s_scal(+center, n)
     if n >= 1:
-        s[1] = mpf(1)
+        s[1] = _arith(center).scalar(1)
     return s
 
 
@@ -203,21 +216,23 @@ def _s_mul(a: list, b: list) -> list:
         return [v * b[0] for v in a]
     # coefficient k sums a_j*b_(k-j) over the j where neither factor is
     # a padded zero; fsum skips exact zeros, so the bits are the same
+    fsum = _arith(a[0]).fsum
     n = len(a) - 1
     da = max(j for j, v in enumerate(a) if v)
     db = max(j for j, v in enumerate(b) if v)
-    return [mpmath.fsum(a[j] * b[k - j] for j in range(max(0, k - db), min(k, da) + 1))
+    return [fsum(a[j] * b[k - j] for j in range(max(0, k - db), min(k, da) + 1))
             for k in range(n + 1)]
 
 
 def _s_div(w: list, v: list, what: Callable[[], str]) -> list:
     # what() names the divisor; it is formatted only when raising
+    fsum = _arith(v[0]).fsum
     n = len(w) - 1
     if v[0] == 0:
         raise DomainError(f"division by zero at expansion center ({what()})")
     out = [w[0] / v[0]]
     for k in range(1, n + 1):
-        acc = w[k] - mpmath.fsum(out[j] * v[k - j] for j in range(k))
+        acc = w[k] - fsum(out[j] * v[k - j] for j in range(k))
         out.append(acc / v[0])
     return out
 
@@ -225,7 +240,7 @@ def _s_div(w: list, v: list, what: Callable[[], str]) -> list:
 def _s_powint(u: list, k: int) -> list:
     n = len(u) - 1
     if k == 0:
-        return _s_scal(mpf(1), n)
+        return _s_scal(_arith(u[0]).scalar(1), n)
     neg = k < 0
     k = abs(k)
     acc = None
@@ -237,58 +252,62 @@ def _s_powint(u: list, k: int) -> list:
         if k:
             base = _s_mul(base, base)
     if neg:
-        acc = _s_div(_s_scal(mpf(1), n), acc, lambda: "negative power")
+        acc = _s_div(_s_scal(_arith(u[0]).scalar(1), n), acc, lambda: "negative power")
     return acc
 
 
 def _s_ln(u: list) -> list:
     # w = ln(u):  u*w' = u'  =>  k*w_k*u_0 = k*u_k - sum_{j<k} j*w_j*u_{k-j}
+    ar = _arith(u[0])
     n = len(u) - 1
     if u[0] <= 0:
         raise DomainError("ln of non-positive value at expansion center")
-    out = [mpmath.ln(u[0])]
+    out = [ar.ln(u[0])]
     for k in range(1, n + 1):
-        acc = k * u[k] - mpmath.fsum(j * out[j] * u[k - j] for j in range(1, k))
+        acc = k * u[k] - ar.fsum(j * out[j] * u[k - j] for j in range(1, k))
         out.append(acc / (k * u[0]))
     return out
 
 
 def _s_sqrt(u: list) -> list:
     # w^2 = u  =>  w_k = (u_k - sum_{0<j<k} w_j*w_{k-j}) / (2*w_0)
+    ar = _arith(u[0])
     n = len(u) - 1
     if u[0] < 0:
         raise DomainError("sqrt of negative value at expansion center")
     if u[0] == 0:
         if n == 0:
-            return [mpf(0)]
+            return [ar.scalar(0)]
         raise NonDifferentiableError("sqrt is not differentiable where its argument vanishes")
-    out = [mpmath.sqrt(u[0])]
+    out = [ar.sqrt(u[0])]
     for k in range(1, n + 1):
-        acc = u[k] - mpmath.fsum(out[j] * out[k - j] for j in range(1, k))
+        acc = u[k] - ar.fsum(out[j] * out[k - j] for j in range(1, k))
         out.append(acc / (2 * out[0]))
     return out
 
 
 def _s_atan(u: list) -> list:
     # w = atan(u):  w'*(1+u^2) = u', solved coefficient by coefficient.
+    ar = _arith(u[0])
     n = len(u) - 1
     d = _s_mul(u, u)
     d[0] += 1
-    out = [mpmath.atan(u[0])]
+    out = [ar.atan(u[0])]
     for k in range(1, n + 1):
-        acc = k * u[k] - mpmath.fsum(j * out[j] * d[k - j] for j in range(1, k))
+        acc = k * u[k] - ar.fsum(j * out[j] * d[k - j] for j in range(1, k))
         out.append(acc / (k * d[0]))
     return out
 
 
 def _s_sin(u: list) -> list:
     # Joint recurrence for s = sin(u), c = cos(u):  s' = u'*c,  c' = -u'*s.
+    ar = _arith(u[0])
     n = len(u) - 1
-    s = [mpmath.sin(u[0])]
-    c = [mpmath.cos(u[0])]
+    s = [ar.sin(u[0])]
+    c = [ar.cos(u[0])]
     for k in range(1, n + 1):
-        s.append(mpmath.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
-        c.append(-mpmath.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
+        s.append(ar.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
+        c.append(-ar.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
     return s
 
 
@@ -372,25 +391,231 @@ def _pow_ball(e: PowInt, a: tuple) -> tuple:
     return _ball(x ** k, abs(k) * (m ** (k - 1) + _TINY) * ex, _LIBM)
 
 
-def _ln_ball(a: tuple) -> tuple:
-    x, ex = a
+# The call rows' error rules, shared by their ball rules and by the ball
+# arithmetics: err(x, ex) bounds |F(s) - F(x)| over |s - x| <= ex and
+# raises ArithmeticError where the ball comes within a factor 2 of the
+# domain edge; each bound only grows as |x| shrinks.
+
+
+def _ln_err(x: float, ex: float) -> float:
     if not x > 2 * ex:
         raise ArithmeticError("ln argument ball reaches 0")
-    return _ball(math.log(x), ex / (x - ex), _LIBM)
+    return ex / (x - ex)
 
 
-def _sqrt_ball(a: tuple) -> tuple:
-    x, ex = a
+def _sqrt_err(x: float, ex: float) -> float:
     if not x > 2 * ex:
         raise ArithmeticError("sqrt argument ball reaches 0")
-    r = math.sqrt(x)
-    return _ball(r, ex / r)
+    return ex / math.sqrt(x)
 
 
-def _atan_ball(a: tuple) -> tuple:
-    x, ex = a
+def _atan_err(x: float, ex: float) -> float:
     d = abs(x) - ex  # the slope 1/(1+s^2) is largest at the smallest |s|
-    return _ball(math.atan(x), ex / (1 + d * d) if d > 0 else ex, _LIBM)
+    return ex / (1 + d * d) if d > 0 else ex
+
+
+def _trig_err(x: float, ex: float) -> float:
+    return ex  # |sin'| and |cos'| are at most 1
+
+
+# name: (binary64 function, mpmath function, error rule, rounding in units u)
+_CALLS = {
+    "ln": (math.log, mpmath.ln, _ln_err, 8),
+    "sqrt": (math.sqrt, mpmath.sqrt, _sqrt_err, 1),
+    "atan": (math.atan, mpmath.atan, _atan_err, 8),
+    "sin": (math.sin, mpmath.sin, _trig_err, 8),
+    "cos": (math.cos, mpmath.cos, _trig_err, 8),
+}
+
+
+def _call_ball(name: str) -> Callable:
+    """The ball rule of a call row."""
+    fn, _, err, ulps = _CALLS[name]
+    rel = ulps * _U
+
+    def rule(a: tuple) -> tuple:
+        e = err(*a)  # before fn, which may reject the argument differently
+        return _ball(fn(a[0]), e, rel)
+
+    return rule
+
+
+# ---------------------------------------------------------------------------
+# Arithmetics of the series rules
+# ---------------------------------------------------------------------------
+
+
+class _Arith(NamedTuple):
+    """What a series rule takes from its arithmetic besides operators."""
+
+    scalar: Callable  # a small int as a coefficient
+    const: Callable  # a Const node's value as a coefficient
+    fsum: Callable
+    ln: Callable
+    sqrt: Callable
+    atan: Callable
+    sin: Callable
+    cos: Callable
+
+
+_MP = _Arith(mpf, _const_value, mpmath.fsum, mpmath.ln, mpmath.sqrt, mpmath.atan,
+             mpmath.sin, mpmath.cos)
+
+
+def _arith(x):
+    """The arithmetic of coefficient x: its ball class, or _MP."""
+    return x.__class__ if isinstance(x, _Ball) else _MP
+
+
+class _Ball:
+    """A series coefficient as a ball: the exact coefficient lies within
+    e (a float) of the midpoint v, and h is a float >= |v|.  The class
+    is its arithmetic (see _Arith): _F64Ball rounds v in binary64,
+    _MPBall at mpmath's working precision.  Both follow the _Op error
+    model with u the unit roundoff of v, 8u*|v| for pi as for the
+    functions, |k|ex for an int multiple, and the sum of the errs plus
+    u times the sum of |terms| for fsum (mpmath's drops a term far below
+    the others).
+
+    The rules compare a coefficient only with 0, at a pole or a domain
+    edge; the answer is whether the ball reaches that side of 0, so the
+    rule raises rather than vouch for a ball it cannot.
+    """
+
+    __slots__ = ("v", "e", "h")
+
+    def __init__(self, v, e: float = 0.0):
+        self.v, self.e, self.h = v, e, self._hi(v)
+
+    @classmethod
+    def _make(cls, v, err: float, ulps: int = 1) -> "_Ball":
+        b = cls.__new__(cls)
+        b.v, b.h = v, cls._hi(v)
+        b.e = (err + ulps * cls._u() * b.h) * _GROW + _TINY
+        return b
+
+    @classmethod
+    def scalar(cls, k: int) -> "_Ball":
+        return cls(cls._exact(k))
+
+    @classmethod
+    def fsum(cls, terms) -> "_Ball":
+        terms = list(terms)
+        err = math.fsum([b.e for b in terms]) + cls._u() * math.fsum([b.h for b in terms])
+        return cls._make(cls._sum([b.v for b in terms]), err)
+
+    def _call(self, name: str) -> "_Ball":
+        rules = _CALLS[name]
+        # the error rule sees a float no larger than |v|, of v's sign
+        e = rules[2](math.copysign(self._lo(self.v), self.v), self.e)
+        return self._make(rules[self._fn](self.v), e, rules[3])
+
+    ln = partialmethod(_call, "ln")
+    sqrt = partialmethod(_call, "sqrt")
+    atan = partialmethod(_call, "atan")
+    sin = partialmethod(_call, "sin")
+    cos = partialmethod(_call, "cos")
+
+    def __add__(self, o):
+        if not isinstance(o, _Ball):
+            o = self.scalar(o)
+        return self._make(self.v + o.v, self.e + o.e)
+
+    def __sub__(self, o):
+        return self._make(self.v - o.v, self.e + o.e)
+
+    def __neg__(self):
+        b = self.__class__.__new__(self.__class__)
+        b.v, b.e, b.h = -self.v, self.e, self.h
+        return b
+
+    def __pos__(self):
+        return self
+
+    def __mul__(self, o):
+        if not isinstance(o, _Ball):  # a small int
+            return self._make(self.v * o, abs(o) * self.e)
+        return self._make(self.v * o.v, self.h * o.e + o.h * self.e + self.e * o.e)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, _Ball):
+            o = self.scalar(o)
+        low = self._lo(o.v)
+        if not low > 2 * o.e:
+            raise ArithmeticError("divisor ball reaches 0")
+        q = self.v / o.v
+        return self._make(q, (self.e + self._hi(q) * o.e + _TINY) / (low - o.e))
+
+    def __bool__(self):
+        return bool(self.v) or bool(self.e)
+
+    def __lt__(self, zero):
+        return not self.v >= self.e
+
+    def __le__(self, zero):
+        return not self.v > self.e
+
+    def __eq__(self, zero):
+        return not abs(self.v) > self.e
+
+    __hash__ = None
+
+
+class _F64Ball(_Ball):
+    """A ball with a binary64 midpoint: the arithmetic of the ball rules."""
+
+    __slots__ = ()
+    _fn = 0  # the binary64 function of a _CALLS entry
+    _exact = float
+    _sum = math.fsum
+    _hi = _lo = abs
+
+    @staticmethod
+    def _u() -> float:
+        return _U
+
+    @classmethod
+    def const(cls, e: Const) -> "_F64Ball":
+        return cls(*_const_ball(e))
+
+
+def _mp_hi(v: mpf) -> float:
+    # |v| = man*2^exp < 2^(exp+bc); _TINY where that underflows to 0
+    _, man, exp, bc = v._mpf_
+    if not man:
+        return math.inf if exp else 0.0  # inf and nan keep a nonzero exp
+    return math.ldexp(1.0, exp + bc) + _TINY if exp + bc < 1024 else math.inf
+
+
+def _mp_lo(v: mpf) -> float:
+    # |v| >= 2^(exp+bc-1)
+    _, man, exp, bc = v._mpf_
+    if not man:
+        return 0.0
+    return math.ldexp(1.0, exp + bc - 1) if exp + bc <= 1024 else sys.float_info.max
+
+
+class _MPBall(_Ball):
+    """A ball with an mpf midpoint, rounded at mpmath's working precision
+    (u = 2^-prec).  The error terms take |v| as the powers of two on
+    either side of it, 2^(exp+bc-1) <= |v| < 2^(exp+bc)."""
+
+    __slots__ = ()
+    _fn = 1  # the mpmath function of a _CALLS entry
+    _exact = mpf
+    _sum = staticmethod(mpmath.fsum)
+    _hi = staticmethod(_mp_hi)
+    _lo = staticmethod(_mp_lo)
+
+    @staticmethod
+    def _u() -> float:
+        return 2.0 ** -mp.prec
+
+    @classmethod
+    def const(cls, e: Const) -> "_MPBall":
+        return cls._make(_const_value(e), 0.0, 8 if e.value == "pi" else 1)
 
 
 def _div_degree(e: Div, a: int, b: int) -> int:
@@ -426,11 +651,19 @@ class _Op(NamedTuple):
     are |x|ey + |y|ex + ex*ey for a product, (ex + |q|ey)/(|y| - ey) for
     a quotient, |k|*m^(k-1)*ex for x^k (m the largest |x| in the ball,
     the smallest if k < 0), ex/(x - ex) for ln, ex/sqrt(x) for sqrt,
-    ex/(1 + (|x| - ex)^2) for atan and ex for sin; where a quotient or
-    |k| would scale up an underflowed term, that term gets 2^-1070 too.  Div, negative
-    PowInt, Ln and Sqrt raise ArithmeticError when the argument's ball
-    comes within a factor 2 of the pole or the domain edge, so that a
-    ball never vouches for a value the point rules would reject.
+    ex/(1 + (|x| - ex)^2) for atan and ex for sin (the _CALLS error
+    rules); where a quotient or |k| would scale up an underflowed term,
+    that term gets 2^-1070 too.  Div, negative PowInt, Ln and Sqrt raise
+    ArithmeticError when the argument's ball comes within a factor 2 of
+    the pole or the domain edge, so that a ball never vouches for a
+    value the point rules would reject.
+
+    A series rule is generic over the arithmetic of its coefficients
+    (see the _s_* rules).  Walked from a ball center, a _F64Ball or an
+    _MPBall, the series rules are ball rules too, by the same error
+    model with u the unit roundoff of the midpoints (see _Ball): each
+    coefficient encloses the exact Taylor coefficient at every point of
+    the center's ball.
 
     A degree rule takes children's degrees where the others take their
     results, and a leaf's takes only the node; it raises ValueError for
@@ -449,7 +682,7 @@ class _Op(NamedTuple):
 
 _OPS: dict = {
     Const: _Op("leaf", "value", _PREC_ATOM, _const_value,
-               lambda e, c: _s_scal(_const_value(e), c[1]), _const_ball, lambda e: 0),
+               lambda e, c: _s_scal(_arith(c[0]).const(e), c[1]), _const_ball, lambda e: 0),
     Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x,
              lambda e, c: _s_var(c[0], c[1]), lambda e, c: c, lambda e: 1),
     Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a],
@@ -466,11 +699,10 @@ _OPS: dict = {
              lambda e, a, b: _s_div(a, b, lambda: _quote(e.right)), _div_ball, _div_degree),
     PowInt: _Op("postfix", "^", _PREC_POW, _pow,
                 lambda e, a: _s_powint(a, e.exponent), _pow_ball, _pow_degree),
-    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln, _ln_ball),
-    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt, _sqrt_ball),
-    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan, _atan_ball),
-    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin,
-             lambda a: _ball(math.sin(a[0]), a[1], _LIBM)),
+    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln, _call_ball("ln")),
+    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt, _call_ball("sqrt")),
+    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan, _call_ball("atan")),
+    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin, _call_ball("sin")),
 }
 
 
@@ -580,6 +812,13 @@ class Tape:
         out = self._kept_walk(_BALL, None, (x, err))
         return [out[k] for k in self.roots]
 
+    def series(self, center, n: int) -> list:
+        """The roots' Taylor coefficients 0..n at center, in center's
+        arithmetic: an mpf at the working precision, or a ball (see
+        _Ball) whose coefficients enclose those at every point of it."""
+        out = _walk(self.entries, _SERIES, (center, n))
+        return [out[k] for k in self.roots]
+
 
 def _tape(e: Expr) -> Tape:
     """e flattened once, and kept on e."""
@@ -657,6 +896,16 @@ _NUMBER_CHARS = _DIGITS + "."
 MAX_DEPTH = 100
 
 
+def _check_digits(digits: str, part: str, pos: int) -> None:
+    # mpf() reads a literal's digits with int(), which refuses more than
+    # the interpreter's limit (Python 3.11, and 3.10 from 3.10.7; 0 is
+    # no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit and len(digits) > limit:
+        raise ParseError(f"number literal has {len(digits)} {part} digits, "
+                         f"more than the limit of {limit}", pos)
+
+
 class _Parser:
     """Precedence climbing over the grammar
 
@@ -704,12 +953,14 @@ class _Parser:
             lit = text[i:j]
             if lit.count(".") > 1 or lit == ".":
                 raise ParseError(f"malformed number {lit!r}", i)
+            _check_digits(lit.replace(".", ""), "mantissa", i)
             # a decimal exponent: e or E, an optional sign, then digits
             k = j + 1 + (text[j + 1:j + 2] in ("+", "-"))
             if text[j:j + 1] in ("e", "E") and k < len(text) and text[k] in _DIGITS:
                 j = k + 1
                 while j < len(text) and text[j] in _DIGITS:
                     j += 1
+                _check_digits(text[k:j], "exponent", i)
         elif text[i].isalpha() or text[i] == "_":
             kind = "ident"
             while j < len(text) and (text[j].isalnum() or text[j] == "_"):

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from logbound import certifier, cli, exprjet
@@ -351,15 +353,16 @@ def test_case_I_radius_verifies_one_sided_pattern():
 
 
 # ---------------------------------------------------------------------------
-# binary64 decisions of the radius search against the full-precision walk
+# binary64 and Taylor-model decisions of the radius search against the
+# full-precision walk
 # ---------------------------------------------------------------------------
 
 
 @pytest.fixture
 def decisions(monkeypatch):
     """Every point the radius search decides from here on, as (t, the
-    binary64 verdict or None where the balls cannot decide, the verdict
-    of the walk at digits+GUARD_DIGITS)."""
+    verdict of the binary64 balls or the Taylor model, or None where
+    neither can decide, the verdict of the walk at digits+GUARD_DIGITS)."""
     seen = []
     violates = certifier._violates
 
@@ -445,3 +448,72 @@ def test_gap_tape_computes_the_shared_H_once_per_point(monkeypatch):
         assert p == h - mpf("0.01") * mpf("0.25") ** 5
     tape.ball(1.25, 0.0)
     assert calls == ["point", "ball"]
+
+
+# ---------------------------------------------------------------------------
+# the Taylor-model tier: points near t = 1
+# ---------------------------------------------------------------------------
+
+# The A (case IV, two gaps) and C (case I, one gap) families of
+# FILTER_CASES, whose gaps vanish to fifth and third order at t = 1.
+NEAR_CASES = [c for c in FILTER_CASES if c[0] in (
+    "H(t) - 0.002*(t-1)^5", "H(t) - 0.0167*(t-1)^5", "H(t) - 0.032*(t-1)^5",
+    "2*t*ln(t) + 0.01*(t-1)^3", "2*t*ln(t) + 1.000*(t-1)^3", "2*t*ln(t) + 5.0*(t-1)^3")]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(NEAR_CASES),
+       st.one_of(st.floats(-certifier.MODEL_RADIUS, certifier.MODEL_RADIUS),
+                 st.sampled_from([1e-7, -1e-7, certifier.MODEL_RADIUS])))
+def test_taylor_model_encloses_the_gaps(case, delta):
+    expr, _ = case
+    tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
+    with mp.workdps(120):
+        t = 1 + mpf(delta)
+        p, two_t_ln_t, *h = tape.point(t)
+        gaps = [p - two_t_ln_t] + [p - v for v in h]
+        balls = certifier._model_balls(tape, t, 50)
+        assert len(balls) == len(gaps)
+        for (v, e), gap in zip(balls, gaps):
+            assert abs(gap - v) <= e
+
+
+@pytest.mark.parametrize("expr, a", NEAR_CASES, ids=[c[0] for c in NEAR_CASES])
+def test_no_point_near_1_reaches_the_walk(decisions, expr, a):
+    certify(parse(expr), a)
+    near = [fast for t, fast, _ in decisions if abs(t - 1) <= certifier.MODEL_RADIUS]
+    assert len(near) > 100 and None not in near
+    assert _mismatches(decisions) == []
+
+
+def test_taylor_model_decisions_differ_when_a_series_ball_rule_lies(decisions, monkeypatch):
+    # atan's series ball at the center shifted by 1/2 with no error moves
+    # the model's H(1) by -2: near 1 its G and Q flip, and the comparison
+    # with the walk must see it
+    atan = exprjet._MPBall.atan
+    monkeypatch.setattr(exprjet._MPBall, "atan", lambda b: exprjet._MPBall(atan(b).v + mpf("0.5")))
+    with contextlib.suppress(LogboundError):
+        certify(parse("H(t) - (1/60)*(t-1)^5"), "0.9")
+    bad = _mismatches(decisions)
+    assert bad and all(abs(t - 1) <= certifier.MODEL_RADIUS for t, _, _ in bad)
+
+
+@pytest.mark.parametrize("expr, a", [("H(t) - 0.0167*(t-1)^5", "0.7"),
+                                     ("2*t*ln(t) + 0.01*(t-1)^3", "0.5")])
+def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
+    builds = []
+    build = certifier._build_gap_model
+    monkeypatch.setattr(certifier, "_build_gap_model",
+                        lambda tape, digits: builds.append(digits) or build(tape, digits))
+    e = parse(expr)
+    kept = certify(e, a)
+    # built once for the search, and kept on the gap tape
+    assert builds == [50] and certifier._gap_model(certifier._gap_tape(e, kept.case != "I"), 50)
+
+    def failing(tape, digits):
+        raise ArithmeticError("a pole in the box")
+
+    monkeypatch.setattr(certifier, "_build_gap_model", failing)
+    e = parse(expr)
+    assert certify(e, a).radius == kept.radius
+    assert certifier._gap_model(certifier._gap_tape(e, kept.case != "I"), 50) is None

@@ -1,6 +1,8 @@
 """Expression language, jets, and the finite-difference oracle."""
 
+import hashlib
 import pickle
+import sys
 import time
 
 import mpmath
@@ -15,7 +17,7 @@ from logbound.errors import (
     NonDifferentiableError,
     ParseError,
 )
-from logbound import exprjet
+from logbound import exprjet, sandwich
 from logbound.exprjet import (
     MAX_DEPTH,
     Add,
@@ -111,6 +113,17 @@ PARSE_ERRORS = [
     ("\u00b2", ParseError, "unexpected character '\u00b2' (at position 0)"),
     ("x^\u00b2", ParseError, "unexpected character '\u00b2' (at position 2)"),
 ]
+# more digits than int() converts (sys.get_int_max_str_digits, Python
+# 3.11 and 3.10 from 3.10.7; 0 is no limit): mpf() would raise int()'s
+# ValueError, with no position
+INT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+if INT_LIMIT:
+    PARSE_ERRORS += [
+        ("1" * (INT_LIMIT + 1) + "*t", ParseError, f"number literal has {INT_LIMIT + 1} "
+         f"mantissa digits, more than the limit of {INT_LIMIT} (at position 0)"),
+        ("t + 2.5e-" + "1" * (INT_LIMIT + 1), ParseError, f"number literal has "
+         f"{INT_LIMIT + 1} exponent digits, more than the limit of {INT_LIMIT} (at position 4)"),
+    ]
 
 
 def test_parse_errors_carry_position():
@@ -327,6 +340,98 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
         assert [c._mpf_ for c in a.coeffs] == [c._mpf_ for c in b.coeffs]
         for x in ("0.25", "1", "1.7", "-3"):
             assert _outcome(shared, x, digits) == _outcome(copies, x, digits)
+
+
+# sha256 prefixes of the raw _mpf_ tuples of the mp series path,
+# recorded before the series rules became generic over the arithmetic.
+# The three expressions reach every _OPS row: Sin, Atan, Sqrt, Div by a
+# non-constant, PowInt; Ln, a negative PowInt, Div by pi; Neg and the
+# f of H.
+PIN_EXPRS = ("sin(t)*atan(sqrt(t + 1))/(1 + t^2)", "ln(t)*t^-3 - (2*t - 1)/pi",
+             "-H(t) + 2*t*ln(t)")
+PIN_POLYS = ("(1 + 2*x)^3 - x/3", "(x^2 - 1/7)^5*(3 - x)", "-(2*x + 0.3)^4/pi")
+PIN_RATIONALS = ((("0", "1", "0.5"), ("1", "1", "0.1666666666666666666666667")),
+                 (("0", "6", "3", "-0.5"), ("6", "6", "1.5", "0.25")))
+SERIES_PINS = {
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),1,7,30': 'abf575bf45ba4f07',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),1,7,50': 'f2afb7109cbe0a5b',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),1,14,30': 'ee1810916a908d53',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),1,14,50': 'e080cc74d7a81f30',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),0.5,7,30': '152ec50e1dfd077e',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),0.5,7,50': '7b7e5cf1dd4b4aad',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),0.5,14,30': '4cd71308d42c7ab1',
+    'sin(t)*atan(sqrt(t + 1))/(1 + t^2),0.5,14,50': '363ba98aca054ad2',
+    'ln(t)*t^-3 - (2*t - 1)/pi,1,7,30': '2272dea815a68ee6',
+    'ln(t)*t^-3 - (2*t - 1)/pi,1,7,50': '78bf8967070130be',
+    'ln(t)*t^-3 - (2*t - 1)/pi,1,14,30': 'eb0e752ceb9c339e',
+    'ln(t)*t^-3 - (2*t - 1)/pi,1,14,50': '732a0345f8572bd3',
+    'ln(t)*t^-3 - (2*t - 1)/pi,0.5,7,30': 'c0b31904c9c81946',
+    'ln(t)*t^-3 - (2*t - 1)/pi,0.5,7,50': '5ebb3069aedfaa7e',
+    'ln(t)*t^-3 - (2*t - 1)/pi,0.5,14,30': '4af6451c92e13616',
+    'ln(t)*t^-3 - (2*t - 1)/pi,0.5,14,50': 'ebe8c7e536c88f76',
+    '-H(t) + 2*t*ln(t),1,7,30': '40ccc17bb7272f5e',
+    '-H(t) + 2*t*ln(t),1,7,50': '882f774e41d7e1de',
+    '-H(t) + 2*t*ln(t),1,14,30': 'a1a305fd45645307',
+    '-H(t) + 2*t*ln(t),1,14,50': '0a73468d78374de7',
+    '-H(t) + 2*t*ln(t),0.5,7,30': '4692958ffa32bcdf',
+    '-H(t) + 2*t*ln(t),0.5,7,50': '77fa399e3b1f9b34',
+    '-H(t) + 2*t*ln(t),0.5,14,30': '2e9f733ad1bc674a',
+    '-H(t) + 2*t*ln(t),0.5,14,50': 'eba97259e0886d3e',
+    'poly (1 + 2*x)^3 - x/3,30': '859a660e46b3f8f5',
+    'poly (1 + 2*x)^3 - x/3,50': '9668c0259d741fce',
+    'poly (x^2 - 1/7)^5*(3 - x),30': '390b241c74323471',
+    'poly (x^2 - 1/7)^5*(3 - x),50': 'b3452bf9f5cf06fe',
+    'poly -(2*x + 0.3)^4/pi,30': '203a86e6dac8365b',
+    'poly -(2*x + 0.3)^4/pi,50': '4cc3172b4c37e210',
+    "contact ('0', '1', '0.5')/('1', '1', '0.1666666666666666666666667'),30": '94d6b571da0cfcbb',
+    "contact ('0', '1', '0.5')/('1', '1', '0.1666666666666666666666667'),50": 'e95553627451619b',
+    "contact ('0', '6', '3', '-0.5')/('6', '6', '1.5', '0.25'),30": '7ef84431054f62ee',
+    "contact ('0', '6', '3', '-0.5')/('6', '6', '1.5', '0.25'),50": 'f8af2e02b96592d4',
+    'rule mul': 'd992e527e49d4b0c',
+    'rule div': 'c03da1a63fbda77a',
+    'rule pow 3': '7a0ed5ca21b59a6e',
+    'rule pow -2': '5b5e35f102258a88',
+    'rule ln': '5111ccdce1aa2d01',
+    'rule sqrt': 'fb18e05a1ec8055d',
+    'rule atan': '7b9325635020c450',
+    'rule sin': '61383522bf2daa4d',
+}
+
+
+def _digest(values):
+    raw = [tuple(int(c) for c in v._mpf_) for v in values]
+    return hashlib.sha256(repr(raw).encode()).hexdigest()[:16]
+
+
+def test_mp_series_bits_are_pinned(monkeypatch):
+    got = {}
+    for text in PIN_EXPRS:
+        for center in ("1", "0.5"):
+            for order in (7, 14):
+                for digits in (30, 50):
+                    j = jet(parse(text), center, order, Precision(digits))
+                    got[f"{text},{center},{order},{digits}"] = _digest(j.coeffs)
+    for text in PIN_POLYS:
+        for digits in (30, 50):
+            got[f"poly {text},{digits}"] = _digest(sandwich.expr_to_poly(parse(text),
+                                                                         Precision(digits)))
+    divided = []
+    real = sandwich._s_div
+    monkeypatch.setattr(sandwich, "_s_div", lambda *a: divided.append(real(*a)) or divided[-1])
+    for p_coeffs, q_coeffs in PIN_RATIONALS:
+        for digits in (30, 50):
+            sandwich._contact_mismatch(sandwich.RationalFn(p_coeffs, q_coeffs), Precision(digits))
+            got[f"contact {p_coeffs}/{q_coeffs},{digits}"] = _digest(divided.pop())
+    # each rule on its own, unrounded, on one series with no zero term
+    with mp.workdps(40):
+        u = [mpf(v) / 7 for v in (5, -3, 2, 9, -4, 1, 6, -8, 3)]
+        v = [mpf(v) / 3 for v in (4, 1, -2, 5, 7, -1, 2, 3, -6)]
+        for name, c in (("mul", exprjet._s_mul(u, v)), ("div", exprjet._s_div(u, v, str)),
+                        ("pow 3", exprjet._s_powint(u, 3)), ("pow -2", exprjet._s_powint(u, -2)),
+                        ("ln", exprjet._s_ln(u)), ("sqrt", exprjet._s_sqrt(u)),
+                        ("atan", exprjet._s_atan(u)), ("sin", exprjet._s_sin(u))):
+            got[f"rule {name}"] = _digest(c)
+    assert got == SERIES_PINS
 
 
 @settings(max_examples=60, deadline=None)
