@@ -32,6 +32,7 @@ the one consistent with finite differences and with H^(5)(1) = -8.
 from __future__ import annotations
 
 import dataclasses
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
@@ -442,6 +443,11 @@ def _gap_model(tape: Tape, digits: int) -> Optional[tuple]:
     return kept[digits]
 
 
+def _offset(t: mpf) -> float:
+    """The exact t - 1, rounded once to the nearest float."""
+    return to_float(mpf_sub(t._mpf_, fone), rnd=round_nearest)
+
+
 def _model_balls(tape: Tape, t: mpf, digits: int) -> list:
     """The gaps' (value, error bound) pairs at t from the Taylor model;
     none where |t - 1| > MODEL_RADIUS or there is no model.
@@ -454,7 +460,7 @@ def _model_balls(tape: Tape, t: mpf, digits: int) -> list:
     most 2N u per unit of sum |g_k||d|^k), the Lagrange remainder, and
     the slope times d's rounding.
     """
-    d = to_float(mpf_sub(t._mpf_, fone), rnd=round_nearest)  # exact t - 1, rounded once
+    d = _offset(t)
     model = _gap_model(tape, digits) if abs(d) <= MODEL_RADIUS else None
     if model is None:
         return []
@@ -482,6 +488,15 @@ def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optiona
     return False if above > err else None
 
 
+def _pads(roots: list, digits: int, cut: float) -> list:
+    """The pad of each gap (see _float_verdict) from the roots' balls
+    (P's first, then 2t*ln(t)'s and, for drr, H's) and the float cut of
+    the slack."""
+    (vp, ep), *others = roots
+    rho = 10.0 ** -min(digits, 300)  # 10^-digits or more, a normal float
+    return [rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * cut for vo, eo in others]
+
+
 def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> Optional[bool]:
     """_walk_verdict's answer where binary64 balls prove it, else None.
 
@@ -500,15 +515,14 @@ def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> 
     """
     tf = float(t)
     try:
-        (vp, ep), *others = tape.ball(tf, 2 * _U * abs(tf))
+        roots = tape.ball(tf, 2 * _U * abs(tf))
     except (ArithmeticError, ValueError):
         return None
-    rho = 10.0 ** -min(digits, 300)  # 10^-digits or more, a normal float
+    (vp, ep), *others = roots
     cut = float(slack)
     near = None  # the Taylor model's balls, computed on first need
     # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-    for i, ((vo, eo), sign) in enumerate(zip(others, (1, -1))):
-        pad = rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * cut
+    for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), _pads(roots, digits, cut))):
         verdict = _past(_ball(vp - vo, ep + eo), sign, right, cut, pad)
         if verdict is None:
             if near is None:
@@ -539,6 +553,86 @@ def _walk_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> b
         return (q > slack) if right else (q < -slack)
 
 
+def _model_box(tape: Tape, t0: mpf, t1: mpf, digits: int) -> list:
+    """The gaps' (value, error bound) pairs enclosing them at every t
+    between t0 and t1 from the Taylor model; none unless both lie on one
+    side of 1 (t >= 1 or t < 1) within MODEL_RADIUS and there is a model.
+
+    The exact |t - 1| lies in [lo, hi]: the floats of the exact t0 - 1
+    and t1 - 1 (see _offset), each widened by its rounding ed = 2u|d| as
+    in _model_balls.  On that one-signed range each term g_k*d^k is
+    monotone, so the sums of its smaller and of its larger end bound
+    sum g_k d^k.  The error adds what _model_balls adds at |d| = hi: the
+    coefficients' balls and float roundings, which with
+    (2N+2)u|g_k|hi^k also cover the roundings of the powers, products
+    and sums here, and the remainder R*hi^(N+1); (|g_k| + 1)*_TINY per
+    term covers an underflow of a power.
+    """
+    d0, d1 = _offset(t0), _offset(t1)
+    right = t0 >= 1
+    lo, hi = sorted((abs(d0), abs(d1)))
+    if (t1 >= 1) != right or hi > MODEL_RADIUS:
+        return []
+    model = _gap_model(tape, digits)
+    if model is None:
+        return []
+    lo = max(0.0, (lo - 2 * _U * lo - _TINY) / _GROW)
+    hi = (hi + 2 * _U * hi + _TINY) * _GROW
+    boxes = []
+    for rows, rem in model:
+        bottom = top = err = 0.0
+        low = high = 1.0  # lo^k and hi^k
+        for k, (g, w, _) in enumerate(reversed(rows)):
+            c = -g if k % 2 and not right else g  # the coefficient of |d|^k
+            bottom += min(c * low, c * high)
+            top += max(c * low, c * high)
+            err += w * high + (abs(g) + 1) * _TINY
+            low, high = low * lo, high * hi
+        err += rem * high
+        boxes.append(((bottom + top) / 2, ((top - bottom) / 2 + _U * (abs(bottom) + abs(top))
+                                           + err) * _GROW + 2 * _TINY))
+    return boxes
+
+
+def _box_pads(tape: Tape, t0: mpf, t1: mpf, digits: int, cut: float) -> list:
+    """Each gap's pad for every t between t0 and t1, from one binary64
+    ball walk of the roots over the run; none where the walk raises.
+
+    The walk's input ball holds every point's input ball (float(t)
+    within 2u|float(t)|, see _float_verdict): its half-width covers the
+    floats' spread and their roundings and that of the center.  Proof
+    obligation: the ball rules, like interval arithmetic, give a larger
+    input a ball that holds the smaller input's, so the run's errors
+    dominate every single point's and, with |v| <= |V| + E - e for a
+    ball (v, e) inside (V, E), so does its pad."""
+    f0, f1 = float(t0), float(t1)
+    half = (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
+    try:
+        roots = tape.ball((f0 + f1) / 2, half)
+    except (ArithmeticError, ValueError):
+        return []
+    return _pads(roots, digits, cut)
+
+
+def _run_kept(tape: Tape, point, indices: range, digits: int, slack: mpf) -> bool:
+    """The box tier: whether no t = point(i), i in indices, breaks the
+    pattern, proved for the whole run at once.
+
+    The points must increase or decrease with i, all on one side of 1
+    within MODEL_RADIUS; only the first and the last are computed.  Each
+    gap's box (_model_box) is decided by _past with the run's pad
+    (_box_pads), as _float_verdict decides a point.  So a run this
+    proves kept holds no point that _walk_verdict finds broken.  False
+    where it cannot prove that: then the run's points are decided one
+    by one."""
+    t0, t1 = point(indices[0]), point(indices[-1])
+    boxes = _model_box(tape, t0, t1, digits)
+    cut = float(slack)
+    pads = _box_pads(tape, t0, t1, digits, cut) if boxes else []
+    return bool(pads) and all(_past(box, sign, t0 >= 1, cut, pad) is False
+                              for box, sign, pad in zip(boxes, (1, -1), pads))
+
+
 def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
     """Whether t breaks the gap pattern of the tape's P (see _gap_tape).
     Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
@@ -550,7 +644,9 @@ def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
     encloses them where the balls' errors, O(u*|t-1|), swamp gaps that
     vanish to high order at 1; and the walk at digits+GUARD_DIGITS,
     where neither enclosure clears the thresholds by _float_verdict's
-    pad, or the float walk raises or overflows."""
+    pad, or the float walk raises or overflows.  Near 1 the searches
+    call it only for the points of runs that the box tier (_run_kept)
+    could not prove kept as a whole."""
     right = t >= 1
     verdict = _float_verdict(tape, t, right, digits, slack)
     return _walk_verdict(tape, t, right, digits, slack) if verdict is None else verdict
@@ -558,15 +654,35 @@ def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
 
 def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PRECISION):
     """First point of the GRID_POINTS-point grid of [1-r, 1+r] violating
-    the pattern, or None."""
+    the pattern, or None.  The grid's runs within MODEL_RADIUS left and
+    right of 1 go first to the box tier (_run_kept); a run it proves kept
+    is skipped, and its points are never computed."""
     slack = condition_tolerance(p)
     tape = _gap_tape(e, drr)
     with mp.workdps(p.digits):
         rv = mpmath.mpmathify(r)
-        ts = [1 - rv + 2 * rv * i / (GRID_POINTS - 1) for i in range(GRID_POINTS)]
-    for t in ts:
-        if t <= 0 or _violates(tape, t, p.digits, slack):
-            return t
+        lo, width = 1 - rv, 2 * rv  # once per grid; the points' bits are unchanged
+
+        def point(i):
+            return lo + width * i / (GRID_POINTS - 1)
+
+        # t - 1 increases with i (rounding keeps the order), so the runs
+        # within MODEL_RADIUS of 1 are [a, b) left of 1 and [b, c) right
+        grid = range(GRID_POINTS)
+
+        def offset(i):
+            return point(i) - 1
+
+        a, b = (bisect_left(grid, d, key=offset) for d in (-MODEL_RADIUS, 0))
+        c = bisect_right(grid, MODEL_RADIUS, key=offset)
+        for run, near in ((range(a), False), (range(a, b), True), (range(b, c), True),
+                          (range(c, GRID_POINTS), False)):
+            if near and run and _run_kept(tape, point, run, p.digits, slack):
+                continue
+            for i in run:
+                t = point(i)
+                if t <= 0 or _violates(tape, t, p.digits, slack):
+                    return t
     return None
 
 
@@ -584,21 +700,32 @@ def _bisect_gap_sign(tape: Tape, t_good: mpf, t_bad: mpf, digits: int, slack):
         return lo
 
 
-def _scan(av: mpf):
-    """(last clean t, t) for each sample of the outward doubling scan, at
-    the caller's working precision: annuli (frontier, r] from r = 1e-6,
-    doubling up to av, each sampled at 24 points on both sides of 1;
-    t = 1 - dt <= 0 is skipped."""
+def _scan(tape: Tape, av: mpf, digits: int, slack: mpf):
+    """(last clean t, t) for each sample of the outward doubling scan left
+    to test, at the caller's working precision: annuli (frontier, r]
+    from r = 1e-6, doubling up to av, each sampled at 24 points on both
+    sides of 1, right before left; t = 1 - dt <= 0 is skipped.  Each side
+    of an annulus is a run for the box tier (_run_kept): one it proves
+    kept is skipped, and its points are never computed, so the other
+    side's samples and their last clean t are those of the whole scan."""
     frontier, r, samples = mpf(0), min(mpf("1e-6"), av), 24
+    indices = range(1, samples + 1)
     while frontier < av:
-        right, left = 1 + frontier, 1 - frontier
-        for i in range(1, samples + 1):
-            dt = frontier + (r - frontier) * i / samples
-            t_right, t_left = 1 + dt, 1 - dt
-            yield right, t_right
-            if t_left > 0:
-                yield left, t_left
-            right, left = t_right, t_left
+        step = r - frontier  # once per annulus; the points' bits are unchanged
+
+        def dt(i):
+            return frontier + step * i / samples
+
+        # each run: [its last t, its point(i)]
+        runs = [run for run in ([1 + frontier, lambda i: 1 + dt(i)],
+                                [1 - frontier, lambda i: 1 - dt(i)])
+                if not _run_kept(tape, run[1], indices, digits, slack)]
+        for i in indices:
+            for run in runs:
+                last, point = run
+                run[0] = t = point(i)
+                if t > 0:
+                    yield last, t
         frontier, r = r, min(2 * r, av)
 
 
@@ -621,7 +748,14 @@ def find_radius(
     _gap_tape): in binary64 where a proved error bound decides it, then,
     within MODEL_RADIUS of 1, by the gaps' Taylor model at t = 1, built
     once per tape and precision; at digits+GUARD_DIGITS elsewhere, with
-    the same verdict whichever tier decides.
+    the same verdict whichever tier decides.  Before that, each run of
+    scan or grid points on one side of 1 within MODEL_RADIUS goes to the
+    box tier (_run_kept), which encloses the gaps over the whole run from
+    the same model; a run it proves kept holds no violating point and is
+    skipped, and any other run is tested point by point in order, so the
+    first violating sample, every radius and every report byte are those
+    of the point tests alone.  An a at or below 10^(-digits//2), where
+    no radius is verified, is a PrecisionError up front.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
@@ -634,7 +768,13 @@ def find_radius(
 
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
-        bracket = next(((t_good, t) for t_good, t in _scan(av)
+        floor = mpf(10) ** (-digits // 2)
+        if av <= floor:
+            raise PrecisionError(
+                f"a = {mpmath.nstr(av, 8)} is not above the radius floor 1e{-digits // 2} "
+                f"at {digits} digits; raise a or the working precision"
+            )
+        bracket = next(((t_good, t) for t_good, t in _scan(tape, av, digits, slack)
                         if _violates(tape, t, digits, slack)), None)
         if bracket is None:
             candidate = av
@@ -643,7 +783,7 @@ def find_radius(
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         # Full-grid confirmation; shrink past any missed dip.
         for _ in range(RADIUS_CONFIRMATIONS):
-            if candidate <= mpf(10) ** (-digits // 2):
+            if candidate <= floor:
                 raise PrecisionError(
                     "no positive verified radius at this precision; "
                     "inconsistent with a valid certificate"

@@ -358,13 +358,24 @@ def test_case_I_radius_verifies_one_sided_pattern():
 # ---------------------------------------------------------------------------
 
 
+class Decisions(list):
+    """(t, fast verdict, walk verdict) per decided point; runs holds
+    (first t, last t, kept) per box verdict."""
+
+    def __init__(self):
+        super().__init__()
+        self.runs = []
+
+
 @pytest.fixture
 def decisions(monkeypatch):
     """Every point the radius search decides from here on, as (t, the
     verdict of the binary64 balls or the Taylor model, or None where
-    neither can decide, the verdict of the walk at digits+GUARD_DIGITS)."""
-    seen = []
-    violates = certifier._violates
+    neither can decide, the verdict of the walk at digits+GUARD_DIGITS).
+    A run the box tier proves kept adds each of its points as (t, False,
+    the walk's verdict)."""
+    seen = Decisions()
+    violates, run_kept = certifier._violates, certifier._run_kept
 
     def recording(tape, t, digits, slack):
         right = t >= 1
@@ -372,7 +383,16 @@ def decisions(monkeypatch):
                      certifier._walk_verdict(tape, t, right, digits, slack)))
         return violates(tape, t, digits, slack)
 
+    def recording_run(tape, point, indices, digits, slack):
+        kept = run_kept(tape, point, indices, digits, slack)
+        seen.runs.append((point(indices[0]), point(indices[-1]), kept))
+        if kept:
+            seen.extend((t, False, certifier._walk_verdict(tape, t, t >= 1, digits, slack))
+                        for t in map(point, indices))
+        return kept
+
     monkeypatch.setattr(certifier, "_violates", recording)
+    monkeypatch.setattr(certifier, "_run_kept", recording_run)
     return seen
 
 
@@ -478,12 +498,59 @@ def test_taylor_model_encloses_the_gaps(case, delta):
             assert abs(gap - v) <= e
 
 
+# |t - 1| of a run's endpoints, from below any first scan point on
+_MAGNITUDES = st.one_of(st.floats(1e-30, certifier.MODEL_RADIUS),
+                        st.sampled_from([1e-7, certifier.MODEL_RADIUS]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(NEAR_CASES), st.sampled_from([1, -1]), _MAGNITUDES, _MAGNITUDES,
+       st.lists(st.integers(-9, 9), min_size=2, max_size=2),
+       st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=4))
+def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions):
+    expr, _ = case
+    tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
+    cut = float(certifier.condition_tolerance())
+    with mp.workdps(65):
+        # endpoints off the floats by up to 9e-17 of t - 1, as the searches' points are
+        t0, t1 = (1 + side * mpf(m) * (1 + mpf(j) / 10**17) for m, j in zip((m0, m1), nudges))
+        ts = [t0, t1] + [t0 + (t1 - t0) * mpf(f.numerator) / f.denominator for f in fractions]
+    boxes = certifier._model_box(tape, t0, t1, 50)
+    pads = certifier._box_pads(tape, t0, t1, 50, cut)
+    assert len(boxes) == len(pads) == (2 if expr.startswith("H") else 1)
+    for t in ts:
+        with mp.workdps(120):
+            p, two_t_ln_t, *h = tape.point(t)
+            gaps = [p - two_t_ln_t] + [p - v for v in h]
+        for (v, e), gap in zip(boxes, gaps):
+            assert abs(gap - v) <= e
+        tf = float(t)
+        point_pads = certifier._pads(tape.ball(tf, 2 * exprjet._U * abs(tf)), 50, cut)
+        assert all(run >= one for run, one in zip(pads, point_pads))
+
+
+def test_box_covers_the_rounding_of_each_end(monkeypatch):
+    # a model of d^8 with exact coefficients, no remainder and no rounding
+    # allowance: at ends t - 1 off the floats, x^8 can differ from the
+    # float's 8th power by up to 8 roundings of x, and only the widening
+    # of the ends covers that
+    rows = tuple((float(k == 8), 0.0, 0.0) for k in reversed(range(certifier.MODEL_ORDER + 1)))
+    monkeypatch.setattr(certifier, "_gap_model", lambda tape, digits: ((rows, 0.0),))
+    with mp.workdps(65):
+        for j in range(1, 60):
+            t = 1 + mpf(j) / 3 * mpf("1e-4")
+            (v, e), = certifier._model_box(None, t, t, 50)
+            assert abs((t - 1) ** 8 - v) <= e
+
+
 @pytest.mark.parametrize("expr, a", NEAR_CASES, ids=[c[0] for c in NEAR_CASES])
 def test_no_point_near_1_reaches_the_walk(decisions, expr, a):
+    # points near 1 decided by boxes count with those decided one by one
     certify(parse(expr), a)
     near = [fast for t, fast, _ in decisions if abs(t - 1) <= certifier.MODEL_RADIUS]
     assert len(near) > 100 and None not in near
     assert _mismatches(decisions) == []
+    assert any(kept for *_, kept in decisions.runs)
 
 
 def test_taylor_model_decisions_differ_when_a_series_ball_rule_lies(decisions, monkeypatch):
@@ -517,3 +584,23 @@ def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
     e = parse(expr)
     assert certify(e, a).radius == kept.radius
     assert certifier._gap_model(certifier._gap_tape(e, kept.case != "I"), 50) is None
+
+
+# the radius checks of the CI workflow's installed entry point: the
+# case-I candidate holds on the whole domain, and the first case-IV one
+# breaks first within MODEL_RADIUS of 1, where its boxes must fall back
+# to the points
+CI_RADII = [
+    ("2*t*ln(t) + 0.05*(t-1)^3", "0.9", "0.9"),
+    ("H(t) - 0.0332*(t-1)^5", "0.9", "0.0026737999730672118497434751749342041193813201971352"),
+    ("H(t) - (1/60)*(t-1)^5", "0.9", "0.52020538082027734071659720822822237096261233091354"),
+]
+
+
+@pytest.mark.parametrize("expr, a, expected", [(*c, None) for c in FILTER_CASES] + CI_RADII,
+                         ids=[c[0] for c in FILTER_CASES + CI_RADII])
+def test_radius_without_the_box_tier_is_the_same(monkeypatch, expr, a, expected):
+    kept = certify(parse(expr), a).radius
+    assert expected is None or exprjet.decimal_text(kept, 50) == expected
+    monkeypatch.setattr(certifier, "_run_kept", lambda *args: False)
+    assert certify(parse(expr), a).radius == kept

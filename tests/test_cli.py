@@ -103,6 +103,17 @@ def test_radius_text(capsys):
     assert "case I" in out and "0.5" in out
 
 
+def test_radius_below_the_floor_names_it(capsys):
+    # the pattern holds on all of (0, 1); only a is below 10^(-digits//2)
+    argv = ["radius", "--expr", "2*t*ln(t) + 0.05*(t-1)^3", "--a", "1e-30"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "1e-25" in err and "50 digits" in err
+    assert "inconsistent" not in err
+    assert main(argv + ["--digits", "70"]) == 0
+    assert capsys.readouterr().out == "case I: verified radius 1.0e-30\n"
+
+
 def test_sandwich_check_witness_exit_1(capsys):
     code, out, err = run(
         capsys, "sandwich", "check", "--p", "x*(2+x)", "--q", "2*(1+x)",
