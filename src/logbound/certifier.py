@@ -35,7 +35,8 @@ import dataclasses
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Optional
+from itertools import repeat
+from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp, mpf
@@ -395,25 +396,28 @@ def _gap_tape(e: Expr, drr: bool) -> Tape:
     return kept[drr]
 
 
-# The Taylor-model tier of the radius search (see _model_balls): each
+# The Taylor-model tier of the radius search (see _model_box): each
 # gap's Taylor polynomial of order MODEL_ORDER at t = 1, with a remainder
 # bound over the box |t - 1| <= MODEL_RADIUS.
 MODEL_RADIUS = 1 / 64
 MODEL_ORDER = 8
+# Points of a run decided together in binary64 (see _block_verdicts): a
+# violation early in a run wastes at most one block's walk.
+BLOCK = 64
 
 
 def _build_gap_model(tape: Tape, digits: int) -> tuple:
-    """Per gap (G, then Q for drr): the rows (g_k, w_k, s_k) for
-    k = MODEL_ORDER..0 and the remainder bound R of _model_balls.
+    """Per gap (G, then Q for drr): the rows (g_k, w_k) for
+    k = 0..MODEL_ORDER and the remainder bound R of _model_box.
 
     The gaps' coefficients at t = 1 are mpf balls from the series walk
     at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's) cancel there
     and not at each point.  g_k is the float nearest the midpoint; w_k
-    bounds the ball's radius, that rounding and the Horner rounding of
-    _model_balls per unit of |d|^k; s_k = (k+1)|g_(k+1)| is the slope's
-    coefficient.  R bounds the gap's order-(MODEL_ORDER+1) coefficient
-    at every center in the box (binary64 balls, see exprjet._Ball), so
-    that R*|d|^(MODEL_ORDER+1) bounds the Lagrange remainder.
+    bounds the ball's radius, that rounding and the float roundings of
+    _model_box per unit of |d|^k.  R bounds the gap's
+    order-(MODEL_ORDER+1) coefficient at every center in the box
+    (binary64 balls, see exprjet._Ball), so that R*|d|^(MODEL_ORDER+1)
+    bounds the Lagrange remainder.
     """
     with mp.workdps(digits + GUARD_DIGITS):
         p, *others = tape.series(_MPBall(mpf(1)), MODEL_ORDER)
@@ -422,9 +426,9 @@ def _build_gap_model(tape: Tape, digits: int) -> tuple:
     p, *others = tape.series(_F64Ball(1.0, MODEL_RADIUS * _GROW ** 2), MODEL_ORDER + 1)
     models = []
     for c, o in zip(coeffs, others):
-        g = [float(b.v) for b in c] + [0.0]
-        rows = tuple((g[k], (c[k].e + (2 * MODEL_ORDER + 2) * _U * abs(g[k]) + _TINY) * _GROW,
-                      (k + 1) * abs(g[k + 1])) for k in reversed(range(MODEL_ORDER + 1)))
+        g = [float(b.v) for b in c]
+        rows = tuple((v, (b.e + (2 * MODEL_ORDER + 2) * _U * abs(v) + _TINY) * _GROW)
+                     for v, b in zip(g, c))
         r = p[-1] - o[-1]
         models.append((rows, (abs(r.v) + r.e) * _GROW))
     return tuple(models)
@@ -443,38 +447,50 @@ def _gap_model(tape: Tape, digits: int) -> Optional[tuple]:
     return kept[digits]
 
 
-def _offset(t: mpf) -> float:
-    """The exact t - 1, rounded once to the nearest float."""
-    return to_float(mpf_sub(t._mpf_, fone), rnd=round_nearest)
+def _offset(t: mpf) -> tuple:
+    """Whether t >= 1, and the exact t - 1 rounded once to the nearest float."""
+    d = mpf_sub(t._mpf_, fone)
+    return not d[0], to_float(d, rnd=round_nearest)
 
 
-def _model_balls(tape: Tape, t: mpf, digits: int) -> list:
-    """The gaps' (value, error bound) pairs at t from the Taylor model;
-    none where |t - 1| > MODEL_RADIUS or there is no model.
+class _Points(NamedTuple):
+    """The radius points of a run as a function of their index i, at
+    the working precision: lo + width*i/den on a grid (side 0), and
+    1 + (lo + width*i/den) or 1 - (lo + width*i/den) on the right or
+    left side of a scan annulus (side 1 or -1)."""
 
-    With d the float of the exact t - 1, within ed = 2u|d| of it, and
-    a = |d| + ed, the gap at t is within
-    sum (rad_k + (2N+2)u|g_k|) a^k + R a^(N+1) + ed * sum k|g_k| a^(k-1)
-    of the floats' Horner value of sum g_k d^k (N = MODEL_ORDER): the
-    coefficients' balls and float roundings, the Horner rounding (at
-    most 2N u per unit of sum |g_k||d|^k), the Lagrange remainder, and
-    the slope times d's rounding.
-    """
-    d = _offset(t)
-    model = _gap_model(tape, digits) if abs(d) <= MODEL_RADIUS else None
-    if model is None:
-        return []
-    ed = 2 * _U * abs(d) + _TINY
-    a = (abs(d) + ed) * _GROW
-    balls = []
-    for rows, rem in model:
-        v, err, slope = 0.0, rem, 0.0
-        for g, w, s in rows:
-            v = v * d + g
-            err = err * a + w
-            slope = slope * a + s
-        balls.append((v, (err + slope * ed) * _GROW + 2 * _TINY))
-    return balls
+    lo: mpf
+    width: mpf
+    den: int
+    side: int = 0
+
+    def __call__(self, i: int) -> mpf:
+        d = self.lo + self.width * i / self.den
+        if not self.side:
+            return d
+        return 1 + d if self.side > 0 else 1 - d
+
+    def balls(self, block: range) -> tuple:
+        """(centers, radii) of the block's points: the floats of the same
+        formula, each within its radius of the mpf point.
+
+        With S = |base| + |lo| + |q| (base 1 on a scan side, else 0, and
+        q = width*i/den), the mpf point's four roundings at the working
+        unit u_p = 2^-prec move it at most 4u_p*S from the exact formula,
+        and the floats of lo and width (u each, round to nearest), the
+        float product, quotient and the two sums move the center at most
+        3u|lo| + 5u|q| + u*base, so within 5u*S, from it.  The radius
+        (8u + 5u_p)*S', with S' from the floats, covers both and the
+        floats' own roundings of S'."""
+        base, sign = (1.0 if self.side else 0.0), (-1.0 if self.side < 0 else 1.0)
+        lo, width, den = float(self.lo), float(self.width), self.den
+        rel = (8 * _U + 5 * 2.0 ** -mp.prec) * _GROW
+        xs, errs = [], []
+        for i in block:
+            q = width * i / den
+            xs.append(base + sign * (lo + q))
+            errs.append(rel * (base + abs(lo) + abs(q)) + _TINY)
+        return xs, errs
 
 
 def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optional[bool]:
@@ -489,7 +505,7 @@ def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optiona
 
 
 def _pads(roots: list, digits: int, cut: float) -> list:
-    """The pad of each gap (see _float_verdict) from the roots' balls
+    """The pad of each gap (see _float_verdicts) from the roots' balls
     (P's first, then 2t*ln(t)'s and, for drr, H's) and the float cut of
     the slack."""
     (vp, ep), *others = roots
@@ -497,44 +513,57 @@ def _pads(roots: list, digits: int, cut: float) -> list:
     return [rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * cut for vo, eo in others]
 
 
-def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> Optional[bool]:
-    """_walk_verdict's answer where binary64 balls prove it, else None.
+def _float_verdicts(tape: Tape, xs: list, errs: list, right: bool, digits: int, slack: mpf,
+                    model=None) -> list:
+    """_walk_verdict's answer at each point of a block where binary64
+    balls prove it, else None: the one binary64 decider.
 
-    The roots' balls enclose their exact values at t; the ball of t
-    covers float(t)'s rounding.  A gap whose ball cannot decide it takes
-    the Taylor model's ball at t instead, where |t - 1| <= MODEL_RADIUS
-    (see _model_balls); both enclose the exact gap.  _walk_verdict's G
-    and Q differ from the exact ones by the rounding of P and H to
-    digits, at most 10^-(digits+1) of each, and by its walk's own error.
-    That walk rounds the same operations with a unit roundoff about
+    Point k is a t within errs[k] of xs[k], on the side of 1 that right
+    names; the roots' balls (Tape.balls) enclose their exact values
+    there.  A gap whose ball cannot decide it takes model()'s ball
+    instead where a model is given (a block of one near 1, see
+    _float_verdict); both enclose the exact gap.  _walk_verdict's G and
+    Q differ from the exact ones by the rounding of P and H to digits,
+    at most 10^-(digits+1) of each, and by its walk's own error.  That
+    walk rounds the same operations with a unit roundoff about
     10^-(digits+14)/u times u = 2^-53, so its error is at most that
-    factor times the balls' errors.  A pad of 10^-digits * (|P| + |2t*ln(t)
-    or H| + their errors/u) covers both, and with the conversion of
-    slack it is added to the gap's error before the comparison.  A walk
-    that raises, or overflows to inf or NaN, decides nothing.
+    factor times the balls' errors, which a wider input ball only
+    widens.  A pad of 10^-digits * (|P| + |2t*ln(t) or H| + their
+    errors/u) covers both, and with the conversion of slack it is added
+    to the gap's error before the comparison.  A walk that raises at
+    any point decides no point of the block; a point whose balls
+    overflow to inf or NaN is not decided.
     """
-    tf = float(t)
     try:
-        roots = tape.ball(tf, 2 * _U * abs(tf))
+        cols = tape.balls(xs, errs)
     except (ArithmeticError, ValueError):
-        return None
-    (vp, ep), *others = roots
+        return [None] * len(xs)
     cut = float(slack)
-    near = None  # the Taylor model's balls, computed on first need
-    # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-    for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), _pads(roots, digits, cut))):
-        verdict = _past(_ball(vp - vo, ep + eo), sign, right, cut, pad)
-        if verdict is None:
-            if near is None:
-                near = _model_balls(tape, t, digits)
-            if not near:
-                return None
-            verdict = _past(near[i], sign, right, cut, pad)
-            if verdict is None:
-                return None
-        if verdict:
-            return True
-    return False
+    verdicts = []
+    for roots in zip(*cols):
+        (vp, ep), *others = roots
+        near = None  # model()'s balls, computed on first need
+        verdict = False
+        # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
+        for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), _pads(roots, digits, cut))):
+            gap = _past(_ball(vp - vo, ep + eo), sign, right, cut, pad)
+            if gap is None and model is not None:
+                near = model() if near is None else near
+                gap = _past(near[i], sign, right, cut, pad) if near else None
+            if gap is not False:
+                verdict = gap
+                break
+        verdicts.append(verdict)
+    return verdicts
+
+
+def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> Optional[bool]:
+    """_float_verdicts at t as a block of one: float(t), within
+    2u|float(t)| of t, with the Taylor model's ball at t (_model_box
+    from t to t), which exists within MODEL_RADIUS of 1."""
+    tf = float(t)
+    return _float_verdicts(tape, [tf], [2 * _U * abs(tf)], right, digits, slack,
+                           lambda: _model_box(tape, t, t, digits))[0]
 
 
 def _walk_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> bool:
@@ -557,21 +586,21 @@ def _model_box(tape: Tape, t0: mpf, t1: mpf, digits: int) -> list:
     """The gaps' (value, error bound) pairs enclosing them at every t
     between t0 and t1 from the Taylor model; none unless both lie on one
     side of 1 (t >= 1 or t < 1) within MODEL_RADIUS and there is a model.
+    A point t is the run from t to t.
 
     The exact |t - 1| lies in [lo, hi]: the floats of the exact t0 - 1
-    and t1 - 1 (see _offset), each widened by its rounding ed = 2u|d| as
-    in _model_balls.  On that one-signed range each term g_k*d^k is
-    monotone, so the sums of its smaller and of its larger end bound
-    sum g_k d^k.  The error adds what _model_balls adds at |d| = hi: the
-    coefficients' balls and float roundings, which with
-    (2N+2)u|g_k|hi^k also cover the roundings of the powers, products
-    and sums here, and the remainder R*hi^(N+1); (|g_k| + 1)*_TINY per
-    term covers an underflow of a power.
+    and t1 - 1 (see _offset), each widened by its rounding 2u|d|.  On
+    that one-signed range each term g_k*d^k is monotone, so the sums of
+    its smaller and of its larger end bound sum g_k d^k.  The error adds
+    at |d| = hi the coefficients' balls and float roundings w_k*hi^k,
+    which with (2N+2)u|g_k|hi^k also cover the roundings of the powers,
+    products and sums here, and the remainder R*hi^(N+1); (|g_k| + 1)*_TINY
+    per term covers an underflow of a power.
     """
-    d0, d1 = _offset(t0), _offset(t1)
-    right = t0 >= 1
+    right, d0 = _offset(t0)
+    right1, d1 = (right, d0) if t1 is t0 else _offset(t1)
     lo, hi = sorted((abs(d0), abs(d1)))
-    if (t1 >= 1) != right or hi > MODEL_RADIUS:
+    if right1 != right or hi > MODEL_RADIUS:
         return []
     model = _gap_model(tape, digits)
     if model is None:
@@ -582,10 +611,12 @@ def _model_box(tape: Tape, t0: mpf, t1: mpf, digits: int) -> list:
     for rows, rem in model:
         bottom = top = err = 0.0
         low = high = 1.0  # lo^k and hi^k
-        for k, (g, w, _) in enumerate(reversed(rows)):
+        for k, (g, w) in enumerate(rows):
             c = -g if k % 2 and not right else g  # the coefficient of |d|^k
-            bottom += min(c * low, c * high)
-            top += max(c * low, c * high)
+            # the term's smaller and larger end: c*lo^k <= c*hi^k for c >= 0
+            small, large = (c * low, c * high) if c >= 0 else (c * high, c * low)
+            bottom += small
+            top += large
             err += w * high + (abs(g) + 1) * _TINY
             low, high = low * lo, high * hi
         err += rem * high
@@ -614,17 +645,17 @@ def _box_pads(tape: Tape, t0: mpf, t1: mpf, digits: int, cut: float) -> list:
     return _pads(roots, digits, cut)
 
 
-def _run_kept(tape: Tape, point, indices: range, digits: int, slack: mpf) -> bool:
+def _run_kept(tape: Tape, point: _Points, indices: range, digits: int, slack: mpf) -> bool:
     """The box tier: whether no t = point(i), i in indices, breaks the
     pattern, proved for the whole run at once.
 
     The points must increase or decrease with i, all on one side of 1
     within MODEL_RADIUS; only the first and the last are computed.  Each
     gap's box (_model_box) is decided by _past with the run's pad
-    (_box_pads), as _float_verdict decides a point.  So a run this
+    (_box_pads), as _float_verdicts decides a point.  So a run this
     proves kept holds no point that _walk_verdict finds broken.  False
-    where it cannot prove that: then the run's points are decided one
-    by one."""
+    where it cannot prove that: then _violates decides its points one by
+    one."""
     t0, t1 = point(indices[0]), point(indices[-1])
     boxes = _model_box(tape, t0, t1, digits)
     cut = float(slack)
@@ -633,20 +664,48 @@ def _run_kept(tape: Tape, point, indices: range, digits: int, slack: mpf) -> boo
                               for box, sign, pad in zip(boxes, (1, -1), pads))
 
 
+def _block_verdicts(tape: Tape, point: _Points, run: range, right: bool, digits: int,
+                    slack: mpf):
+    """The block tier: _float_verdicts on each point(i), i in run, in
+    order, from the floats of point.balls, BLOCK points at a time, each
+    block walked when its first verdict is asked for.  The points all
+    lie on the side of 1 that right names.  Their mpf values are never
+    computed here; a verdict is that of _walk_verdict at point(i), or
+    None."""
+    for start in range(0, len(run), BLOCK):
+        block = run[start:start + BLOCK]
+        yield from _float_verdicts(tape, *point.balls(block), right, digits, slack)
+
+
+def _run_verdicts(tape: Tape, point: _Points, run: range, near: bool, right: bool, digits: int,
+                  slack: mpf):
+    """The verdicts of the run tiers on point(i), i in run, in order:
+    False for a point proved kept, True for one proved broken, None for
+    one left to _violates.  A near run, within MODEL_RADIUS of 1, goes to
+    the box tier (_run_kept), and all its points are proved kept or none
+    is: the floats seldom decide points so close to 1, where the Taylor
+    model of _violates does.  Any other run goes to the block tier
+    (_block_verdicts)."""
+    if not near:
+        return _block_verdicts(tape, point, run, right, digits, slack)
+    return repeat(False if run and _run_kept(tape, point, run, digits, slack) else None)
+
+
 def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
     """Whether t breaks the gap pattern of the tape's P (see _gap_tape).
     Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
     Q = P - H <= slack for drr); left of 1 it requires G <= slack (and
-    Q >= -slack).  Three tiers decide it, each with the same verdict:
+    Q >= -slack).  t is decided as a block of one (_float_verdict):
     binary64 balls of the tape's roots at t, where their error bounds
-    keep G and Q clear of the thresholds; for |t - 1| <= MODEL_RADIUS,
-    the Taylor model of the gaps at t = 1 (see _model_balls), which
+    keep G and Q clear of the thresholds, and for |t - 1| <= MODEL_RADIUS
+    the Taylor model of the gaps at t = 1 (see _model_box), which
     encloses them where the balls' errors, O(u*|t-1|), swamp gaps that
-    vanish to high order at 1; and the walk at digits+GUARD_DIGITS,
-    where neither enclosure clears the thresholds by _float_verdict's
-    pad, or the float walk raises or overflows.  Near 1 the searches
-    call it only for the points of runs that the box tier (_run_kept)
-    could not prove kept as a whole."""
+    vanish to high order at 1.  Where neither clears the thresholds by
+    _float_verdicts' pad, or the float walk raises or overflows, the walk
+    at digits+GUARD_DIGITS decides, with the same verdict.  The searches
+    call it only for bisection points and for the points that the box
+    tier (_run_kept) and the block tier (_block_verdicts) left
+    undecided."""
     right = t >= 1
     verdict = _float_verdict(tape, t, right, digits, slack)
     return _walk_verdict(tape, t, right, digits, slack) if verdict is None else verdict
@@ -654,17 +713,19 @@ def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
 
 def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PRECISION):
     """First point of the GRID_POINTS-point grid of [1-r, 1+r] violating
-    the pattern, or None.  The grid's runs within MODEL_RADIUS left and
-    right of 1 go first to the box tier (_run_kept); a run it proves kept
-    is skipped, and its points are never computed."""
+    the pattern, or None.  Four runs cover the grid, each on one side of
+    1 (see _run_verdicts): the two within MODEL_RADIUS of 1 go to the box
+    tier, and the two beyond it to the block tier, 64 points at a time.
+    Only the points the tiers do not prove kept are computed, and
+    _violates decides the ones they leave undecided, in the grid's
+    order, so the first violating point is that of the point tests
+    alone."""
     slack = condition_tolerance(p)
     tape = _gap_tape(e, drr)
     with mp.workdps(p.digits):
         rv = mpmath.mpmathify(r)
-        lo, width = 1 - rv, 2 * rv  # once per grid; the points' bits are unchanged
-
-        def point(i):
-            return lo + width * i / (GRID_POINTS - 1)
+        # lo and width once per grid; the points' bits are unchanged
+        point = _Points(1 - rv, 2 * rv, GRID_POINTS - 1)
 
         # t - 1 increases with i (rounding keeps the order), so the runs
         # within MODEL_RADIUS of 1 are [a, b) left of 1 and [b, c) right
@@ -675,13 +736,13 @@ def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PR
 
         a, b = (bisect_left(grid, d, key=offset) for d in (-MODEL_RADIUS, 0))
         c = bisect_right(grid, MODEL_RADIUS, key=offset)
-        for run, near in ((range(a), False), (range(a, b), True), (range(b, c), True),
-                          (range(c, GRID_POINTS), False)):
-            if near and run and _run_kept(tape, point, run, p.digits, slack):
-                continue
-            for i in run:
+        for run, near, right in ((range(a), False, False), (range(a, b), True, False),
+                                 (range(b, c), True, True), (range(c, GRID_POINTS), False, True)):
+            for i, verdict in zip(run, _run_verdicts(tape, point, run, near, right, p.digits, slack)):
+                if verdict is False:
+                    continue
                 t = point(i)
-                if t <= 0 or _violates(tape, t, p.digits, slack):
+                if verdict or t <= 0 or _violates(tape, t, p.digits, slack):
                     return t
     return None
 
@@ -700,33 +761,37 @@ def _bisect_gap_sign(tape: Tape, t_good: mpf, t_bad: mpf, digits: int, slack):
         return lo
 
 
-def _scan(tape: Tape, av: mpf, digits: int, slack: mpf):
-    """(last clean t, t) for each sample of the outward doubling scan left
-    to test, at the caller's working precision: annuli (frontier, r]
-    from r = 1e-6, doubling up to av, each sampled at 24 points on both
-    sides of 1, right before left; t = 1 - dt <= 0 is skipped.  Each side
-    of an annulus is a run for the box tier (_run_kept): one it proves
-    kept is skipped, and its points are never computed, so the other
-    side's samples and their last clean t are those of the whole scan."""
+def _scan(tape: Tape, av: mpf, digits: int, slack: mpf) -> Optional[tuple]:
+    """(last clean t, t) at the first violating sample of the outward
+    doubling scan, or None, at the caller's working precision: annuli
+    (frontier, r] from r = 1e-6, doubling up to av, each sampled at 24
+    points on both sides of 1, right before left; t = 1 - dt <= 0 is
+    skipped.  Each side of an annulus is a run (see _run_verdicts): to
+    the box tier while r <= MODEL_RADIUS, to the block tier beyond.  Only
+    the samples the tiers do not prove kept are computed, and _violates
+    decides the ones they leave undecided, in the scan's order.  So the
+    bracket is that of the point tests alone, and the last clean t is
+    the previous sample on the violating side, point(0) = 1 +- frontier
+    at the first."""
     frontier, r, samples = mpf(0), min(mpf("1e-6"), av), 24
     indices = range(1, samples + 1)
     while frontier < av:
         step = r - frontier  # once per annulus; the points' bits are unchanged
-
-        def dt(i):
-            return frontier + step * i / samples
-
-        # each run: [its last t, its point(i)]
-        runs = [run for run in ([1 + frontier, lambda i: 1 + dt(i)],
-                                [1 - frontier, lambda i: 1 - dt(i)])
-                if not _run_kept(tape, run[1], indices, digits, slack)]
+        sides = []
+        for side in (1, -1):
+            point = _Points(frontier, step, samples, side)
+            sides.append((point, _run_verdicts(tape, point, indices, r <= MODEL_RADIUS, side > 0,
+                                               digits, slack)))
         for i in indices:
-            for run in runs:
-                last, point = run
-                run[0] = t = point(i)
-                if t > 0:
-                    yield last, t
+            for point, verdicts in sides:
+                verdict = next(verdicts)
+                if verdict is False:
+                    continue
+                t = point(i)
+                if t > 0 and (verdict or _violates(tape, t, digits, slack)):
+                    return point(i - 1), t
         frontier, r = r, min(2 * r, av)
+    return None
 
 
 def find_radius(
@@ -743,19 +808,23 @@ def find_radius(
     bisection steps pin down the sign change; the resulting radius is
     then re-verified on the full grid at precision p, shrinking below
     any violation the coarse scan missed, at most RADIUS_CONFIRMATIONS
-    times before BudgetError.  Every point is tested by _violates on
-    one tape of P, 2t*ln(t) and, for two-sided certificates, H (see
-    _gap_tape): in binary64 where a proved error bound decides it, then,
-    within MODEL_RADIUS of 1, by the gaps' Taylor model at t = 1, built
-    once per tape and precision; at digits+GUARD_DIGITS elsewhere, with
-    the same verdict whichever tier decides.  Before that, each run of
-    scan or grid points on one side of 1 within MODEL_RADIUS goes to the
-    box tier (_run_kept), which encloses the gaps over the whole run from
-    the same model; a run it proves kept holds no violating point and is
-    skipped, and any other run is tested point by point in order, so the
-    first violating sample, every radius and every report byte are those
-    of the point tests alone.  An a at or below 10^(-digits//2), where
-    no radius is verified, is a PrecisionError up front.
+    times before BudgetError.  The points lie on one tape of P, 2t*ln(t)
+    and, for two-sided certificates, H (see _gap_tape), and each tier
+    that decides one gives the verdict of the walk at digits+GUARD_DIGITS.
+    The scan and the grid split their points into runs on one side of 1
+    (see _run_verdicts).  A run within MODEL_RADIUS of 1 goes to the box
+    tier (_run_kept), which encloses the gaps over the whole run from
+    their Taylor model at t = 1, built once per tape and precision, and
+    skips a run it proves kept.  A run beyond goes to the block tier
+    (_block_verdicts), which decides up to BLOCK points at once from one
+    binary64 ball walk of the roots over floats that enclose the points.
+    Only a point the tiers do not prove kept is computed, and one they
+    leave undecided goes to _violates: binary64 balls at the point, the
+    Taylor model within MODEL_RADIUS, and then the walk.  Points are
+    visited in order, so the first violating sample, every radius and
+    every report byte are those of the point tests alone.  An a at or
+    below 10^(-digits//2), where no radius is verified, is a
+    PrecisionError up front.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
@@ -774,8 +843,7 @@ def find_radius(
                 f"a = {mpmath.nstr(av, 8)} is not above the radius floor 1e{-digits // 2} "
                 f"at {digits} digits; raise a or the working precision"
             )
-        bracket = next(((t_good, t) for t_good, t in _scan(tape, av, digits, slack)
-                        if _violates(tape, t, digits, slack)), None)
+        bracket = _scan(tape, av, digits, slack)
         if bracket is None:
             candidate = av
         else:

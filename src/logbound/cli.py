@@ -47,6 +47,10 @@ MAX_DIGITS = 500
 # sandwich check 4.4 s idle with P and Q of degree 100 (0.6 s at
 # degree 3).
 MAX_POINTS = 20000  # table and compare
+# A point's cost grows with the precision (about 1 ms at 500 digits), so
+# table and compare also bound --points times --digits, at the ceiling
+# of points at the default 50 digits.
+MAX_POINT_DIGITS = MAX_POINTS * 50
 MAX_GRID = 5000  # sandwich check
 # sandwich fit: --samples times the n+m+2 coefficients of a cell, since
 # the simplex's work grows with both; the slowest cell at its ceiling,
@@ -433,6 +437,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             value = getattr(args, name, None)
             if value is not None and value > ceiling:
                 raise ValueError(f"--{name} must be <= {ceiling}, got {value}")
+        points = getattr(args, "points", None)
+        if points is not None and points * args.digits > MAX_POINT_DIGITS:
+            raise ValueError(f"--points times --digits must be <= {MAX_POINT_DIGITS}, "
+                             f"got {points} * {args.digits} = {points * args.digits}")
         report = args.fn(args)
         _emit(_render(report, args.format), args.out)
     except (LogboundError, ValueError) as exc:

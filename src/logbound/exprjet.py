@@ -20,8 +20,9 @@ rules run in mpf, or in balls (binary64 or mpf midpoints) that enclose
 the exact coefficients.  A polynomial
 is its own jet at 0, so sandwich.expr_to_poly expands one by the series
 rules.  A tree is flattened once into a tape, one slot per distinct
-node; values, jets and binary64 balls are one loop over it, and its
-variable-free slots are evaluated once per working precision.  Several
+node; values, jets and binary64 balls are one loop over it (balls also
+over a block of points, each slot once for all), and its variable-free
+slots are evaluated once per working precision.  Several
 expressions can share one tape, structurally equal subtrees in one
 slot.  The aliases share their argument node, so a tree is a DAG:
 expansion, evaluation and the depth check each do a shared node's work
@@ -811,6 +812,35 @@ class Tape:
         or ValueError where a ball cannot vouch for its value."""
         out = self._kept_walk(_BALL, None, (x, err))
         return [out[k] for k in self.roots]
+
+    def balls(self, xs: list, errs: list) -> list:
+        """ball at each (x, err) of a block, bit for bit: per root, its
+        pairs in the block's order.  Each varying slot is walked once
+        over the whole block by its row's ball rule; the variable-free
+        slots are the kept ones.  Raises where ball raises at any point."""
+        if len(xs) == 1:  # the same walk, without a list per slot
+            return [[v] for v in self.ball(xs[0], errs[0])]
+        consts = self._kept[_BALL].get(None)
+        if consts is None:
+            self.ball(xs[0], errs[0])  # keeps the variable-free slots
+            consts = self._kept[_BALL][None]
+        out = list(consts)
+        out[0] = list(zip(xs, errs))
+        for k, op, node, i, j, varying in self.entries:
+            if not varying:
+                continue
+            rule, a = op[_BALL], out[i]
+            if node is None:
+                out[k] = [rule(x) for x in a]
+            elif j is None:
+                out[k] = [rule(node, x) for x in a]
+            elif consts[i] is not None:  # only the right child varies
+                out[k] = [rule(node, a, y) for y in out[j]]
+            elif consts[j] is not None:
+                out[k] = [rule(node, x, out[j]) for x in a]
+            else:
+                out[k] = [rule(node, x, y) for x, y in zip(a, out[j])]
+        return [out[k] if consts[k] is None else [out[k]] * len(xs) for k in self.roots]
 
     def series(self, center, n: int) -> list:
         """The roots' Taylor coefficients 0..n at center, in center's

@@ -360,11 +360,13 @@ def test_case_I_radius_verifies_one_sided_pattern():
 
 class Decisions(list):
     """(t, fast verdict, walk verdict) per decided point; runs holds
-    (first t, last t, kept) per box verdict."""
+    (first t, last t, kept) per box verdict, and blocked counts the
+    points the block tier decided."""
 
     def __init__(self):
         super().__init__()
         self.runs = []
+        self.blocked = 0
 
 
 @pytest.fixture
@@ -373,9 +375,11 @@ def decisions(monkeypatch):
     verdict of the binary64 balls or the Taylor model, or None where
     neither can decide, the verdict of the walk at digits+GUARD_DIGITS).
     A run the box tier proves kept adds each of its points as (t, False,
-    the walk's verdict)."""
+    the walk's verdict), and the block tier each point it decides as
+    (t, its verdict, the walk's verdict)."""
     seen = Decisions()
     violates, run_kept = certifier._violates, certifier._run_kept
+    block_verdicts = certifier._block_verdicts
 
     def recording(tape, t, digits, slack):
         right = t >= 1
@@ -391,8 +395,18 @@ def decisions(monkeypatch):
                         for t in map(point, indices))
         return kept
 
+    def recording_blocks(tape, point, run, right, digits, slack):
+        for i, verdict in zip(run, block_verdicts(tape, point, run, right, digits, slack)):
+            if verdict is not None:
+                t = point(i)
+                assert (t >= 1) == right
+                seen.append((t, verdict, certifier._walk_verdict(tape, t, right, digits, slack)))
+                seen.blocked += 1
+            yield verdict
+
     monkeypatch.setattr(certifier, "_violates", recording)
     monkeypatch.setattr(certifier, "_run_kept", recording_run)
+    monkeypatch.setattr(certifier, "_block_verdicts", recording_blocks)
     return seen
 
 
@@ -492,7 +506,7 @@ def test_taylor_model_encloses_the_gaps(case, delta):
         t = 1 + mpf(delta)
         p, two_t_ln_t, *h = tape.point(t)
         gaps = [p - two_t_ln_t] + [p - v for v in h]
-        balls = certifier._model_balls(tape, t, 50)
+        balls = certifier._model_box(tape, t, t, 50)
         assert len(balls) == len(gaps)
         for (v, e), gap in zip(balls, gaps):
             assert abs(gap - v) <= e
@@ -534,7 +548,7 @@ def test_box_covers_the_rounding_of_each_end(monkeypatch):
     # allowance: at ends t - 1 off the floats, x^8 can differ from the
     # float's 8th power by up to 8 roundings of x, and only the widening
     # of the ends covers that
-    rows = tuple((float(k == 8), 0.0, 0.0) for k in reversed(range(certifier.MODEL_ORDER + 1)))
+    rows = tuple((float(k == 8), 0.0) for k in range(certifier.MODEL_ORDER + 1))
     monkeypatch.setattr(certifier, "_gap_model", lambda tape, digits: ((rows, 0.0),))
     with mp.workdps(65):
         for j in range(1, 60):
@@ -587,20 +601,122 @@ def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
 
 
 # the radius checks of the CI workflow's installed entry point: the
-# case-I candidate holds on the whole domain, and the first case-IV one
-# breaks first within MODEL_RADIUS of 1, where its boxes must fall back
-# to the points
+# case-I candidates hold on the whole domain, the first to t = 0.001;
+# the first case-IV one breaks first within MODEL_RADIUS of 1, where its
+# boxes must fall back to the points, and the last one's bracket comes
+# from a scan annulus beyond MODEL_RADIUS
 CI_RADII = [
     ("2*t*ln(t) + 0.05*(t-1)^3", "0.9", "0.9"),
     ("H(t) - 0.0332*(t-1)^5", "0.9", "0.0026737999730672118497434751749342041193813201971352"),
     ("H(t) - (1/60)*(t-1)^5", "0.9", "0.52020538082027734071659720822822237096261233091354"),
+    ("2*t*ln(t) + 5*(t-1)^3", "0.999", "0.999"),
+    ("H(t) - 0.0167*(t-1)^5", "0.999", "0.51852376474334027424005157357100870285648852586746"),
 ]
 
 
-@pytest.mark.parametrize("expr, a, expected", [(*c, None) for c in FILTER_CASES] + CI_RADII,
-                         ids=[c[0] for c in FILTER_CASES + CI_RADII])
+def _ids(cases):
+    """Each case's expression, with its a where the expression came before."""
+    ids = []
+    for expr, a, _ in cases:
+        ids.append(f"{expr} --a {a}" if expr in ids else expr)
+    return ids
+
+
+RADIUS_CASES = [(*c, None) for c in FILTER_CASES] + CI_RADII
+
+
+@pytest.mark.parametrize("expr, a, expected", RADIUS_CASES, ids=_ids(RADIUS_CASES))
 def test_radius_without_the_box_tier_is_the_same(monkeypatch, expr, a, expected):
     kept = certify(parse(expr), a).radius
     assert expected is None or exprjet.decimal_text(kept, 50) == expected
     monkeypatch.setattr(certifier, "_run_kept", lambda *args: False)
     assert certify(parse(expr), a).radius == kept
+
+
+# ---------------------------------------------------------------------------
+# the block tier: runs decided BLOCK points at a time in binary64
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("expr, a, expected", CI_RADII, ids=[c[0] for c in CI_RADII])
+def test_ci_radius_decisions_match_the_walk(decisions, expr, a, expected):
+    cert = certify(parse(expr), a)
+    assert exprjet.decimal_text(cert.radius, 50) == expected
+    assert _mismatches(decisions) == []
+    # every grid but the one within 1/64 of 1 has runs beyond it
+    assert (decisions.blocked > 0) == (cert.radius > certifier.MODEL_RADIUS)
+
+
+@pytest.mark.parametrize("expr, a, expected", RADIUS_CASES, ids=_ids(RADIUS_CASES))
+def test_radius_without_the_block_tier_is_the_same(monkeypatch, expr, a, expected):
+    walks = []
+    walk = certifier._walk_verdict
+    monkeypatch.setattr(certifier, "_walk_verdict", lambda *args: walks.append(1) or walk(*args))
+    kept = certify(parse(expr), a).radius
+    assert expected is None or exprjet.decimal_text(kept, 50) == expected
+    with_blocks, walks[:] = len(walks), []
+    monkeypatch.setattr(certifier, "_block_verdicts",
+                        lambda tape, point, run, *args: iter([None] * len(run)))
+    assert certify(parse(expr), a).radius == kept
+    # a point the block leaves undecided takes the path it took before
+    assert with_blocks <= len(walks)
+
+
+def _exact(v) -> Fraction:
+    """A float or an mpf as a fraction."""
+    if isinstance(v, float):
+        return Fraction(v)
+    man, exp = v.man_exp
+    return Fraction(man) * Fraction(2) ** exp
+
+
+def _assert_encloses(point, indices):
+    # at the working precision of the search that computes point(i)
+    for start in range(0, len(indices), certifier.BLOCK):
+        block = indices[start:start + certifier.BLOCK]
+        xs, errs = point.balls(block)
+        for i, x, err in zip(block, xs, errs):
+            assert abs(_exact(point(i)) - _exact(x)) <= _exact(err), (point, i)
+
+
+# radii of the search: up to 0.999 (t down to 0.001) and just above the
+# floor 1e-25 of 50 digits, moved off the floats as bisected radii are
+_RADII = st.one_of(st.floats(1e-25, 0.999), st.sampled_from([0.999, 0.5, 1e-25, 1 / 64]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_RADII, st.integers(-9, 9), st.sampled_from([15, 50, 120]))
+def test_block_balls_hold_the_grid_and_scan_points(r, nudge, digits):
+    with mp.workdps(digits):
+        rv = min(mpf(r) * (1 + mpf(nudge) / 10**17), mpf("0.999"))
+        point = certifier._Points(1 - rv, 2 * rv, certifier.GRID_POINTS - 1)
+        _assert_encloses(point, range(certifier.GRID_POINTS))
+    # the scan of [1 - rv, 1 + rv] at digits + GUARD_DIGITS, every annulus on both sides
+    with mp.workdps(digits + exprjet.GUARD_DIGITS):
+        av = +rv
+        frontier, outer = mpf(0), min(mpf("1e-6"), av)
+        while frontier < av:
+            for side in (1, -1):
+                _assert_encloses(certifier._Points(frontier, outer - frontier, 24, side), range(25))
+            frontier, outer = outer, min(2 * outer, av)
+
+
+def _bits(columns):
+    return [[(x.hex(), e.hex()) for x, e in col] for col in columns]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([c[0] for c in FILTER_CASES] + ["1.5"]), st.booleans(),
+       st.lists(st.floats(0.0005, 2.5), min_size=2, max_size=70),
+       st.sampled_from([0.0, 2 * exprjet._U, 1e-9]))
+def test_tape_balls_is_ball_point_by_point(expr, drr, xs, rel):
+    # "1.5": a variable-free root, the same ball at every point
+    tape = certifier._gap_tape(parse(expr), drr)
+    errs = [rel * x for x in xs]
+    try:
+        points = [tape.ball(x, e) for x, e in zip(xs, errs)]
+    except (ArithmeticError, ValueError):
+        with pytest.raises((ArithmeticError, ValueError)):
+            tape.balls(xs, errs)
+        return
+    assert _bits(tape.balls(xs, errs)) == _bits(zip(*points))

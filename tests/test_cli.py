@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from logbound import bounds, sandwich
 from logbound.certifier import MAX_N_CEILING
-from logbound.cli import MAX_DIGITS, MAX_FIT_SIZE, MAX_GRID, MAX_POINTS, main
+from logbound.cli import (MAX_DIGITS, MAX_FIT_SIZE, MAX_GRID, MAX_POINT_DIGITS, MAX_POINTS,
+                          main)
 from logbound.exprjet import to_text
 from strategies import exprs
 
@@ -456,6 +457,29 @@ def test_grid_and_sample_ceilings_exit_2(capsys, argv, ceiling):
     assert time.perf_counter() - start < 1
     assert code == 2 and out == ""
     assert err == f"error: {argv[-2]} must be <= {ceiling}, got {argv[-1]}\n"
+
+
+@pytest.mark.parametrize("argv, points, digits", [
+    (["table", "--points", str(MAX_POINTS), "--digits", "500"], MAX_POINTS, 500),
+    (["compare", "--digits", "500", "--points", "2001"], 2001, 500),
+    (["table", "--points", str(MAX_POINTS), "--digits", "51"], MAX_POINTS, 51),
+], ids=["table", "compare", "one digit above"])
+def test_points_times_digits_ceiling_exits_2(capsys, argv, points, digits):
+    # about 1 ms a point at 500 digits: refused before any point is computed
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == ""
+    assert err == (f"error: --points times --digits must be <= {MAX_POINT_DIGITS}, "
+                   f"got {points} * {digits} = {points * digits}\n")
+
+
+def test_points_times_digits_below_the_ceiling_is_accepted(capsys):
+    # every --points at the default digits stays accepted
+    assert MAX_POINT_DIGITS == MAX_POINTS * 50
+    code, out, err = run(capsys, "table", "--points", "3", "--digits", str(MAX_DIGITS),
+                         "--format", "csv")
+    assert code == 0 and err == "" and len(out.splitlines()) == 4
 
 
 def test_limits_of_max_n_and_digits_are_accepted(capsys):
