@@ -35,7 +35,6 @@ import dataclasses
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import repeat
 from typing import NamedTuple, Optional
 
 import mpmath
@@ -401,7 +400,7 @@ def _gap_tape(e: Expr, drr: bool) -> Tape:
 # bound over the box |t - 1| <= MODEL_RADIUS.
 MODEL_RADIUS = 1 / 64
 MODEL_ORDER = 8
-# Points of a run decided together in binary64 (see _block_verdicts): a
+# Points of a run decided together in binary64 (see _first_broken): a
 # violation early in a run wastes at most one block's walk.
 BLOCK = 64
 
@@ -518,11 +517,11 @@ def _float_verdicts(tape: Tape, xs: list, errs: list, right: bool, digits: int, 
     """_walk_verdict's answer at each point of a block where binary64
     balls prove it, else None: the one binary64 decider.
 
-    Point k is a t within errs[k] of xs[k], on the side of 1 that right
+    Point k is any t within errs[k] of xs[k], on the side of 1 that right
     names; the roots' balls (Tape.balls) enclose their exact values
     there.  A gap whose ball cannot decide it takes model()'s ball
-    instead where a model is given (a block of one near 1, see
-    _float_verdict); both enclose the exact gap.  _walk_verdict's G and
+    instead where a model is given (a block of one range, see
+    _range_verdict); both enclose the exact gap.  _walk_verdict's G and
     Q differ from the exact ones by the rounding of P and H to digits,
     at most 10^-(digits+1) of each, and by its walk's own error.  That
     walk rounds the same operations with a unit roundoff about
@@ -557,15 +556,6 @@ def _float_verdicts(tape: Tape, xs: list, errs: list, right: bool, digits: int, 
     return verdicts
 
 
-def _float_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> Optional[bool]:
-    """_float_verdicts at t as a block of one: float(t), within
-    2u|float(t)| of t, with the Taylor model's ball at t (_model_box
-    from t to t), which exists within MODEL_RADIUS of 1."""
-    tf = float(t)
-    return _float_verdicts(tape, [tf], [2 * _U * abs(tf)], right, digits, slack,
-                           lambda: _model_box(tape, t, t, digits))[0]
-
-
 def _walk_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> bool:
     """The pattern test at digits+GUARD_DIGITS, with P and H rounded to
     digits first."""
@@ -586,7 +576,7 @@ def _model_box(tape: Tape, t0: mpf, t1: mpf, digits: int) -> list:
     """The gaps' (value, error bound) pairs enclosing them at every t
     between t0 and t1 from the Taylor model; none unless both lie on one
     side of 1 (t >= 1 or t < 1) within MODEL_RADIUS and there is a model.
-    A point t is the run from t to t.
+    A point t is the range from t to t.
 
     The exact |t - 1| lies in [lo, hi]: the floats of the exact t0 - 1
     and t1 - 1 (see _offset), each widened by its rounding 2u|d|.  On
@@ -625,77 +615,38 @@ def _model_box(tape: Tape, t0: mpf, t1: mpf, digits: int) -> list:
     return boxes
 
 
-def _box_pads(tape: Tape, t0: mpf, t1: mpf, digits: int, cut: float) -> list:
-    """Each gap's pad for every t between t0 and t1, from one binary64
-    ball walk of the roots over the run; none where the walk raises.
+def _range_verdict(tape: Tape, t0: mpf, t1: mpf, right: bool, digits: int,
+                   slack: mpf) -> Optional[bool]:
+    """_walk_verdict's answer at every t from t0 to t1, all on the side
+    of 1 that right names, where binary64 balls prove it, else None:
+    True where every such t breaks the pattern, False where none does.
+    A point t is the range from t to t.
 
-    The walk's input ball holds every point's input ball (float(t)
-    within 2u|float(t)|, see _float_verdict): its half-width covers the
-    floats' spread and their roundings and that of the center.  Proof
-    obligation: the ball rules, like interval arithmetic, give a larger
-    input a ball that holds the smaller input's, so the run's errors
-    dominate every single point's and, with |v| <= |V| + E - e for a
-    ball (v, e) inside (V, E), so does its pad."""
-    f0, f1 = float(t0), float(t1)
-    half = (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
-    try:
-        roots = tape.ball((f0 + f1) / 2, half)
-    except (ArithmeticError, ValueError):
-        return []
-    return _pads(roots, digits, cut)
-
-
-def _run_kept(tape: Tape, point: _Points, indices: range, digits: int, slack: mpf) -> bool:
-    """The box tier: whether no t = point(i), i in indices, breaks the
-    pattern, proved for the whole run at once.
-
-    The points must increase or decrease with i, all on one side of 1
-    within MODEL_RADIUS; only the first and the last are computed.  Each
-    gap's box (_model_box) is decided by _past with the run's pad
-    (_box_pads), as _float_verdicts decides a point.  So a run this
-    proves kept holds no point that _walk_verdict finds broken.  False
-    where it cannot prove that: then _violates decides its points one by
-    one."""
-    t0, t1 = point(indices[0]), point(indices[-1])
-    boxes = _model_box(tape, t0, t1, digits)
-    cut = float(slack)
-    pads = _box_pads(tape, t0, t1, digits, cut) if boxes else []
-    return bool(pads) and all(_past(box, sign, t0 >= 1, cut, pad) is False
-                              for box, sign, pad in zip(boxes, (1, -1), pads))
-
-
-def _block_verdicts(tape: Tape, point: _Points, run: range, right: bool, digits: int,
-                    slack: mpf):
-    """The block tier: _float_verdicts on each point(i), i in run, in
-    order, from the floats of point.balls, BLOCK points at a time, each
-    block walked when its first verdict is asked for.  The points all
-    lie on the side of 1 that right names.  Their mpf values are never
-    computed here; a verdict is that of _walk_verdict at point(i), or
-    None."""
-    for start in range(0, len(run), BLOCK):
-        block = run[start:start + BLOCK]
-        yield from _float_verdicts(tape, *point.balls(block), right, digits, slack)
-
-
-def _run_verdicts(tape: Tape, point: _Points, run: range, near: bool, right: bool, digits: int,
-                  slack: mpf):
-    """The verdicts of the run tiers on point(i), i in run, in order:
-    False for a point proved kept, True for one proved broken, None for
-    one left to _violates.  A near run, within MODEL_RADIUS of 1, goes to
-    the box tier (_run_kept), and all its points are proved kept or none
-    is: the floats seldom decide points so close to 1, where the Taylor
-    model of _violates does.  Any other run goes to the block tier
-    (_block_verdicts)."""
-    if not near:
-        return _block_verdicts(tape, point, run, right, digits, slack)
-    return repeat(False if run and _run_kept(tape, point, run, digits, slack) else None)
+    The range is _float_verdicts' block of one, a ball that holds every
+    point's input ball (float(t) within 2u|float(t)| of t): float(t0)
+    itself when t1 is t0, else the hull of float(t0) and float(t1), whose
+    half-width covers their spread and the roundings of both ends and of
+    the center.  The ball rules, like interval arithmetic, give a larger
+    input a ball that holds the smaller input's, so the range's balls
+    hold every point's and, with |v| <= |V| + E - e for a ball (v, e)
+    inside (V, E), its pads dominate theirs.  A gap the ball cannot
+    decide takes the Taylor model's box over the range (_model_box),
+    which exists within MODEL_RADIUS of 1."""
+    f0 = float(t0)
+    if t1 is t0:
+        x, half = f0, 2 * _U * abs(f0)
+    else:
+        f1 = float(t1)
+        x, half = (f0 + f1) / 2, (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
+    return _float_verdicts(tape, [x], [half], right, digits, slack,
+                           lambda: _model_box(tape, t0, t1, digits))[0]
 
 
 def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
     """Whether t breaks the gap pattern of the tape's P (see _gap_tape).
     Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
     Q = P - H <= slack for drr); left of 1 it requires G <= slack (and
-    Q >= -slack).  t is decided as a block of one (_float_verdict):
+    Q >= -slack).  t is decided as a range of one (_range_verdict):
     binary64 balls of the tape's roots at t, where their error bounds
     keep G and Q clear of the thresholds, and for |t - 1| <= MODEL_RADIUS
     the Taylor model of the gaps at t = 1 (see _model_box), which
@@ -703,27 +654,64 @@ def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
     vanish to high order at 1.  Where neither clears the thresholds by
     _float_verdicts' pad, or the float walk raises or overflows, the walk
     at digits+GUARD_DIGITS decides, with the same verdict.  The searches
-    call it only for bisection points and for the points that the box
-    tier (_run_kept) and the block tier (_block_verdicts) left
-    undecided."""
+    call it for bisection points and for the points that _first_broken
+    leaves undecided."""
     right = t >= 1
-    verdict = _float_verdict(tape, t, right, digits, slack)
+    verdict = _range_verdict(tape, t, t, right, digits, slack)
     return _walk_verdict(tape, t, right, digits, slack) if verdict is None else verdict
+
+
+def _first_broken(tape: Tape, point: _Points, run: range, near: bool, right: bool, digits: int,
+                  slack: mpf) -> Optional[int]:
+    """The first i of run, in order, whose point(i) breaks the pattern,
+    or None: _violates' verdict at each point(i) up to the first broken
+    one.
+
+    The points increase or decrease with i, all on the side of 1 that
+    right names.  A near run, within MODEL_RADIUS of 1, is first decided
+    as the range from its first point to its last (_range_verdict);
+    where the range cannot tell, a run of more than BLOCK points is
+    split in halves, each decided the same way.  Any other run goes to
+    _float_verdicts BLOCK points at a time, from the floats of
+    point.balls, each block walked only when no earlier point broke.  A
+    point left undecided is a range of one and then the walk
+    (_violates).  Only the ends of near runs and the undecided points
+    are computed in mpf."""
+    if near and len(run) > 1:
+        verdict = _range_verdict(tape, point(run[0]), point(run[-1]), right, digits, slack)
+        if verdict is not None:
+            return run[0] if verdict else None
+        if len(run) > BLOCK:
+            half = len(run) // 2
+            first = _first_broken(tape, point, run[:half], near, right, digits, slack)
+            if first is None:
+                first = _first_broken(tape, point, run[half:], near, right, digits, slack)
+            return first
+    for start in range(0, len(run), BLOCK):
+        block = run[start:start + BLOCK]
+        verdicts = ([None] * len(block) if near
+                    else _float_verdicts(tape, *point.balls(block), right, digits, slack))
+        for i, verdict in zip(block, verdicts):
+            if verdict or verdict is None and _violates(tape, point(i), digits, slack):
+                return i
+    return None
 
 
 def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PRECISION):
     """First point of the GRID_POINTS-point grid of [1-r, 1+r] violating
-    the pattern, or None.  Four runs cover the grid, each on one side of
-    1 (see _run_verdicts): the two within MODEL_RADIUS of 1 go to the box
-    tier, and the two beyond it to the block tier, 64 points at a time.
-    Only the points the tiers do not prove kept are computed, and
-    _violates decides the ones they leave undecided, in the grid's
+    the pattern, or None; r must lie in (0, 1).  Four runs cover the
+    grid, each on one side of 1 (see _first_broken): the two within
+    MODEL_RADIUS of 1 are decided as ranges, split while undecided, and
+    the two beyond it BLOCK points at a time.  Only the points those do
+    not decide are computed, and _violates decides them in the grid's
     order, so the first violating point is that of the point tests
     alone."""
     slack = condition_tolerance(p)
     tape = _gap_tape(e, drr)
     with mp.workdps(p.digits):
         rv = mpmath.mpmathify(r)
+        if not 0 < rv < 1:
+            raise ValueError("radius r must lie in (0, 1)")
         # lo and width once per grid; the points' bits are unchanged
         point = _Points(1 - rv, 2 * rv, GRID_POINTS - 1)
 
@@ -738,12 +726,9 @@ def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PR
         c = bisect_right(grid, MODEL_RADIUS, key=offset)
         for run, near, right in ((range(a), False, False), (range(a, b), True, False),
                                  (range(b, c), True, True), (range(c, GRID_POINTS), False, True)):
-            for i, verdict in zip(run, _run_verdicts(tape, point, run, near, right, p.digits, slack)):
-                if verdict is False:
-                    continue
-                t = point(i)
-                if verdict or t <= 0 or _violates(tape, t, p.digits, slack):
-                    return t
+            i = _first_broken(tape, point, run, near, right, p.digits, slack)
+            if i is not None:
+                return point(i)
     return None
 
 
@@ -764,32 +749,27 @@ def _bisect_gap_sign(tape: Tape, t_good: mpf, t_bad: mpf, digits: int, slack):
 def _scan(tape: Tape, av: mpf, digits: int, slack: mpf) -> Optional[tuple]:
     """(last clean t, t) at the first violating sample of the outward
     doubling scan, or None, at the caller's working precision: annuli
-    (frontier, r] from r = 1e-6, doubling up to av, each sampled at 24
-    points on both sides of 1, right before left; t = 1 - dt <= 0 is
-    skipped.  Each side of an annulus is a run (see _run_verdicts): to
-    the box tier while r <= MODEL_RADIUS, to the block tier beyond.  Only
-    the samples the tiers do not prove kept are computed, and _violates
-    decides the ones they leave undecided, in the scan's order.  So the
-    bracket is that of the point tests alone, and the last clean t is
-    the previous sample on the violating side, point(0) = 1 +- frontier
-    at the first."""
+    (frontier, r] from r = 1e-6, doubling up to av < 1, each sampled at
+    24 points on both sides of 1, right before left at each index.  Each
+    side of an annulus is a run of _first_broken, near while
+    r <= MODEL_RADIUS: i is the right side's first violating index, and
+    j the left side's below i, or below 25 where the right has none.
+    The left bracket at j, if any, comes first in the scan's order, then
+    the right one at i; so the bracket is that of the point tests alone,
+    and the last clean t is the previous sample on the violating side,
+    point(0) = 1 +- frontier at the first."""
     frontier, r, samples = mpf(0), min(mpf("1e-6"), av), 24
-    indices = range(1, samples + 1)
     while frontier < av:
         step = r - frontier  # once per annulus; the points' bits are unchanged
-        sides = []
-        for side in (1, -1):
-            point = _Points(frontier, step, samples, side)
-            sides.append((point, _run_verdicts(tape, point, indices, r <= MODEL_RADIUS, side > 0,
-                                               digits, slack)))
-        for i in indices:
-            for point, verdicts in sides:
-                verdict = next(verdicts)
-                if verdict is False:
-                    continue
-                t = point(i)
-                if t > 0 and (verdict or _violates(tape, t, digits, slack)):
-                    return point(i - 1), t
+        near = r <= MODEL_RADIUS
+        right, left = (_Points(frontier, step, samples, side) for side in (1, -1))
+        i = _first_broken(tape, right, range(1, samples + 1), near, True, digits, slack)
+        j = _first_broken(tape, left, range(1, samples + 1 if i is None else i), near, False,
+                          digits, slack)
+        if j is not None:
+            return left(j - 1), left(j)
+        if i is not None:
+            return right(i - 1), right(i)
         frontier, r = r, min(2 * r, av)
     return None
 
@@ -809,22 +789,21 @@ def find_radius(
     then re-verified on the full grid at precision p, shrinking below
     any violation the coarse scan missed, at most RADIUS_CONFIRMATIONS
     times before BudgetError.  The points lie on one tape of P, 2t*ln(t)
-    and, for two-sided certificates, H (see _gap_tape), and each tier
-    that decides one gives the verdict of the walk at digits+GUARD_DIGITS.
-    The scan and the grid split their points into runs on one side of 1
-    (see _run_verdicts).  A run within MODEL_RADIUS of 1 goes to the box
-    tier (_run_kept), which encloses the gaps over the whole run from
-    their Taylor model at t = 1, built once per tape and precision, and
-    skips a run it proves kept.  A run beyond goes to the block tier
-    (_block_verdicts), which decides up to BLOCK points at once from one
-    binary64 ball walk of the roots over floats that enclose the points.
-    Only a point the tiers do not prove kept is computed, and one they
-    leave undecided goes to _violates: binary64 balls at the point, the
-    Taylor model within MODEL_RADIUS, and then the walk.  Points are
-    visited in order, so the first violating sample, every radius and
-    every report byte are those of the point tests alone.  An a at or
-    below 10^(-digits//2), where no radius is verified, is a
-    PrecisionError up front.
+    and, for two-sided certificates, H (see _gap_tape), and every
+    decision gives the verdict of the walk at digits+GUARD_DIGITS.  The
+    scan and the grid split their points into runs on one side of 1,
+    each searched for its first violating point by _first_broken.  A run
+    within MODEL_RADIUS of 1 is decided as one range (_range_verdict):
+    binary64 balls over the range, then the gaps' Taylor model at t = 1,
+    built once per tape and precision, split in halves while undecided
+    and longer than BLOCK.  A run beyond goes BLOCK points at a time to
+    one binary64 ball walk over floats that enclose the points.  Only a
+    point these do not decide is computed, and it goes to _violates: a
+    range of one, and then the walk.  Points are visited in order, so the
+    first violating sample, every radius and every report byte are
+    those of the point tests alone.  An a outside (0, 1) is a
+    ValueError, and an a at or below 10^(-digits//2), where no radius is
+    verified, a PrecisionError, both up front.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
@@ -837,6 +816,8 @@ def find_radius(
 
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
+        if not 0 < av < 1:
+            raise ValueError("half-width a must lie in (0, 1)")
         floor = mpf(10) ** (-digits // 2)
         if av <= floor:
             raise PrecisionError(

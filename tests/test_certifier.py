@@ -5,6 +5,7 @@ import json
 import math
 import os
 from fractions import Fraction
+from unittest import mock
 
 import mpmath
 import pytest
@@ -20,6 +21,7 @@ from logbound.certifier import (
     check_case,
     equality_constant,
     find_radius,
+    verify_pattern_on_grid,
 )
 from logbound.errors import BudgetError, LogboundError
 from logbound.exprjet import Atan, Jet, Precision, parse
@@ -299,6 +301,22 @@ def test_find_radius_requires_certificate():
         find_radius(parse("H(t) - (1/30)*(t-1)^5"), cert)
 
 
+@pytest.mark.parametrize("a", ["1.5", "1", "0", "-0.5"])
+def test_find_radius_rejects_a_outside_the_domain(a):
+    # a = 1.5 used to reach ln(-0.125) and a = 1 to return 0.999999999
+    e = parse("2*t*ln(t) + 0.05*(t-1)^3")
+    cert = certify(e, "0.9", compute_radius=False)
+    with pytest.raises(ValueError, match=r"^half-width a must lie in \(0, 1\)$"):
+        find_radius(e, cert, a=a)
+
+
+@pytest.mark.parametrize("r", ["1.5", "1", "0", "-0.5"])
+def test_grid_rejects_r_outside_the_domain(r):
+    # r = 1.5 used to return t = -0.5, outside the domain, as a violation
+    with pytest.raises(ValueError, match=r"^radius r must lie in \(0, 1\)$"):
+        verify_pattern_on_grid(parse("2*t*ln(t) + 0.05*(t-1)^3"), r, False)
+
+
 def test_find_radius_refined_family_matches_sign_change_oracle():
     expr = parse("H(t) - (1/60)*(t-1)^5")
     cert = certify(expr, "0.9", compute_radius=False)
@@ -360,8 +378,8 @@ def test_case_I_radius_verifies_one_sided_pattern():
 
 class Decisions(list):
     """(t, fast verdict, walk verdict) per decided point; runs holds
-    (first t, last t, kept) per box verdict, and blocked counts the
-    points the block tier decided."""
+    (first t, last t, verdict) per range of a run, and blocked counts
+    the points that blocks decided."""
 
     def __init__(self):
         super().__init__()
@@ -374,39 +392,53 @@ def decisions(monkeypatch):
     """Every point the radius search decides from here on, as (t, the
     verdict of the binary64 balls or the Taylor model, or None where
     neither can decide, the verdict of the walk at digits+GUARD_DIGITS).
-    A run the box tier proves kept adds each of its points as (t, False,
-    the walk's verdict), and the block tier each point it decides as
-    (t, its verdict, the walk's verdict)."""
+    A range of one adds its point; a range that decides a run adds each
+    of the run's points as (t, its verdict, the walk's verdict), and a
+    block each point it decides."""
     seen = Decisions()
-    violates, run_kept = certifier._violates, certifier._run_kept
-    block_verdicts = certifier._block_verdicts
+    range_verdict, float_verdicts = certifier._range_verdict, certifier._float_verdicts
+    first_broken = certifier._first_broken
+    runs = []  # [point, run, start of its next block] per _first_broken call in progress
 
-    def recording(tape, t, digits, slack):
-        right = t >= 1
-        seen.append((t, certifier._float_verdict(tape, t, right, digits, slack),
-                     certifier._walk_verdict(tape, t, right, digits, slack)))
-        return violates(tape, t, digits, slack)
+    def walk(tape, t, digits, slack):
+        return certifier._walk_verdict(tape, t, t >= 1, digits, slack)
 
-    def recording_run(tape, point, indices, digits, slack):
-        kept = run_kept(tape, point, indices, digits, slack)
-        seen.runs.append((point(indices[0]), point(indices[-1]), kept))
-        if kept:
-            seen.extend((t, False, certifier._walk_verdict(tape, t, t >= 1, digits, slack))
-                        for t in map(point, indices))
-        return kept
+    def recording_run(tape, point, run, *args):
+        runs.append([point, run, 0])
+        try:
+            return first_broken(tape, point, run, *args)
+        finally:
+            runs.pop()
 
-    def recording_blocks(tape, point, run, right, digits, slack):
-        for i, verdict in zip(run, block_verdicts(tape, point, run, right, digits, slack)):
-            if verdict is not None:
-                t = point(i)
-                assert (t >= 1) == right
-                seen.append((t, verdict, certifier._walk_verdict(tape, t, right, digits, slack)))
-                seen.blocked += 1
-            yield verdict
+    def recording_range(tape, t0, t1, right, digits, slack):
+        verdict = range_verdict(tape, t0, t1, right, digits, slack)
+        if t1 is t0:
+            seen.append((t0, verdict, walk(tape, t0, digits, slack)))
+            return verdict
+        point, run, _ = runs[-1]
+        assert (t0, t1) == (point(run[0]), point(run[-1]))
+        seen.runs.append((t0, t1, verdict))
+        if verdict is not None:
+            seen.extend((t, verdict, walk(tape, t, digits, slack)) for t in map(point, run))
+        return verdict
 
-    monkeypatch.setattr(certifier, "_violates", recording)
-    monkeypatch.setattr(certifier, "_run_kept", recording_run)
-    monkeypatch.setattr(certifier, "_block_verdicts", recording_blocks)
+    def recording_blocks(tape, xs, errs, right, digits, slack, model=None):
+        verdicts = float_verdicts(tape, xs, errs, right, digits, slack, model)
+        if model is None:  # a block of a run, not a range
+            point, run, start = runs[-1]
+            block = run[start:start + certifier.BLOCK]
+            runs[-1][2] += certifier.BLOCK
+            assert xs == point.balls(block)[0]
+            for t, verdict in zip(map(point, block), verdicts):
+                if verdict is not None:
+                    assert (t >= 1) == right
+                    seen.append((t, verdict, walk(tape, t, digits, slack)))
+                    seen.blocked += 1
+        return verdicts
+
+    monkeypatch.setattr(certifier, "_first_broken", recording_run)
+    monkeypatch.setattr(certifier, "_range_verdict", recording_range)
+    monkeypatch.setattr(certifier, "_float_verdicts", recording_blocks)
     return seen
 
 
@@ -524,13 +556,18 @@ _MAGNITUDES = st.one_of(st.floats(1e-30, certifier.MODEL_RADIUS),
 def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions):
     expr, _ = case
     tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
-    cut = float(certifier.condition_tolerance())
+    slack = certifier.condition_tolerance()
+    cut = float(slack)
     with mp.workdps(65):
         # endpoints off the floats by up to 9e-17 of t - 1, as the searches' points are
         t0, t1 = (1 + side * mpf(m) * (1 + mpf(j) / 10**17) for m, j in zip((m0, m1), nudges))
         ts = [t0, t1] + [t0 + (t1 - t0) * mpf(f.numerator) / f.denominator for f in fractions]
     boxes = certifier._model_box(tape, t0, t1, 50)
-    pads = certifier._box_pads(tape, t0, t1, 50, cut)
+    # the one ball that _range_verdict walks over the run
+    with mock.patch.object(certifier, "_float_verdicts", wraps=certifier._float_verdicts) as fv:
+        certifier._range_verdict(tape, t0, t1, side > 0, 50, slack)
+    _, (x,), (half,), *_ = fv.call_args.args
+    pads = certifier._pads(tape.ball(x, half), 50, cut)
     assert len(boxes) == len(pads) == (2 if expr.startswith("H") else 1)
     for t in ts:
         with mp.workdps(120):
@@ -539,6 +576,8 @@ def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions)
         for (v, e), gap in zip(boxes, gaps):
             assert abs(gap - v) <= e
         tf = float(t)
+        # the run's input ball holds the point's, so its pads dominate
+        assert abs(_exact(tf) - _exact(x)) + _exact(2 * exprjet._U * abs(tf)) <= _exact(half)
         point_pads = certifier._pads(tape.ball(tf, 2 * exprjet._U * abs(tf)), 50, cut)
         assert all(run >= one for run, one in zip(pads, point_pads))
 
@@ -564,7 +603,7 @@ def test_no_point_near_1_reaches_the_walk(decisions, expr, a):
     near = [fast for t, fast, _ in decisions if abs(t - 1) <= certifier.MODEL_RADIUS]
     assert len(near) > 100 and None not in near
     assert _mismatches(decisions) == []
-    assert any(kept for *_, kept in decisions.runs)
+    assert any(verdict is False for *_, verdict in decisions.runs)
 
 
 def test_taylor_model_decisions_differ_when_a_series_ball_rule_lies(decisions, monkeypatch):
@@ -601,16 +640,20 @@ def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
 
 
 # the radius checks of the CI workflow's installed entry point: the
-# case-I candidates hold on the whole domain, the first to t = 0.001;
-# the first case-IV one breaks first within MODEL_RADIUS of 1, where its
-# boxes must fall back to the points, and the last one's bracket comes
-# from a scan annulus beyond MODEL_RADIUS
+# case-I candidates hold on the whole domain, the second to t = 0.001,
+# and the last one's gap vanishes beyond MODEL_ORDER, so no range near 1
+# decides; the first case-IV one breaks first within MODEL_RADIUS of 1,
+# where its ranges must split and fall back to the points, the third's
+# bracket comes from a scan annulus beyond MODEL_RADIUS, and the last
+# one has the largest eps of the certify benchmark
 CI_RADII = [
     ("2*t*ln(t) + 0.05*(t-1)^3", "0.9", "0.9"),
     ("H(t) - 0.0332*(t-1)^5", "0.9", "0.0026737999730672118497434751749342041193813201971352"),
     ("H(t) - (1/60)*(t-1)^5", "0.9", "0.52020538082027734071659720822822237096261233091354"),
     ("2*t*ln(t) + 5*(t-1)^3", "0.999", "0.999"),
     ("H(t) - 0.0167*(t-1)^5", "0.999", "0.51852376474334027424005157357100870285648852586746"),
+    ("2*t*ln(t) + (t-1)^13", "0.9", "0.9"),
+    ("H(t) - 0.032*(t-1)^5", "0.5", "0.02740067053226373685732434430306625472439918667078"),
 ]
 
 
@@ -625,12 +668,84 @@ def _ids(cases):
 RADIUS_CASES = [(*c, None) for c in FILTER_CASES] + CI_RADII
 
 
+def _radius_and_walks(monkeypatch, expr, a):
+    """The certified radius of expr on (1-a, 1+a), and the number of
+    digits+GUARD_DIGITS walks its search made."""
+    walks = []
+    walk = certifier._walk_verdict
+    monkeypatch.setattr(certifier, "_walk_verdict", lambda *args: walks.append(1) or walk(*args))
+    return certify(parse(expr), a).radius, len(walks)
+
+
 @pytest.mark.parametrize("expr, a, expected", RADIUS_CASES, ids=_ids(RADIUS_CASES))
 def test_radius_without_the_box_tier_is_the_same(monkeypatch, expr, a, expected):
-    kept = certify(parse(expr), a).radius
+    kept, with_boxes = _radius_and_walks(monkeypatch, expr, a)
     assert expected is None or exprjet.decimal_text(kept, 50) == expected
-    monkeypatch.setattr(certifier, "_run_kept", lambda *args: False)
-    assert certify(parse(expr), a).radius == kept
+    # ranges of more than one point decide nothing
+    range_verdict = certifier._range_verdict
+    monkeypatch.setattr(certifier, "_range_verdict", lambda tape, t0, t1, *args:
+                        range_verdict(tape, t0, t1, *args) if t1 is t0 else None)
+    radius, walks = _radius_and_walks(monkeypatch, expr, a)
+    assert radius == kept and with_boxes <= walks
+
+
+@pytest.mark.parametrize("expr, a, most", [
+    # its grid lies within 1/64 of 1, and its undecided runs used to go
+    # point by point: 1,264 model boxes per search
+    ("H(t) - 0.0332*(t-1)^5", "0.9", 1263),
+    # a gap that vanishes beyond the model's order: no near range decides,
+    # and the halves must not cost more boxes than the points (930)
+    ("2*t*ln(t) + (t-1)^13", "0.9", 930),
+])
+def test_undecided_near_runs_are_split_in_halves(monkeypatch, expr, a, most):
+    boxes = []
+    model_box = certifier._model_box
+    monkeypatch.setattr(certifier, "_model_box", lambda *args: boxes.append(1) or model_box(*args))
+    certify(parse(expr), a)
+    assert len(boxes) <= most
+
+
+# Patterns that break where the order of the searches matters: in one
+# scan annulus the left side first (index 21 against 23), the right side
+# first (21 against 23), both sides at index 22; a whole near run broken
+# (the gap is about -(t-1)^4 past t = 1 + 10^-12); family A breaking
+# within and beyond MODEL_RADIUS of 1.
+ORDER_CASES = [
+    ("2*t*ln(t) + 0.05*(t-1)^3 + 0.005*(t-1)^4 - 0.2*(t-1)^5", "0.9"),
+    ("2*t*ln(t) + 0.05*(t-1)^3 - 0.005*(t-1)^4 - 0.2*(t-1)^5", "0.9"),
+    ("2*t*ln(t) + 0.05*(t-1)^3 - 0.2*(t-1)^5", "0.9"),
+    ("2*t*ln(t) + 1e-12*(t-1)^3 - (t-1)^4", "0.9"),
+    ("H(t) - 0.0332*(t-1)^5", "0.9"),
+    ("H(t) - 0.0167*(t-1)^5", "0.999"),
+]
+
+
+@pytest.mark.parametrize("expr, a", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
+def test_scan_bracket_is_that_of_the_walk_alone(expr, a):
+    tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
+    slack = certifier.condition_tolerance()
+    with mp.workdps(50 + exprjet.GUARD_DIGITS):
+        av, expected = mpf(a), None
+        frontier, r = mpf(0), min(mpf("1e-6"), av)
+        while expected is None and frontier < av:
+            sides = [certifier._Points(frontier, r - frontier, 24, side) for side in (1, -1)]
+            expected = next(((point(i - 1), point(i)) for i in range(1, 25) for point in sides
+                             if certifier._walk_verdict(tape, point(i), point.side > 0, 50, slack)),
+                            None)
+            frontier, r = r, min(2 * r, av)
+        assert certifier._scan(tape, av, 50, slack) == expected
+
+
+@pytest.mark.parametrize("expr, r", [(expr, r) for expr, _ in ORDER_CASES for r in ("0.01", "0.5")])
+def test_grid_violation_is_that_of_the_walk_alone(expr, r):
+    e = parse(expr)
+    tape = certifier._gap_tape(e, expr.startswith("H"))
+    slack = certifier.condition_tolerance()
+    with mp.workdps(50):
+        point = certifier._Points(1 - mpf(r), 2 * mpf(r), certifier.GRID_POINTS - 1)
+        expected = next((t for t in map(point, range(certifier.GRID_POINTS))
+                         if certifier._walk_verdict(tape, t, t >= 1, 50, slack)), None)
+    assert verify_pattern_on_grid(e, r, expr.startswith("H")) == expected
 
 
 # ---------------------------------------------------------------------------
@@ -649,17 +764,20 @@ def test_ci_radius_decisions_match_the_walk(decisions, expr, a, expected):
 
 @pytest.mark.parametrize("expr, a, expected", RADIUS_CASES, ids=_ids(RADIUS_CASES))
 def test_radius_without_the_block_tier_is_the_same(monkeypatch, expr, a, expected):
-    walks = []
-    walk = certifier._walk_verdict
-    monkeypatch.setattr(certifier, "_walk_verdict", lambda *args: walks.append(1) or walk(*args))
-    kept = certify(parse(expr), a).radius
+    kept, with_blocks = _radius_and_walks(monkeypatch, expr, a)
     assert expected is None or exprjet.decimal_text(kept, 50) == expected
-    with_blocks, walks[:] = len(walks), []
-    monkeypatch.setattr(certifier, "_block_verdicts",
-                        lambda tape, point, run, *args: iter([None] * len(run)))
-    assert certify(parse(expr), a).radius == kept
+    # blocks, the _float_verdicts calls without a model, decide nothing
+    float_verdicts = certifier._float_verdicts
+
+    def ranges_only(tape, xs, errs, right, digits, slack, model=None):
+        if model is None:
+            return [None] * len(xs)
+        return float_verdicts(tape, xs, errs, right, digits, slack, model)
+
+    monkeypatch.setattr(certifier, "_float_verdicts", ranges_only)
+    radius, walks = _radius_and_walks(monkeypatch, expr, a)
     # a point the block leaves undecided takes the path it took before
-    assert with_blocks <= len(walks)
+    assert radius == kept and with_blocks <= walks
 
 
 def _exact(v) -> Fraction:
