@@ -80,7 +80,8 @@ RADIUS_CONFIRMATIONS = 4
 
 @dataclass(frozen=True)
 class CandidateJet:
-    """Candidate P together with its jet at 1 and half-width a."""
+    """Candidate P together with its jet at 1 and half-width a, read at
+    the jet's digits."""
 
     expr: Expr
     jet_at_1: Jet
@@ -100,7 +101,8 @@ class CandidateJet:
         order: int = DEFAULT_JET_ORDER,
         p: Precision = DEFAULT_PRECISION,
     ) -> "CandidateJet":
-        av = mpmath.mpmathify(a)
+        with mp.workdps(p.digits):
+            av = +mpmath.mpmathify(a)
         return cls(expr=expr, jet_at_1=jet(expr, 1, order, p), a=av)
 
     @cached_property
@@ -385,65 +387,14 @@ def certify(
 # ---------------------------------------------------------------------------
 
 
-def _gap_tape(e: Expr, drr: bool) -> Tape:
-    """P, 2t*ln(t) and, for drr, H(t) on one tape with structurally
-    equal subtrees shared, built on first use and kept on e."""
-    kept = e.__dict__.setdefault("_gap_tapes", {})
-    if drr not in kept:
-        roots = (e, parse("2*t*ln(t)")) + ((parse("H(t)"),) if drr else ())
-        kept[drr] = Tape(roots, share_equal=True)
-    return kept[drr]
-
-
-# The Taylor-model tier of the radius search (see _model_box): each
+# The Taylor model of the radius search (see _Search.model_box): each
 # gap's Taylor polynomial of order MODEL_ORDER at t = 1, with a remainder
 # bound over the box |t - 1| <= MODEL_RADIUS.
 MODEL_RADIUS = 1 / 64
 MODEL_ORDER = 8
-# Points of a run decided together in binary64 (see _first_broken): a
-# violation early in a run wastes at most one block's walk.
+# Points of a run decided together in binary64 (see _Search.first_broken):
+# a violation early in a run wastes at most one block's walk.
 BLOCK = 64
-
-
-def _build_gap_model(tape: Tape, digits: int) -> tuple:
-    """Per gap (G, then Q for drr): the rows (g_k, w_k) for
-    k = 0..MODEL_ORDER and the remainder bound R of _model_box.
-
-    The gaps' coefficients at t = 1 are mpf balls from the series walk
-    at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's) cancel there
-    and not at each point.  g_k is the float nearest the midpoint; w_k
-    bounds the ball's radius, that rounding and the float roundings of
-    _model_box per unit of |d|^k.  R bounds the gap's
-    order-(MODEL_ORDER+1) coefficient at every center in the box
-    (binary64 balls, see exprjet._Ball), so that R*|d|^(MODEL_ORDER+1)
-    bounds the Lagrange remainder.
-    """
-    with mp.workdps(digits + GUARD_DIGITS):
-        p, *others = tape.series(_MPBall(mpf(1)), MODEL_ORDER)
-        coeffs = [[a - b for a, b in zip(p, o)] for o in others]
-    # the box reaches past MODEL_RADIUS by more than d's rounding
-    p, *others = tape.series(_F64Ball(1.0, MODEL_RADIUS * _GROW ** 2), MODEL_ORDER + 1)
-    models = []
-    for c, o in zip(coeffs, others):
-        g = [float(b.v) for b in c]
-        rows = tuple((v, (b.e + (2 * MODEL_ORDER + 2) * _U * abs(v) + _TINY) * _GROW)
-                     for v, b in zip(g, c))
-        r = p[-1] - o[-1]
-        models.append((rows, (abs(r.v) + r.e) * _GROW))
-    return tuple(models)
-
-
-def _gap_model(tape: Tape, digits: int) -> Optional[tuple]:
-    """_build_gap_model's result, built on first use per digits and kept
-    on the tape; None where the build raises, a pole or domain edge in
-    the box for one: then no point is decided by the model."""
-    kept = tape.__dict__.setdefault("_gap_models", {})
-    if digits not in kept:
-        try:
-            kept[digits] = _build_gap_model(tape, digits)
-        except (ArithmeticError, ValueError, LogboundError):
-            kept[digits] = None
-    return kept[digits]
 
 
 def _offset(t: mpf) -> tuple:
@@ -503,214 +454,297 @@ def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optiona
     return False if above > err else None
 
 
-def _pads(roots: list, digits: int, cut: float) -> list:
-    """The pad of each gap (see _float_verdicts) from the roots' balls
-    (P's first, then 2t*ln(t)'s and, for drr, H's) and the float cut of
-    the slack."""
-    (vp, ep), *others = roots
-    rho = 10.0 ** -min(digits, 300)  # 10^-digits or more, a normal float
-    return [rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * cut for vo, eo in others]
+def _search(e: Expr, drr: bool, digits: int) -> "_Search":
+    """The radius search of e's pattern (drr or dr) at digits, built on
+    first use and kept on e: the radius search's only cache."""
+    kept = e.__dict__.setdefault("_searches", {})
+    search = kept.get((drr, digits))
+    if search is None:
+        search = kept[drr, digits] = _Search(e, drr, digits)
+    return search
 
 
-def _float_verdicts(tape: Tape, xs: list, errs: list, right: bool, digits: int, slack: mpf,
-                    model=None) -> list:
-    """_walk_verdict's answer at each point of a block where binary64
-    balls prove it, else None: the one binary64 decider.
+class _Search:
+    """The radius search of one candidate P, pattern and precision.
 
-    Point k is any t within errs[k] of xs[k], on the side of 1 that right
-    names; the roots' balls (Tape.balls) enclose their exact values
-    there.  A gap whose ball cannot decide it takes model()'s ball
-    instead where a model is given (a block of one range, see
-    _range_verdict); both enclose the exact gap.  _walk_verdict's G and
-    Q differ from the exact ones by the rounding of P and H to digits,
-    at most 10^-(digits+1) of each, and by its walk's own error.  That
-    walk rounds the same operations with a unit roundoff about
-    10^-(digits+14)/u times u = 2^-53, so its error is at most that
-    factor times the balls' errors, which a wider input ball only
-    widens.  A pad of 10^-digits * (|P| + |2t*ln(t) or H| + their
-    errors/u) covers both, and with the conversion of slack it is added
-    to the gap's error before the comparison.  A walk that raises at
-    any point decides no point of the block; a point whose balls
-    overflow to inf or NaN is not decided.
-    """
-    try:
-        cols = tape.balls(xs, errs)
-    except (ArithmeticError, ValueError):
-        return [None] * len(xs)
-    cut = float(slack)
-    verdicts = []
-    for roots in zip(*cols):
-        (vp, ep), *others = roots
-        near = None  # model()'s balls, computed on first need
-        verdict = False
-        # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-        for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), _pads(roots, digits, cut))):
-            gap = _past(_ball(vp - vo, ep + eo), sign, right, cut, pad)
-            if gap is None and model is not None:
-                near = model() if near is None else near
-                gap = _past(near[i], sign, right, cut, pad) if near else None
-            if gap is not False:
-                verdict = gap
-                break
-        verdicts.append(verdict)
-    return verdicts
-
-
-def _walk_verdict(tape: Tape, t: mpf, right: bool, digits: int, slack: mpf) -> bool:
-    """The pattern test at digits+GUARD_DIGITS, with P and H rounded to
-    digits first."""
-    with mp.workdps(digits + GUARD_DIGITS):
-        pt, two_t_ln_t, *h = tape.point(t)
-        with mp.workdps(digits):
-            pt, h = +pt, [+v for v in h]
-        g = pt - two_t_ln_t
-        if (g < -slack) if right else (g > slack):
-            return True
-        if not h:
-            return False
-        q = pt - h[0]
-        return (q > slack) if right else (q < -slack)
-
-
-def _model_box(tape: Tape, t0: mpf, t1: mpf, digits: int) -> list:
-    """The gaps' (value, error bound) pairs enclosing them at every t
-    between t0 and t1 from the Taylor model; none unless both lie on one
-    side of 1 (t >= 1 or t < 1) within MODEL_RADIUS and there is a model.
-    A point t is the range from t to t.
-
-    The exact |t - 1| lies in [lo, hi]: the floats of the exact t0 - 1
-    and t1 - 1 (see _offset), each widened by its rounding 2u|d|.  On
-    that one-signed range each term g_k*d^k is monotone, so the sums of
-    its smaller and of its larger end bound sum g_k d^k.  The error adds
-    at |d| = hi the coefficients' balls and float roundings w_k*hi^k,
-    which with (2N+2)u|g_k|hi^k also cover the roundings of the powers,
-    products and sums here, and the remainder R*hi^(N+1); (|g_k| + 1)*_TINY
-    per term covers an underflow of a power.
-    """
-    right, d0 = _offset(t0)
-    right1, d1 = (right, d0) if t1 is t0 else _offset(t1)
-    lo, hi = sorted((abs(d0), abs(d1)))
-    if right1 != right or hi > MODEL_RADIUS:
-        return []
-    model = _gap_model(tape, digits)
-    if model is None:
-        return []
-    lo = max(0.0, (lo - 2 * _U * lo - _TINY) / _GROW)
-    hi = (hi + 2 * _U * hi + _TINY) * _GROW
-    boxes = []
-    for rows, rem in model:
-        bottom = top = err = 0.0
-        low = high = 1.0  # lo^k and hi^k
-        for k, (g, w) in enumerate(rows):
-            c = -g if k % 2 and not right else g  # the coefficient of |d|^k
-            # the term's smaller and larger end: c*lo^k <= c*hi^k for c >= 0
-            small, large = (c * low, c * high) if c >= 0 else (c * high, c * low)
-            bottom += small
-            top += large
-            err += w * high + (abs(g) + 1) * _TINY
-            low, high = low * lo, high * hi
-        err += rem * high
-        boxes.append(((bottom + top) / 2, ((top - bottom) / 2 + _U * (abs(bottom) + abs(top))
-                                           + err) * _GROW + 2 * _TINY))
-    return boxes
-
-
-def _range_verdict(tape: Tape, t0: mpf, t1: mpf, right: bool, digits: int,
-                   slack: mpf) -> Optional[bool]:
-    """_walk_verdict's answer at every t from t0 to t1, all on the side
-    of 1 that right names, where binary64 balls prove it, else None:
-    True where every such t breaks the pattern, False where none does.
-    A point t is the range from t to t.
-
-    The range is _float_verdicts' block of one, a ball that holds every
-    point's input ball (float(t) within 2u|float(t)| of t): float(t0)
-    itself when t1 is t0, else the hull of float(t0) and float(t1), whose
-    half-width covers their spread and the roundings of both ends and of
-    the center.  The ball rules, like interval arithmetic, give a larger
-    input a ball that holds the smaller input's, so the range's balls
-    hold every point's and, with |v| <= |V| + E - e for a ball (v, e)
-    inside (V, E), its pads dominate theirs.  A gap the ball cannot
-    decide takes the Taylor model's box over the range (_model_box),
-    which exists within MODEL_RADIUS of 1."""
-    f0 = float(t0)
-    if t1 is t0:
-        x, half = f0, 2 * _U * abs(f0)
-    else:
-        f1 = float(t1)
-        x, half = (f0 + f1) / 2, (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
-    return _float_verdicts(tape, [x], [half], right, digits, slack,
-                           lambda: _model_box(tape, t0, t1, digits))[0]
-
-
-def _violates(tape: Tape, t: mpf, digits: int, slack: mpf) -> bool:
-    """Whether t breaks the gap pattern of the tape's P (see _gap_tape).
     Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
     Q = P - H <= slack for drr); left of 1 it requires G <= slack (and
-    Q >= -slack).  t is decided as a range of one (_range_verdict):
-    binary64 balls of the tape's roots at t, where their error bounds
-    keep G and Q clear of the thresholds, and for |t - 1| <= MODEL_RADIUS
-    the Taylor model of the gaps at t = 1 (see _model_box), which
-    encloses them where the balls' errors, O(u*|t-1|), swamp gaps that
-    vanish to high order at 1.  Where neither clears the thresholds by
-    _float_verdicts' pad, or the float walk raises or overflows, the walk
-    at digits+GUARD_DIGITS decides, with the same verdict.  The searches
-    call it for bisection points and for the points that _first_broken
-    leaves undecided."""
-    right = t >= 1
-    verdict = _range_verdict(tape, t, t, right, digits, slack)
-    return _walk_verdict(tape, t, right, digits, slack) if verdict is None else verdict
+    Q >= -slack), with slack = condition_tolerance at digits.  tape holds
+    P, 2t*ln(t) and, for drr, H(t) on one tape (structurally equal
+    subtrees shared, so the H inside P is computed once per point); cut
+    is the slack as a float and rho the pad scale of float_verdicts,
+    10^-digits or more, a normal float.  Every decision gives the verdict
+    of walk_verdict, the pattern test at digits+GUARD_DIGITS."""
 
+    def __init__(self, e: Expr, drr: bool, digits: int):
+        self.tape = Tape((e, parse("2*t*ln(t)")) + ((parse("H(t)"),) if drr else ()))
+        self.digits = digits
+        self.slack = condition_tolerance(Precision(digits))
+        self.cut = float(self.slack)
+        self.rho = 10.0 ** -min(digits, 300)
 
-def _first_broken(tape: Tape, point: _Points, run: range, near: bool, right: bool, digits: int,
-                  slack: mpf) -> Optional[int]:
-    """The first i of run, in order, whose point(i) breaks the pattern,
-    or None: _violates' verdict at each point(i) up to the first broken
-    one.
+    @cached_property
+    def model(self) -> Optional[tuple]:
+        """Per gap (G, then Q for drr): the rows (g_k, w_k) for
+        k = 0..MODEL_ORDER and the remainder bound R of model_box, built
+        on first use; None where the build raises, a pole or domain edge
+        in the box for one: then no point is decided by the model.
 
-    The points increase or decrease with i, all on the side of 1 that
-    right names.  A near run, within MODEL_RADIUS of 1, is first decided
-    as the range from its first point to its last (_range_verdict);
-    where the range cannot tell, a run of more than BLOCK points is
-    split in halves, each decided the same way.  Any other run goes to
-    _float_verdicts BLOCK points at a time, from the floats of
-    point.balls, each block walked only when no earlier point broke.  A
-    point left undecided is a range of one and then the walk
-    (_violates).  Only the ends of near runs and the undecided points
-    are computed in mpf."""
-    if near and len(run) > 1:
-        verdict = _range_verdict(tape, point(run[0]), point(run[-1]), right, digits, slack)
-        if verdict is not None:
-            return run[0] if verdict else None
-        if len(run) > BLOCK:
-            half = len(run) // 2
-            first = _first_broken(tape, point, run[:half], near, right, digits, slack)
-            if first is None:
-                first = _first_broken(tape, point, run[half:], near, right, digits, slack)
-            return first
-    for start in range(0, len(run), BLOCK):
-        block = run[start:start + BLOCK]
-        verdicts = ([None] * len(block) if near
-                    else _float_verdicts(tape, *point.balls(block), right, digits, slack))
-        for i, verdict in zip(block, verdicts):
-            if verdict or verdict is None and _violates(tape, point(i), digits, slack):
-                return i
-    return None
+        The gaps' coefficients at t = 1 are mpf balls from the series walk
+        at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's) cancel there
+        and not at each point.  g_k is the float nearest the midpoint; w_k
+        bounds the ball's radius, that rounding and the float roundings of
+        model_box per unit of |d|^k.  R bounds the gap's
+        order-(MODEL_ORDER+1) coefficient at every center in the box
+        (binary64 balls, see exprjet._Ball), so that R*|d|^(MODEL_ORDER+1)
+        bounds the Lagrange remainder.
+        """
+        try:
+            with mp.workdps(self.digits + GUARD_DIGITS):
+                p, *others = self.tape.series(_MPBall(mpf(1)), MODEL_ORDER)
+                coeffs = [[a - b for a, b in zip(p, o)] for o in others]
+            # the box reaches past MODEL_RADIUS by more than d's rounding
+            p, *others = self.tape.series(_F64Ball(1.0, MODEL_RADIUS * _GROW ** 2),
+                                          MODEL_ORDER + 1)
+        except (ArithmeticError, ValueError, LogboundError):
+            return None
+        models = []
+        for c, o in zip(coeffs, others):
+            g = [float(b.v) for b in c]
+            rows = tuple((v, (b.e + (2 * MODEL_ORDER + 2) * _U * abs(v) + _TINY) * _GROW)
+                         for v, b in zip(g, c))
+            r = p[-1] - o[-1]
+            models.append((rows, (abs(r.v) + r.e) * _GROW))
+        return tuple(models)
+
+    def pads(self, roots: list) -> list:
+        """The pad of each gap (see float_verdicts) from the roots' balls:
+        P's first, then 2t*ln(t)'s and, for drr, H's."""
+        (vp, ep), *others = roots
+        return [self.rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * self.cut
+                for vo, eo in others]
+
+    def float_verdicts(self, xs: list, errs: list, right: bool, model=None) -> list:
+        """walk_verdict's answer at each point of a block where binary64
+        balls prove it, else None: the one binary64 decider.
+
+        Point k is any t within errs[k] of xs[k], on the side of 1 that right
+        names; the roots' balls (Tape.balls) enclose their exact values
+        there.  A gap whose ball cannot decide it takes model()'s ball
+        instead where a model is given (a block of one range, see
+        range_verdict); both enclose the exact gap.  walk_verdict's G and
+        Q differ from the exact ones by the rounding of P and H to digits,
+        at most 10^-(digits+1) of each, and by its walk's own error.  That
+        walk rounds the same operations with a unit roundoff about
+        10^-(digits+14)/u times u = 2^-53, so its error is at most that
+        factor times the balls' errors, which a wider input ball only
+        widens.  A pad of 10^-digits * (|P| + |2t*ln(t) or H| + their
+        errors/u) covers both, and with the conversion of slack it is added
+        to the gap's error before the comparison.  A walk that raises at
+        any point decides no point of the block; a point whose balls
+        overflow to inf or NaN is not decided.
+        """
+        try:
+            cols = self.tape.balls(xs, errs)
+        except (ArithmeticError, ValueError):
+            return [None] * len(xs)
+        verdicts = []
+        for roots in zip(*cols):
+            (vp, ep), *others = roots
+            near = None  # model()'s balls, computed on first need
+            verdict = False
+            # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
+            for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), self.pads(roots))):
+                gap = _past(_ball(vp - vo, ep + eo), sign, right, self.cut, pad)
+                if gap is None and model is not None:
+                    near = model() if near is None else near
+                    gap = _past(near[i], sign, right, self.cut, pad) if near else None
+                if gap is not False:
+                    verdict = gap
+                    break
+            verdicts.append(verdict)
+        return verdicts
+
+    def walk_verdict(self, t: mpf, right: bool) -> bool:
+        """The pattern test at digits+GUARD_DIGITS, with P and H rounded to
+        digits first."""
+        with mp.workdps(self.digits + GUARD_DIGITS):
+            pt, two_t_ln_t, *h = self.tape.point(t)
+            with mp.workdps(self.digits):
+                pt, h = +pt, [+v for v in h]
+            g = pt - two_t_ln_t
+            if (g < -self.slack) if right else (g > self.slack):
+                return True
+            if not h:
+                return False
+            q = pt - h[0]
+            return (q > self.slack) if right else (q < -self.slack)
+
+    def model_box(self, t0: mpf, t1: mpf) -> list:
+        """The gaps' (value, error bound) pairs enclosing them at every t
+        between t0 and t1 from the Taylor model; none unless both lie on
+        one side of 1 (t >= 1 or t < 1) within MODEL_RADIUS and there is a
+        model.  A point t is the range from t to t.
+
+        The exact |t - 1| lies in [lo, hi]: the floats of the exact t0 - 1
+        and t1 - 1 (see _offset), each widened by its rounding 2u|d|.  On
+        that one-signed range each term g_k*d^k is monotone, so the sums of
+        its smaller and of its larger end bound sum g_k d^k.  The error adds
+        at |d| = hi the coefficients' balls and float roundings w_k*hi^k,
+        which with (2N+2)u|g_k|hi^k also cover the roundings of the powers,
+        products and sums here, and the remainder R*hi^(N+1); (|g_k| + 1)*_TINY
+        per term covers an underflow of a power.
+        """
+        right, d0 = _offset(t0)
+        right1, d1 = (right, d0) if t1 is t0 else _offset(t1)
+        lo, hi = sorted((abs(d0), abs(d1)))
+        if right1 != right or hi > MODEL_RADIUS or self.model is None:
+            return []
+        lo = max(0.0, (lo - 2 * _U * lo - _TINY) / _GROW)
+        hi = (hi + 2 * _U * hi + _TINY) * _GROW
+        boxes = []
+        for rows, rem in self.model:
+            bottom = top = err = 0.0
+            low = high = 1.0  # lo^k and hi^k
+            for k, (g, w) in enumerate(rows):
+                c = -g if k % 2 and not right else g  # the coefficient of |d|^k
+                # the term's smaller and larger end: c*lo^k <= c*hi^k for c >= 0
+                small, large = (c * low, c * high) if c >= 0 else (c * high, c * low)
+                bottom += small
+                top += large
+                err += w * high + (abs(g) + 1) * _TINY
+                low, high = low * lo, high * hi
+            err += rem * high
+            boxes.append(((bottom + top) / 2, ((top - bottom) / 2 + _U * (abs(bottom) + abs(top))
+                                               + err) * _GROW + 2 * _TINY))
+        return boxes
+
+    def range_verdict(self, t0: mpf, t1: mpf, right: bool) -> Optional[bool]:
+        """walk_verdict's answer at every t from t0 to t1, all on the side
+        of 1 that right names, where binary64 balls prove it, else None:
+        True where every such t breaks the pattern, False where none does.
+        A point t is the range from t to t.
+
+        The range is float_verdicts' block of one, a ball that holds every
+        point's input ball (float(t) within 2u|float(t)| of t): float(t0)
+        itself when t1 is t0, else the hull of float(t0) and float(t1), whose
+        half-width covers their spread and the roundings of both ends and of
+        the center.  The ball rules, like interval arithmetic, give a larger
+        input a ball that holds the smaller input's, so the range's balls
+        hold every point's and, with |v| <= |V| + E - e for a ball (v, e)
+        inside (V, E), its pads dominate theirs.  A gap the ball cannot
+        decide takes the Taylor model's box over the range (model_box),
+        which exists within MODEL_RADIUS of 1."""
+        f0 = float(t0)
+        if t1 is t0:
+            x, half = f0, 2 * _U * abs(f0)
+        else:
+            f1 = float(t1)
+            x, half = (f0 + f1) / 2, (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
+        return self.float_verdicts([x], [half], right, lambda: self.model_box(t0, t1))[0]
+
+    def violates(self, t: mpf) -> bool:
+        """Whether t breaks the pattern.  t is decided as a range of one
+        (range_verdict): binary64 balls of the tape's roots at t, where
+        their error bounds keep G and Q clear of the thresholds, and for
+        |t - 1| <= MODEL_RADIUS the Taylor model of the gaps at t = 1 (see
+        model_box), which encloses them where the balls' errors,
+        O(u*|t-1|), swamp gaps that vanish to high order at 1.  Where
+        neither clears the thresholds by float_verdicts' pad, or the float
+        walk raises or overflows, walk_verdict decides, with the same
+        verdict.  The searches call it for bisection points and for the
+        points that first_broken leaves undecided."""
+        right = t >= 1
+        verdict = self.range_verdict(t, t, right)
+        return self.walk_verdict(t, right) if verdict is None else verdict
+
+    def first_broken(self, point: _Points, run: range, near: bool, right: bool) -> Optional[int]:
+        """The first i of run, in order, whose point(i) breaks the pattern,
+        or None: violates' verdict at each point(i) up to the first broken
+        one.
+
+        The points increase or decrease with i, all on the side of 1 that
+        right names.  A near run, within MODEL_RADIUS of 1, is first decided
+        as the range from its first point to its last (range_verdict);
+        where the range cannot tell, a run of more than BLOCK points is
+        split in halves, each decided the same way.  Any other run goes to
+        float_verdicts BLOCK points at a time, from the floats of
+        point.balls, each block walked only when no earlier point broke.  A
+        point left undecided is a range of one and then the walk
+        (violates).  Only the ends of near runs and the undecided points
+        are computed in mpf."""
+        if near and len(run) > 1:
+            verdict = self.range_verdict(point(run[0]), point(run[-1]), right)
+            if verdict is not None:
+                return run[0] if verdict else None
+            if len(run) > BLOCK:
+                half = len(run) // 2
+                first = self.first_broken(point, run[:half], near, right)
+                if first is None:
+                    first = self.first_broken(point, run[half:], near, right)
+                return first
+        for start in range(0, len(run), BLOCK):
+            block = run[start:start + BLOCK]
+            verdicts = ([None] * len(block) if near
+                        else self.float_verdicts(*point.balls(block), right))
+            for i, verdict in zip(block, verdicts):
+                if verdict or verdict is None and self.violates(point(i)):
+                    return i
+        return None
+
+    def bisect(self, t_good: mpf, t_bad: mpf) -> mpf:
+        """Bisect toward the first sign change of the violated gap between
+        a clean point and a violating point, at the caller's working
+        precision; returns the last clean t."""
+        lo, hi = t_good, t_bad
+        for _ in range(60):
+            mid = (lo + hi) / 2
+            if not self.violates(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def scan(self, av: mpf) -> Optional[tuple]:
+        """(last clean t, t) at the first violating sample of the outward
+        doubling scan, or None, at the caller's working precision: annuli
+        (frontier, r] from r = 1e-6, doubling up to av < 1, each sampled at
+        24 points on both sides of 1, right before left at each index.  Each
+        side of an annulus is a run of first_broken, near while
+        r <= MODEL_RADIUS: i is the right side's first violating index, and
+        j the left side's below i, or below 25 where the right has none.
+        The left bracket at j, if any, comes first in the scan's order, then
+        the right one at i; so the bracket is that of the point tests alone,
+        and the last clean t is the previous sample on the violating side,
+        point(0) = 1 +- frontier at the first."""
+        frontier, r, samples = mpf(0), min(mpf("1e-6"), av), 24
+        while frontier < av:
+            step = r - frontier  # once per annulus; the points' bits are unchanged
+            near = r <= MODEL_RADIUS
+            right, left = (_Points(frontier, step, samples, side) for side in (1, -1))
+            i = self.first_broken(right, range(1, samples + 1), near, True)
+            j = self.first_broken(left, range(1, samples + 1 if i is None else i), near, False)
+            if j is not None:
+                return left(j - 1), left(j)
+            if i is not None:
+                return right(i - 1), right(i)
+            frontier, r = r, min(2 * r, av)
+        return None
 
 
 def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PRECISION):
     """First point of the GRID_POINTS-point grid of [1-r, 1+r] violating
-    the pattern, or None; r must lie in (0, 1).  Four runs cover the
-    grid, each on one side of 1 (see _first_broken): the two within
-    MODEL_RADIUS of 1 are decided as ranges, split while undecided, and
-    the two beyond it BLOCK points at a time.  Only the points those do
-    not decide are computed, and _violates decides them in the grid's
-    order, so the first violating point is that of the point tests
-    alone."""
-    slack = condition_tolerance(p)
-    tape = _gap_tape(e, drr)
+    the pattern, or None; r, rounded to p's digits, must lie in (0, 1).
+    Four runs cover the grid, each on one side of 1 (see
+    _Search.first_broken): the two within MODEL_RADIUS of 1 are decided
+    as ranges, split while undecided, and the two beyond it BLOCK points
+    at a time.  Only the points those do not decide are computed, and
+    violates decides them in the grid's order, so the first violating
+    point is that of the point tests alone."""
+    search = _search(e, drr, p.digits)
     with mp.workdps(p.digits):
         rv = mpmath.mpmathify(r)
-        if not 0 < rv < 1:
+        if not 0 < +rv < 1:
             raise ValueError("radius r must lie in (0, 1)")
         # lo and width once per grid; the points' bits are unchanged
         point = _Points(1 - rv, 2 * rv, GRID_POINTS - 1)
@@ -726,51 +760,9 @@ def verify_pattern_on_grid(e: Expr, r: Num, drr: bool, p: Precision = DEFAULT_PR
         c = bisect_right(grid, MODEL_RADIUS, key=offset)
         for run, near, right in ((range(a), False, False), (range(a, b), True, False),
                                  (range(b, c), True, True), (range(c, GRID_POINTS), False, True)):
-            i = _first_broken(tape, point, run, near, right, p.digits, slack)
+            i = search.first_broken(point, run, near, right)
             if i is not None:
                 return point(i)
-    return None
-
-
-def _bisect_gap_sign(tape: Tape, t_good: mpf, t_bad: mpf, digits: int, slack):
-    """Bisect toward the first sign change of the violated gap between
-    a clean point and a violating point; returns the last clean t."""
-    with mp.workdps(digits + GUARD_DIGITS):
-        lo, hi = t_good, t_bad
-        for _ in range(60):
-            mid = (lo + hi) / 2
-            if not _violates(tape, mid, digits, slack):
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-
-def _scan(tape: Tape, av: mpf, digits: int, slack: mpf) -> Optional[tuple]:
-    """(last clean t, t) at the first violating sample of the outward
-    doubling scan, or None, at the caller's working precision: annuli
-    (frontier, r] from r = 1e-6, doubling up to av < 1, each sampled at
-    24 points on both sides of 1, right before left at each index.  Each
-    side of an annulus is a run of _first_broken, near while
-    r <= MODEL_RADIUS: i is the right side's first violating index, and
-    j the left side's below i, or below 25 where the right has none.
-    The left bracket at j, if any, comes first in the scan's order, then
-    the right one at i; so the bracket is that of the point tests alone,
-    and the last clean t is the previous sample on the violating side,
-    point(0) = 1 +- frontier at the first."""
-    frontier, r, samples = mpf(0), min(mpf("1e-6"), av), 24
-    while frontier < av:
-        step = r - frontier  # once per annulus; the points' bits are unchanged
-        near = r <= MODEL_RADIUS
-        right, left = (_Points(frontier, step, samples, side) for side in (1, -1))
-        i = _first_broken(tape, right, range(1, samples + 1), near, True, digits, slack)
-        j = _first_broken(tape, left, range(1, samples + 1 if i is None else i), near, False,
-                          digits, slack)
-        if j is not None:
-            return left(j - 1), left(j)
-        if i is not None:
-            return right(i - 1), right(i)
-        frontier, r = r, min(2 * r, av)
     return None
 
 
@@ -783,40 +775,42 @@ def find_radius(
     """Largest r in (0, a] such that the certified pattern holds on a
     grid of [1-r, 1+r].
 
-    Outward doubling scan from r = 1e-6 (see _scan) locates the first
-    violating sample of G (or Q for two-sided certificates); 60
+    Outward doubling scan from r = 1e-6 (see _Search.scan) locates the
+    first violating sample of G (or Q for two-sided certificates); 60
     bisection steps pin down the sign change; the resulting radius is
     then re-verified on the full grid at precision p, shrinking below
     any violation the coarse scan missed, at most RADIUS_CONFIRMATIONS
-    times before BudgetError.  The points lie on one tape of P, 2t*ln(t)
-    and, for two-sided certificates, H (see _gap_tape), and every
-    decision gives the verdict of the walk at digits+GUARD_DIGITS.  The
-    scan and the grid split their points into runs on one side of 1,
-    each searched for its first violating point by _first_broken.  A run
-    within MODEL_RADIUS of 1 is decided as one range (_range_verdict):
-    binary64 balls over the range, then the gaps' Taylor model at t = 1,
-    built once per tape and precision, split in halves while undecided
-    and longer than BLOCK.  A run beyond goes BLOCK points at a time to
-    one binary64 ball walk over floats that enclose the points.  Only a
-    point these do not decide is computed, and it goes to _violates: a
-    range of one, and then the walk.  Points are visited in order, so the
-    first violating sample, every radius and every report byte are
-    those of the point tests alone.  An a outside (0, 1) is a
-    ValueError, and an a at or below 10^(-digits//2), where no radius is
-    verified, a PrecisionError, both up front.
+    times before BudgetError.  One search object (_Search) per
+    expression, pattern and precision holds the tape of P, 2t*ln(t) and,
+    for two-sided certificates, H, the slack and the gaps' Taylor model
+    at t = 1, and every decision gives the verdict of its walk at
+    digits+GUARD_DIGITS.  The scan and the grid split their points into
+    runs on one side of 1, each searched for its first violating point
+    by first_broken.  A run within MODEL_RADIUS of 1 is decided as one
+    range (range_verdict): binary64 balls over the range, then the Taylor
+    model's box, split in halves while undecided and longer than BLOCK.
+    A run beyond goes BLOCK points at a time to one binary64 ball walk
+    over floats that enclose the points.  Only a point these do not
+    decide is computed, and it goes to violates: a range of one, and then
+    the walk.  Points are visited in order, so the first violating sample,
+    every radius and every report byte are those of the point tests
+    alone.  An a that does not lie in (0, 1) once rounded to p's digits
+    is a ValueError, and an a at or below 10^(-digits//2), where no radius
+    is verified, a PrecisionError, both up front.
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
     if a is None:
         a = mpf("0.999")
     drr = cert.direction_pair == "drr"
-    slack = condition_tolerance(p)
     digits = p.digits
-    tape = _gap_tape(e, drr)
+    search = _search(e, drr, digits)
 
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
-        if not 0 < av < 1:
+        with mp.workdps(digits):
+            inside = 0 < +av < 1
+        if not inside:
             raise ValueError("half-width a must lie in (0, 1)")
         floor = mpf(10) ** (-digits // 2)
         if av <= floor:
@@ -824,11 +818,11 @@ def find_radius(
                 f"a = {mpmath.nstr(av, 8)} is not above the radius floor 1e{-digits // 2} "
                 f"at {digits} digits; raise a or the working precision"
             )
-        bracket = _scan(tape, av, digits, slack)
+        bracket = search.scan(av)
         if bracket is None:
             candidate = av
         else:
-            t_star = _bisect_gap_sign(tape, *bracket, digits, slack)
+            t_star = search.bisect(*bracket)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         # Full-grid confirmation; shrink past any missed dip.
         for _ in range(RADIUS_CONFIRMATIONS):
@@ -841,7 +835,7 @@ def find_radius(
             if bad is None:
                 with mp.workdps(digits):
                     return +candidate
-            t_star = _bisect_gap_sign(tape, mpf(1), bad, digits, slack)
+            t_star = search.bisect(mpf(1), bad)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         raise BudgetError(f"radius confirmation exhausted its budget of {RADIUS_CONFIRMATIONS} "
                           "grids; raise the working precision and retry")

@@ -717,14 +717,15 @@ def _children(e: Expr, kind: str) -> tuple:
     return (e.arg,)
 
 
-def _flatten(roots, share_equal: bool) -> tuple:
+def _flatten(roots) -> tuple:
     """(tape, root slots) of the roots flattened together.  Slot 0 holds
     a walk's context; slots 1.. are the roots' distinct nodes, each after
     its children, in the order the tree walks first finish them.  An
     entry is (slot, _OPS row, the node for rules whose kind passes it or
     None, child slot, second child slot or None, varying); a leaf's child
-    is slot 0.  A node reached twice is one slot; with share_equal, so
-    are structurally equal nodes (every variable is the same variable)."""
+    is slot 0.  A node reached twice is one slot, and so are structurally
+    equal nodes (every variable is the same variable): they compute the
+    same value by the same operations."""
     tape, slots, varying, equal = [], {}, [False], {}
 
     def visit(n):
@@ -732,12 +733,10 @@ def _flatten(roots, share_equal: bool) -> tuple:
         if k is None:
             op = _OPS[n.__class__]
             kids = [visit(c) for c in _children(n, op.kind)] or [0]
-            if share_equal:
-                key = (n.__class__, getattr(n, "value", None), getattr(n, "exponent", None), *kids)
-                k = slots[id(n)] = equal.setdefault(key, len(varying))
-                if k < len(varying):
-                    return k
-            k = slots[id(n)] = len(varying)
+            key = (n.__class__, getattr(n, "value", None), getattr(n, "exponent", None), *kids)
+            k = slots[id(n)] = equal.setdefault(key, len(varying))
+            if k < len(varying):
+                return k
             varying.append(n.__class__ is Var or varying[kids[0]] or varying[kids[-1]])
             node = None if op.kind in ("prefix", "call") else n
             tape.append((k, op, node, *(kids + [None])[:2], varying[k]))
@@ -777,16 +776,15 @@ _KEPT_PRECISIONS = 4
 class Tape:
     """Expressions flattened into one tape, and walked together.
 
-    Built with share_equal, structurally equal subtrees of the roots
-    share one slot, so a value they have in common is computed once
-    per point.  The variable-free slots are kept from the first walk
+    Structurally equal subtrees of the roots share one slot, so a value
+    they have in common is computed once per point.  The variable-free slots are kept from the first walk
     that returned, per working precision for the last _KEPT_PRECISIONS
     of them and once for the binary64 walk; one that raises is computed,
     and raises, again on every call.
     """
 
-    def __init__(self, roots, share_equal: bool = False):
-        self.entries, self.roots = _flatten(roots, share_equal)
+    def __init__(self, roots):
+        self.entries, self.roots = _flatten(roots)
         # rule field -> {mp.prec, or None for _BALL: variable-free slots}
         self._kept = {_POINT: {}, _BALL: {}}
 

@@ -198,6 +198,24 @@ def test_condition_targets_carry_the_working_precision():
     assert target == -2 * math.factorial(23)
 
 
+@pytest.mark.parametrize("expr, case, n", [
+    ("H(t) - (1/60)*(t-1)^5", "IV", None),
+    ("H(t) - (1/30)*(t-1)^5", "IV", None),
+    ("H(t) - (1/10)*(t-1)^7", "III", 6),
+    ("H(t)", "III", 6),
+    ("2*(t-1) + (t-1)^2", "I", 1),
+])
+def test_a_finer_jet_is_checked_at_the_working_digits(expr, case, n):
+    # an 80-digit jet checked at 50 digits has its derivatives rounded to
+    # 50 digits first, and passes or fails as the 50-digit jet does
+    fine = CandidateJet.build(parse(expr), "0.9", order=8, p=Precision(80))
+    coarse = CandidateJet.build(parse(expr), "0.9", order=8, p=Precision(50))
+    assert (fine.jet_at_1.digits, coarse.jet_at_1.digits) == (80, 50)
+    got, want = (check_case(c, case, n, Precision(50)) for c in (fine, coarse))
+    assert [r.passed for r in got] == [r.passed for r in want]
+    assert [r.label for r in got] == [r.label for r in want]
+
+
 def test_condition_tolerance_scales_with_the_target():
     # the jet's error is relative: the j = 24 equality misses its target
     # of about 2.2e21 by about 3e-30, far above the absolute tolerance
@@ -301,7 +319,15 @@ def test_find_radius_requires_certificate():
         find_radius(parse("H(t) - (1/30)*(t-1)^5"), cert)
 
 
-@pytest.mark.parametrize("a", ["1.5", "1", "0", "-0.5"])
+# below 1 exactly, but 1 once rounded to 50 digits: a radius of it used
+# to print as 1.0, a claim on [0, 2]
+with mp.workdps(65):
+    _ROUNDS_TO_1 = 1 - mpf(2) ** -200
+_OUTSIDE = ["1.5", "1", "0", "-0.5", _ROUNDS_TO_1]
+_OUTSIDE_IDS = ["1.5", "1", "0", "-0.5", "1-2^-200"]
+
+
+@pytest.mark.parametrize("a", _OUTSIDE, ids=_OUTSIDE_IDS)
 def test_find_radius_rejects_a_outside_the_domain(a):
     # a = 1.5 used to reach ln(-0.125) and a = 1 to return 0.999999999
     e = parse("2*t*ln(t) + 0.05*(t-1)^3")
@@ -310,11 +336,20 @@ def test_find_radius_rejects_a_outside_the_domain(a):
         find_radius(e, cert, a=a)
 
 
-@pytest.mark.parametrize("r", ["1.5", "1", "0", "-0.5"])
+@pytest.mark.parametrize("r", _OUTSIDE, ids=_OUTSIDE_IDS)
 def test_grid_rejects_r_outside_the_domain(r):
     # r = 1.5 used to return t = -0.5, outside the domain, as a violation
     with pytest.raises(ValueError, match=r"^radius r must lie in \(0, 1\)$"):
         verify_pattern_on_grid(parse("2*t*ln(t) + 0.05*(t-1)^3"), r, False)
+
+
+def test_a_is_read_at_the_working_digits():
+    # 17 nines is 1 at 15 digits, where the candidate's a used to be read
+    cert = certify(parse("2*t*ln(t) + 0.05*(t-1)^3"), "0.99999999999999999")
+    assert cert.case == "I" and cert.radius < 1
+    assert exprjet.decimal_text(cert.radius, 50) == "0.99999999999999999"
+    with pytest.raises(ValueError, match=r"^half-width a must lie in \(0, 1\)$"):
+        certify(parse("2*t*ln(t) + 0.05*(t-1)^3"), _ROUNDS_TO_1)
 
 
 def test_find_radius_refined_family_matches_sign_change_oracle():
@@ -396,34 +431,35 @@ def decisions(monkeypatch):
     of the run's points as (t, its verdict, the walk's verdict), and a
     block each point it decides."""
     seen = Decisions()
-    range_verdict, float_verdicts = certifier._range_verdict, certifier._float_verdicts
-    first_broken = certifier._first_broken
-    runs = []  # [point, run, start of its next block] per _first_broken call in progress
+    search = certifier._Search
+    range_verdict, float_verdicts = search.range_verdict, search.float_verdicts
+    first_broken = search.first_broken
+    runs = []  # [point, run, start of its next block] per first_broken call in progress
 
-    def walk(tape, t, digits, slack):
-        return certifier._walk_verdict(tape, t, t >= 1, digits, slack)
+    def walk(s, t):
+        return search.walk_verdict(s, t, t >= 1)
 
-    def recording_run(tape, point, run, *args):
+    def recording_run(s, point, run, *args):
         runs.append([point, run, 0])
         try:
-            return first_broken(tape, point, run, *args)
+            return first_broken(s, point, run, *args)
         finally:
             runs.pop()
 
-    def recording_range(tape, t0, t1, right, digits, slack):
-        verdict = range_verdict(tape, t0, t1, right, digits, slack)
+    def recording_range(s, t0, t1, right):
+        verdict = range_verdict(s, t0, t1, right)
         if t1 is t0:
-            seen.append((t0, verdict, walk(tape, t0, digits, slack)))
+            seen.append((t0, verdict, walk(s, t0)))
             return verdict
         point, run, _ = runs[-1]
         assert (t0, t1) == (point(run[0]), point(run[-1]))
         seen.runs.append((t0, t1, verdict))
         if verdict is not None:
-            seen.extend((t, verdict, walk(tape, t, digits, slack)) for t in map(point, run))
+            seen.extend((t, verdict, walk(s, t)) for t in map(point, run))
         return verdict
 
-    def recording_blocks(tape, xs, errs, right, digits, slack, model=None):
-        verdicts = float_verdicts(tape, xs, errs, right, digits, slack, model)
+    def recording_blocks(s, xs, errs, right, model=None):
+        verdicts = float_verdicts(s, xs, errs, right, model)
         if model is None:  # a block of a run, not a range
             point, run, start = runs[-1]
             block = run[start:start + certifier.BLOCK]
@@ -432,13 +468,13 @@ def decisions(monkeypatch):
             for t, verdict in zip(map(point, block), verdicts):
                 if verdict is not None:
                     assert (t >= 1) == right
-                    seen.append((t, verdict, walk(tape, t, digits, slack)))
+                    seen.append((t, verdict, walk(s, t)))
                     seen.blocked += 1
         return verdicts
 
-    monkeypatch.setattr(certifier, "_first_broken", recording_run)
-    monkeypatch.setattr(certifier, "_range_verdict", recording_range)
-    monkeypatch.setattr(certifier, "_float_verdicts", recording_blocks)
+    monkeypatch.setattr(search, "first_broken", recording_run)
+    monkeypatch.setattr(search, "range_verdict", recording_range)
+    monkeypatch.setattr(search, "float_verdicts", recording_blocks)
     return seen
 
 
@@ -508,7 +544,7 @@ def test_gap_tape_computes_the_shared_H_once_per_point(monkeypatch):
     monkeypatch.setitem(exprjet._OPS, Atan, row._replace(
         point=lambda a: calls.append("point") or row.point(a),
         ball=lambda a: calls.append("ball") or row.ball(a)))
-    tape = certifier._gap_tape(parse("H(x) - 0.01*(x-1)^5"), drr=True)
+    tape = certifier._search(parse("H(x) - 0.01*(x-1)^5"), True, 50).tape
     with mp.workdps(65):
         p, two_t_ln_t, h = tape.point(mpf("1.25"))
         assert p == h - mpf("0.01") * mpf("0.25") ** 5
@@ -533,12 +569,12 @@ NEAR_CASES = [c for c in FILTER_CASES if c[0] in (
                  st.sampled_from([1e-7, -1e-7, certifier.MODEL_RADIUS])))
 def test_taylor_model_encloses_the_gaps(case, delta):
     expr, _ = case
-    tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
+    search = certifier._search(parse(expr), expr.startswith("H"), 50)
     with mp.workdps(120):
         t = 1 + mpf(delta)
-        p, two_t_ln_t, *h = tape.point(t)
+        p, two_t_ln_t, *h = search.tape.point(t)
         gaps = [p - two_t_ln_t] + [p - v for v in h]
-        balls = certifier._model_box(tape, t, t, 50)
+        balls = search.model_box(t, t)
         assert len(balls) == len(gaps)
         for (v, e), gap in zip(balls, gaps):
             assert abs(gap - v) <= e
@@ -555,19 +591,18 @@ _MAGNITUDES = st.one_of(st.floats(1e-30, certifier.MODEL_RADIUS),
        st.lists(st.fractions(0, 1, max_denominator=10**6), max_size=4))
 def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions):
     expr, _ = case
-    tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
-    slack = certifier.condition_tolerance()
-    cut = float(slack)
+    search = certifier._search(parse(expr), expr.startswith("H"), 50)
+    tape = search.tape
     with mp.workdps(65):
         # endpoints off the floats by up to 9e-17 of t - 1, as the searches' points are
         t0, t1 = (1 + side * mpf(m) * (1 + mpf(j) / 10**17) for m, j in zip((m0, m1), nudges))
         ts = [t0, t1] + [t0 + (t1 - t0) * mpf(f.numerator) / f.denominator for f in fractions]
-    boxes = certifier._model_box(tape, t0, t1, 50)
-    # the one ball that _range_verdict walks over the run
-    with mock.patch.object(certifier, "_float_verdicts", wraps=certifier._float_verdicts) as fv:
-        certifier._range_verdict(tape, t0, t1, side > 0, 50, slack)
-    _, (x,), (half,), *_ = fv.call_args.args
-    pads = certifier._pads(tape.ball(x, half), 50, cut)
+    boxes = search.model_box(t0, t1)
+    # the one ball that range_verdict walks over the run
+    with mock.patch.object(search, "float_verdicts", wraps=search.float_verdicts) as fv:
+        search.range_verdict(t0, t1, side > 0)
+    (x,), (half,), *_ = fv.call_args.args
+    pads = search.pads(tape.ball(x, half))
     assert len(boxes) == len(pads) == (2 if expr.startswith("H") else 1)
     for t in ts:
         with mp.workdps(120):
@@ -578,21 +613,22 @@ def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions)
         tf = float(t)
         # the run's input ball holds the point's, so its pads dominate
         assert abs(_exact(tf) - _exact(x)) + _exact(2 * exprjet._U * abs(tf)) <= _exact(half)
-        point_pads = certifier._pads(tape.ball(tf, 2 * exprjet._U * abs(tf)), 50, cut)
+        point_pads = search.pads(tape.ball(tf, 2 * exprjet._U * abs(tf)))
         assert all(run >= one for run, one in zip(pads, point_pads))
 
 
-def test_box_covers_the_rounding_of_each_end(monkeypatch):
+def test_box_covers_the_rounding_of_each_end():
     # a model of d^8 with exact coefficients, no remainder and no rounding
     # allowance: at ends t - 1 off the floats, x^8 can differ from the
     # float's 8th power by up to 8 roundings of x, and only the widening
     # of the ends covers that
     rows = tuple((float(k == 8), 0.0) for k in range(certifier.MODEL_ORDER + 1))
-    monkeypatch.setattr(certifier, "_gap_model", lambda tape, digits: ((rows, 0.0),))
+    search = certifier._search(parse("2*t*ln(t) + (t-1)^3"), False, 50)
+    search.model = ((rows, 0.0),)
     with mp.workdps(65):
         for j in range(1, 60):
             t = 1 + mpf(j) / 3 * mpf("1e-4")
-            (v, e), = certifier._model_box(None, t, t, 50)
+            (v, e), = search.model_box(t, t)
             assert abs((t - 1) ** 8 - v) <= e
 
 
@@ -621,22 +657,22 @@ def test_taylor_model_decisions_differ_when_a_series_ball_rule_lies(decisions, m
 @pytest.mark.parametrize("expr, a", [("H(t) - 0.0167*(t-1)^5", "0.7"),
                                      ("2*t*ln(t) + 0.01*(t-1)^3", "0.5")])
 def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
+    # the model's build is the one _MPBall walk at t = 1
     builds = []
-    build = certifier._build_gap_model
-    monkeypatch.setattr(certifier, "_build_gap_model",
-                        lambda tape, digits: builds.append(digits) or build(tape, digits))
+    ball = certifier._MPBall
+    monkeypatch.setattr(certifier, "_MPBall", lambda v: builds.append(mp.dps) or ball(v))
     e = parse(expr)
     kept = certify(e, a)
-    # built once for the search, and kept on the gap tape
-    assert builds == [50] and certifier._gap_model(certifier._gap_tape(e, kept.case != "I"), 50)
+    # built once for the search, at digits+GUARD_DIGITS, and kept on it
+    assert builds == [65] and certifier._search(e, kept.case != "I", 50).model
 
-    def failing(tape, digits):
+    def failing(v):
         raise ArithmeticError("a pole in the box")
 
-    monkeypatch.setattr(certifier, "_build_gap_model", failing)
+    monkeypatch.setattr(certifier, "_MPBall", failing)
     e = parse(expr)
     assert certify(e, a).radius == kept.radius
-    assert certifier._gap_model(certifier._gap_tape(e, kept.case != "I"), 50) is None
+    assert certifier._search(e, kept.case != "I", 50).model is None
 
 
 # the radius checks of the CI workflow's installed entry point: the
@@ -672,8 +708,9 @@ def _radius_and_walks(monkeypatch, expr, a):
     """The certified radius of expr on (1-a, 1+a), and the number of
     digits+GUARD_DIGITS walks its search made."""
     walks = []
-    walk = certifier._walk_verdict
-    monkeypatch.setattr(certifier, "_walk_verdict", lambda *args: walks.append(1) or walk(*args))
+    walk = certifier._Search.walk_verdict
+    monkeypatch.setattr(certifier._Search, "walk_verdict",
+                        lambda *args: walks.append(1) or walk(*args))
     return certify(parse(expr), a).radius, len(walks)
 
 
@@ -682,9 +719,9 @@ def test_radius_without_the_box_tier_is_the_same(monkeypatch, expr, a, expected)
     kept, with_boxes = _radius_and_walks(monkeypatch, expr, a)
     assert expected is None or exprjet.decimal_text(kept, 50) == expected
     # ranges of more than one point decide nothing
-    range_verdict = certifier._range_verdict
-    monkeypatch.setattr(certifier, "_range_verdict", lambda tape, t0, t1, *args:
-                        range_verdict(tape, t0, t1, *args) if t1 is t0 else None)
+    range_verdict = certifier._Search.range_verdict
+    monkeypatch.setattr(certifier._Search, "range_verdict", lambda s, t0, t1, right:
+                        range_verdict(s, t0, t1, right) if t1 is t0 else None)
     radius, walks = _radius_and_walks(monkeypatch, expr, a)
     assert radius == kept and with_boxes <= walks
 
@@ -699,8 +736,9 @@ def test_radius_without_the_box_tier_is_the_same(monkeypatch, expr, a, expected)
 ])
 def test_undecided_near_runs_are_split_in_halves(monkeypatch, expr, a, most):
     boxes = []
-    model_box = certifier._model_box
-    monkeypatch.setattr(certifier, "_model_box", lambda *args: boxes.append(1) or model_box(*args))
+    model_box = certifier._Search.model_box
+    monkeypatch.setattr(certifier._Search, "model_box",
+                        lambda *args: boxes.append(1) or model_box(*args))
     certify(parse(expr), a)
     assert len(boxes) <= most
 
@@ -722,29 +760,26 @@ ORDER_CASES = [
 
 @pytest.mark.parametrize("expr, a", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
 def test_scan_bracket_is_that_of_the_walk_alone(expr, a):
-    tape = certifier._gap_tape(parse(expr), expr.startswith("H"))
-    slack = certifier.condition_tolerance()
+    search = certifier._search(parse(expr), expr.startswith("H"), 50)
     with mp.workdps(50 + exprjet.GUARD_DIGITS):
         av, expected = mpf(a), None
         frontier, r = mpf(0), min(mpf("1e-6"), av)
         while expected is None and frontier < av:
             sides = [certifier._Points(frontier, r - frontier, 24, side) for side in (1, -1)]
             expected = next(((point(i - 1), point(i)) for i in range(1, 25) for point in sides
-                             if certifier._walk_verdict(tape, point(i), point.side > 0, 50, slack)),
-                            None)
+                             if search.walk_verdict(point(i), point.side > 0)), None)
             frontier, r = r, min(2 * r, av)
-        assert certifier._scan(tape, av, 50, slack) == expected
+        assert search.scan(av) == expected
 
 
 @pytest.mark.parametrize("expr, r", [(expr, r) for expr, _ in ORDER_CASES for r in ("0.01", "0.5")])
 def test_grid_violation_is_that_of_the_walk_alone(expr, r):
     e = parse(expr)
-    tape = certifier._gap_tape(e, expr.startswith("H"))
-    slack = certifier.condition_tolerance()
+    search = certifier._search(e, expr.startswith("H"), 50)
     with mp.workdps(50):
         point = certifier._Points(1 - mpf(r), 2 * mpf(r), certifier.GRID_POINTS - 1)
         expected = next((t for t in map(point, range(certifier.GRID_POINTS))
-                         if certifier._walk_verdict(tape, t, t >= 1, 50, slack)), None)
+                         if search.walk_verdict(t, t >= 1)), None)
     assert verify_pattern_on_grid(e, r, expr.startswith("H")) == expected
 
 
@@ -762,19 +797,37 @@ def test_ci_radius_decisions_match_the_walk(decisions, expr, a, expected):
     assert (decisions.blocked > 0) == (cert.radius > certifier.MODEL_RADIUS)
 
 
+# the CI workflow's radius checks away from 50 digits: the search's
+# slack, pads and Taylor model are set per precision
+DIGITS_RADII = [
+    ("H(t) - (1/60)*(t-1)^5", "0.9", 20, "0.52020551342398184518"),
+    ("H(t) - 0.0167*(t-1)^5", "0.999", 30, "0.518523764743340287683520120709"),
+]
+
+
+@pytest.mark.parametrize("expr, a, digits, expected", DIGITS_RADII,
+                         ids=[f"{c[0]} --digits {c[2]}" for c in DIGITS_RADII])
+def test_radius_decisions_at_other_digits_match_the_walk(decisions, expr, a, digits, expected):
+    cert = certify(parse(expr), a, p=Precision(digits))
+    assert exprjet.decimal_text(cert.radius, digits) == expected
+    assert _mismatches(decisions) == []
+    near = [fast for t, fast, _ in decisions if abs(t - 1) <= certifier.MODEL_RADIUS]
+    assert decisions.blocked > 0 and near and None not in near
+
+
 @pytest.mark.parametrize("expr, a, expected", RADIUS_CASES, ids=_ids(RADIUS_CASES))
 def test_radius_without_the_block_tier_is_the_same(monkeypatch, expr, a, expected):
     kept, with_blocks = _radius_and_walks(monkeypatch, expr, a)
     assert expected is None or exprjet.decimal_text(kept, 50) == expected
-    # blocks, the _float_verdicts calls without a model, decide nothing
-    float_verdicts = certifier._float_verdicts
+    # blocks, the float_verdicts calls without a model, decide nothing
+    float_verdicts = certifier._Search.float_verdicts
 
-    def ranges_only(tape, xs, errs, right, digits, slack, model=None):
+    def ranges_only(s, xs, errs, right, model=None):
         if model is None:
             return [None] * len(xs)
-        return float_verdicts(tape, xs, errs, right, digits, slack, model)
+        return float_verdicts(s, xs, errs, right, model)
 
-    monkeypatch.setattr(certifier, "_float_verdicts", ranges_only)
+    monkeypatch.setattr(certifier._Search, "float_verdicts", ranges_only)
     radius, walks = _radius_and_walks(monkeypatch, expr, a)
     # a point the block leaves undecided takes the path it took before
     assert radius == kept and with_blocks <= walks
@@ -829,7 +882,7 @@ def _bits(columns):
        st.sampled_from([0.0, 2 * exprjet._U, 1e-9]))
 def test_tape_balls_is_ball_point_by_point(expr, drr, xs, rel):
     # "1.5": a variable-free root, the same ball at every point
-    tape = certifier._gap_tape(parse(expr), drr)
+    tape = certifier._search(parse(expr), drr, 50).tape
     errs = [rel * x for x in xs]
     try:
         points = [tape.ball(x, e) for x, e in zip(xs, errs)]

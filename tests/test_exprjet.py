@@ -311,10 +311,33 @@ def test_jet_domain_errors():
         jet(parse("1/(t-1)"), 1, 2)
 
 
+def _tree_walk(e, r, ctx):
+    """e's result by the rule in field r of each _OPS row (see
+    exprjet._walk), every node computed on its own: no slot is shared,
+    not even that of a node reached twice."""
+    op = exprjet._OPS[type(e)]
+    kids = [_tree_walk(c, r, ctx) for c in exprjet._children(e, op.kind)]
+    if op.kind == "leaf":
+        return op[r](e, ctx)
+    return op[r](*kids) if op.kind in ("prefix", "call") else op[r](e, *kids)
+
+
+def _tree_outcome(e, x, digits):
+    """_outcome of the tree walk: eval_expr's precisions and rounding."""
+    try:
+        with mp.workdps(digits + exprjet.GUARD_DIGITS):
+            v = _tree_walk(e, exprjet._POINT, mpmath.mpmathify(x))
+        with mp.workdps(digits):
+            return (+v)._mpf_
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
     # H(t) shares one t^2 - 1 node three times; the reparsed text holds
-    # three distinct copies, which the expansion and the evaluation each
-    # compute separately
+    # three distinct copies, which the tape merges into one slot as equal
+    # subtrees: the expansion and the evaluation each compute t^2 once,
+    # with the bits of a tree walk that computes every copy on its own
     shared = parse("H(t) - 0.5*(t-1)^5")
     copies = parse(to_text(shared))
     assert copies == shared
@@ -325,10 +348,10 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
     evaluated = []
     monkeypatch.setitem(exprjet._OPS, PowInt, row._replace(
         point=lambda e, b: evaluated.append(e.exponent) or row.point(e, b)))
-    for e, powers in ((shared, 2), (copies, 4)):  # t^2 once and (t-1)^5 once
+    for e in (shared, copies):  # t^2 once and (t-1)^5 once
         evaluated.clear()
         eval_expr(e, "1.5")
-        assert len(evaluated) == powers
+        assert len(evaluated) == 2
     for digits in (30, 50, 120):
         p = Precision(digits)
         expanded.clear()
@@ -336,10 +359,15 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
         assert len(expanded) == 2
         expanded.clear()
         b = jet(copies, 1, 14, p)
-        assert len(expanded) == 4
+        assert len(expanded) == 2
         assert [c._mpf_ for c in a.coeffs] == [c._mpf_ for c in b.coeffs]
+        with mp.workdps(digits + exprjet.GUARD_DIGITS + 14):
+            tree = _tree_walk(copies, exprjet._SERIES, (mpf(1), 14))
+        with mp.workdps(digits):
+            assert [c._mpf_ for c in a.coeffs] == [(+c)._mpf_ for c in tree]
         for x in ("0.25", "1", "1.7", "-3"):
-            assert _outcome(shared, x, digits) == _outcome(copies, x, digits)
+            assert (_outcome(shared, x, digits) == _outcome(copies, x, digits)
+                    == _tree_outcome(copies, x, digits))
 
 
 # sha256 prefixes of the raw _mpf_ tuples of the mp series path,
@@ -462,7 +490,7 @@ def test_point_walk_evaluates_each_slot_once(monkeypatch):
     consts = lambda: sum(type(e) is Const for e in calls)
     eval_expr(h, "1.5")
     n = consts()
-    assert n == 8  # pi, 1, 2, 4, 2, 2, 1 of f, and the 1 of t^2 - 1
+    assert n == 4  # pi, 1, 2 and 4: equal constants of f and t^2 - 1 share a slot
     assert sum(e is u for e in calls) == 1
     eval_expr(h, "2.5")
     assert consts() == n and sum(e is u for e in calls) == 2
@@ -479,6 +507,25 @@ def test_point_walk_evaluates_each_slot_once(monkeypatch):
         messages.append(str(err.value))
         assert consts() == 1
     assert messages == ["ln of non-positive value -1.0"] * 3
+
+
+# A ball around 0 holds values that the point rules reject: a ball rule
+# must refuse it rather than vouch for a value there.
+@pytest.mark.parametrize("text, message", [
+    ("1/(t - 1)", "divisor ball reaches 0"),
+    ("(t - 1)^-2", "base ball of a negative power reaches 0"),
+    ("ln(t - 1)", "ln argument ball reaches 0"),
+    ("sqrt(t - 1)", "sqrt argument ball reaches 0"),
+])
+def test_ball_refuses_an_argument_ball_at_the_domain_edge(text, message):
+    with pytest.raises(ArithmeticError, match=f"^{message}$"):
+        exprjet.Tape((parse(text),)).ball(1.0, 2.0 ** -52)
+
+
+def test_series_ball_refuses_a_divisor_ball_near_0():
+    # t - 0.9 over [0.93, 1.07] lies in [0.03, 0.17]: within a factor 2 of 0
+    with pytest.raises(ArithmeticError, match="^divisor ball reaches 0$"):
+        exprjet.Tape((parse("1/(t - 0.9)"),)).series(exprjet._F64Ball(1.0, 0.07), 3)
 
 
 # ---------------------------------------------------------------------------
