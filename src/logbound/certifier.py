@@ -35,6 +35,8 @@ import dataclasses
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import repeat
+from operator import add, sub
 from typing import NamedTuple, Optional
 
 import mpmath
@@ -421,8 +423,9 @@ class _Points(NamedTuple):
         return 1 + d if self.side > 0 else 1 - d
 
     def balls(self, block: range) -> tuple:
-        """(centers, radii) of the block's points: the floats of the same
-        formula, each within its radius of the mpf point.
+        """(centers, radius) of the block's points: the floats of the same
+        formula, and one radius that holds each point within it of its
+        center.
 
         With S = |base| + |lo| + |q| (base 1 on a scan side, else 0, and
         q = width*i/den), the mpf point's four roundings at the working
@@ -431,16 +434,14 @@ class _Points(NamedTuple):
         float product, quotient and the two sums move the center at most
         3u|lo| + 5u|q| + u*base, so within 5u*S, from it.  The radius
         (8u + 5u_p)*S', with S' from the floats, covers both and the
-        floats' own roundings of S'."""
+        floats' own roundings of S'; the block's is that of its largest
+        |q|, at one of its ends (width >= 0)."""
         base, sign = (1.0 if self.side else 0.0), (-1.0 if self.side < 0 else 1.0)
         lo, width, den = float(self.lo), float(self.width), self.den
         rel = (8 * _U + 5 * 2.0 ** -mp.prec) * _GROW
-        xs, errs = [], []
-        for i in block:
-            q = width * i / den
-            xs.append(base + sign * (lo + q))
-            errs.append(rel * (base + abs(lo) + abs(q)) + _TINY)
-        return xs, errs
+        xs = [base + sign * (lo + width * i / den) for i in block]
+        q = max(abs(width * block[0] / den), abs(width * block[-1] / den))
+        return xs, rel * (base + abs(lo) + q) + _TINY
 
 
 def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optional[bool]:
@@ -472,7 +473,7 @@ class _Search:
     Q >= -slack), with slack = condition_tolerance at digits.  tape holds
     P, 2t*ln(t) and, for drr, H(t) on one tape (structurally equal
     subtrees shared, so the H inside P is computed once per point); cut
-    is the slack as a float and rho the pad scale of float_verdicts,
+    is the slack as a float and rho the pad scale of ball_verdict,
     10^-digits or more, a normal float.  Every decision gives the verdict
     of walk_verdict, the pattern test at digits+GUARD_DIGITS."""
 
@@ -518,20 +519,51 @@ class _Search:
         return tuple(models)
 
     def pads(self, roots: list) -> list:
-        """The pad of each gap (see float_verdicts) from the roots' balls:
+        """The pad of each gap (see ball_verdict) from the roots' balls:
         P's first, then 2t*ln(t)'s and, for drr, H's."""
         (vp, ep), *others = roots
         return [self.rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * self.cut
                 for vo, eo in others]
 
-    def float_verdicts(self, xs: list, errs: list, right: bool, model=None) -> list:
+    def float_verdicts(self, xs: list, err: float, right: bool) -> list:
         """walk_verdict's answer at each point of a block where binary64
-        balls prove it, else None: the one binary64 decider.
+        balls prove it, else None.
 
-        Point k is any t within errs[k] of xs[k], on the side of 1 that right
-        names; the roots' balls (Tape.balls) enclose their exact values
-        there.  A gap whose ball cannot decide it takes model()'s ball
-        instead where a model is given (a block of one range, see
+        Point k is any t within err of xs[k], on the side of 1 that right
+        names; the roots' columns (Tape.balls) hold their values at the xs
+        and one error bound for every point.  The test is ball_verdict's
+        without a model: at a point the gap's ball is (vp - vo, ep + eo),
+        padded as there, and compared with the slack.  Its pad and
+        roundings take the block's largest |P|, |2t*ln(t) or H|, |gap| and
+        |slack +- gap|, so that one bound per gap serves the whole block
+        and a point costs a subtraction and its comparisons.  A walk that
+        raises or overflows at any point decides no point of the block.
+        """
+        try:
+            cols = self.tape.balls(xs, err)
+        except (ArithmeticError, ValueError):
+            return [None] * len(xs)
+        (ps, ep), *others = cols
+        cut, verdicts = self.cut, [False] * len(xs)
+        pads = self.pads([(max(map(abs, vs)), e) for vs, e in cols])
+        # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
+        for (os, eo), floor, pad in zip(others, (right, not right), pads):
+            gaps = list(map(sub, ps, os))
+            # the signed distances into the pattern, then one bound for all
+            aboves = list(map(add if floor else sub, repeat(cut), gaps))
+            gap = _ball(max(max(gaps), -min(gaps)), ep + eo)[1]
+            bound = _ball(max(max(aboves), -min(aboves)), gap + pad)[1]
+            for k, (above, known) in enumerate(zip(aboves, verdicts)):
+                if known is False:
+                    verdicts[k] = True if above < -bound else (False if above > bound else None)
+        return verdicts
+
+    def ball_verdict(self, x: float, half: float, right: bool, model) -> Optional[bool]:
+        """walk_verdict's answer at every t within half of x, on the side
+        of 1 that right names, where binary64 balls prove it, else None.
+
+        The roots' balls (Tape.ball) enclose their exact values there.  A
+        gap whose ball cannot decide it takes model()'s ball instead (see
         range_verdict); both enclose the exact gap.  walk_verdict's G and
         Q differ from the exact ones by the rounding of P and H to digits,
         at most 10^-(digits+1) of each, and by its walk's own error.  That
@@ -540,30 +572,24 @@ class _Search:
         factor times the balls' errors, which a wider input ball only
         widens.  A pad of 10^-digits * (|P| + |2t*ln(t) or H| + their
         errors/u) covers both, and with the conversion of slack it is added
-        to the gap's error before the comparison.  A walk that raises at
-        any point decides no point of the block; a point whose balls
-        overflow to inf or NaN is not decided.
+        to the gap's error before the comparison.  A walk that raises
+        decides nothing; balls that overflow to inf or NaN decide nothing.
         """
         try:
-            cols = self.tape.balls(xs, errs)
+            roots = self.tape.ball(x, half)
         except (ArithmeticError, ValueError):
-            return [None] * len(xs)
-        verdicts = []
-        for roots in zip(*cols):
-            (vp, ep), *others = roots
-            near = None  # model()'s balls, computed on first need
-            verdict = False
-            # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-            for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), self.pads(roots))):
-                gap = _past(_ball(vp - vo, ep + eo), sign, right, self.cut, pad)
-                if gap is None and model is not None:
-                    near = model() if near is None else near
-                    gap = _past(near[i], sign, right, self.cut, pad) if near else None
-                if gap is not False:
-                    verdict = gap
-                    break
-            verdicts.append(verdict)
-        return verdicts
+            return None
+        (vp, ep), *others = roots
+        near = None  # model()'s balls, computed on first need
+        # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
+        for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), self.pads(roots))):
+            gap = _past(_ball(vp - vo, ep + eo), sign, right, self.cut, pad)
+            if gap is None:
+                near = model() if near is None else near
+                gap = _past(near[i], sign, right, self.cut, pad) if near else None
+            if gap is not False:
+                return gap
+        return False
 
     def walk_verdict(self, t: mpf, right: bool) -> bool:
         """The pattern test at digits+GUARD_DIGITS, with P and H rounded to
@@ -625,7 +651,7 @@ class _Search:
         True where every such t breaks the pattern, False where none does.
         A point t is the range from t to t.
 
-        The range is float_verdicts' block of one, a ball that holds every
+        The range is one ball (ball_verdict) that holds every
         point's input ball (float(t) within 2u|float(t)| of t): float(t0)
         itself when t1 is t0, else the hull of float(t0) and float(t1), whose
         half-width covers their spread and the roundings of both ends and of
@@ -641,7 +667,7 @@ class _Search:
         else:
             f1 = float(t1)
             x, half = (f0 + f1) / 2, (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
-        return self.float_verdicts([x], [half], right, lambda: self.model_box(t0, t1))[0]
+        return self.ball_verdict(x, half, right, lambda: self.model_box(t0, t1))
 
     def violates(self, t: mpf) -> bool:
         """Whether t breaks the pattern.  t is decided as a range of one
@@ -650,7 +676,7 @@ class _Search:
         |t - 1| <= MODEL_RADIUS the Taylor model of the gaps at t = 1 (see
         model_box), which encloses them where the balls' errors,
         O(u*|t-1|), swamp gaps that vanish to high order at 1.  Where
-        neither clears the thresholds by float_verdicts' pad, or the float
+        neither clears the thresholds by ball_verdict's pad, or the float
         walk raises or overflows, walk_verdict decides, with the same
         verdict.  The searches call it for bisection points and for the
         points that first_broken leaves undecided."""
@@ -789,8 +815,9 @@ def find_radius(
     by first_broken.  A run within MODEL_RADIUS of 1 is decided as one
     range (range_verdict): binary64 balls over the range, then the Taylor
     model's box, split in halves while undecided and longer than BLOCK.
-    A run beyond goes BLOCK points at a time to one binary64 ball walk
-    over floats that enclose the points.  Only a point these do not
+    A run beyond goes BLOCK points at a time to one binary64 walk over
+    the floats of the points, with one error bound per slot for the
+    block (float_verdicts).  Only a point these do not
     decide is computed, and it goes to violates: a range of one, and then
     the walk.  Points are visited in order, so the first violating sample,
     every radius and every report byte are those of the point tests

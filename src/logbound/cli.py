@@ -209,9 +209,14 @@ def _certify_text(cert: certifier.Certificate, d: dict) -> str:
 
 
 def _run_certify(args, compute_radius: bool):
+    # --a stays text, so that certify reads every digit at the working precision
+    try:
+        mpf(args.a)
+    except ValueError:
+        raise LogboundError(f"--a must be a number, got {args.a!r}") from None
     cert = certifier.certify(
         parse(args.expr),
-        str(args.a),
+        args.a,
         max_n=args.max_n,
         p=Precision(args.digits),
         paper_literal=args.paper_literal,
@@ -388,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ):
         q = sub.add_parser(name, parents=[common], help=hlp)
         q.add_argument("--expr", required=True, help="candidate expression in t")
-        q.add_argument("--a", type=float, default=0.9, help="half-width of the domain (0,1)")
+        q.add_argument("--a", default="0.9", help="half-width of the domain (0,1)")
         q.add_argument("--max-n", type=int, default=certifier.DEFAULT_MAX_N)
         q.add_argument("--paper-literal", action="store_true",
                        help="use the displayed fifth-order-family constants instead "

@@ -21,10 +21,10 @@ the exact coefficients.  A polynomial
 is its own jet at 0, so sandwich.expr_to_poly expands one by the series
 rules.  A tree is flattened once into a tape, one slot per distinct
 node; values, jets and binary64 balls are one loop over it (balls also
-over a block of points, each slot once for all), and its variable-free
-slots are evaluated once per working precision.  Several
-expressions can share one tape, structurally equal subtrees in one
-slot.  The aliases share their argument node, so a tree is a DAG:
+over a block of points, each slot once for all with one error bound),
+and its variable-free slots are evaluated once per working precision.
+Several expressions can share one tape, structurally equal subtrees in
+one slot.  The aliases share their argument node, so a tree is a DAG:
 expansion, evaluation and the depth check each do a shared node's work
 once.
 """
@@ -36,6 +36,7 @@ import sys
 from dataclasses import dataclass
 from functools import partialmethod
 from itertools import islice
+from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath
@@ -429,16 +430,74 @@ _CALLS = {
 }
 
 
-def _call_ball(name: str) -> Callable:
-    """The ball rule of a call row."""
+def _call_rules(name: str) -> tuple:
+    """The ball rule and the block rule of a call row."""
     fn, _, err, ulps = _CALLS[name]
     rel = ulps * _U
 
-    def rule(a: tuple) -> tuple:
+    def ball(a: tuple) -> tuple:
         e = err(*a)  # before fn, which may reject the argument differently
         return _ball(fn(a[0]), e, rel)
 
-    return rule
+    def block(a: tuple) -> tuple:
+        xs, ex, _, small = a
+        return _column(list(map(fn, xs)), err(small, ex), rel)
+
+    return ball, block
+
+
+# Block rules: a block's column is (values, err, big, small), the values
+# those of the ball rule at each point of the block, bit for bit, err one
+# error bound for every point, big the largest |value| and small the
+# smallest |value| with the values' sign, 0 where their signs mix (see _Op).
+
+
+def _extent(vs: list) -> tuple:
+    """(big, small) of the values vs; OverflowError where one is inf or NaN."""
+    # a NaN anywhere makes the sum NaN, while min and max may skip it
+    if not abs(sum(vs)) < math.inf:
+        raise OverflowError("a value of the block overflows")
+    lo, hi = min(vs), max(vs)
+    return max(hi, -lo), lo if lo > 0 else hi if hi < 0 else 0.0
+
+
+def _column(vs: list, err: float, rel: float = _U) -> tuple:
+    """The column of the values vs: err, the inputs' propagated error, plus
+    the values' own rounding rel*big."""
+    big, small = _extent(vs)
+    return vs, _ball(big, err, rel)[1], big, small
+
+
+def _spread(ball: tuple, n: int) -> tuple:
+    """A variable-free ball (v, err) as the column of a block of n points."""
+    v, err = ball
+    vs = [v] * n
+    return (vs, err, *_extent(vs))
+
+
+def _mul_block(e: Mul, a: tuple, b: tuple) -> tuple:
+    (xs, ex, hx, _), (ys, ey, hy, _) = a, b
+    return _column(list(map(mul, xs, ys)), hx * ey + hy * ex + ex * ey)
+
+
+def _div_block(e: Div, a: tuple, b: tuple) -> tuple:
+    (xs, ex, _, _), (ys, ey, _, sy) = a, b
+    low = abs(sy)
+    if not low > 2 * ey:
+        raise ArithmeticError("divisor ball reaches 0")
+    qs = list(map(truediv, xs, ys))
+    big, small = _extent(qs)
+    return qs, _ball(big, (ex + big * ey + _TINY) / (low - ey))[1], big, small
+
+
+def _pow_block(e: PowInt, a: tuple) -> tuple:
+    (xs, ex, big, small), k = a, e.exponent
+    if k == 0:
+        return _spread((1.0, 0.0), len(xs))
+    if k < 0 and not abs(small) > 2 * ex:
+        raise ArithmeticError("base ball of a negative power reaches 0")
+    m = big + ex if k > 0 else abs(small) - ex
+    return _column([x ** k for x in xs], abs(k) * (m ** (k - 1) + _TINY) * ex, _LIBM)
 
 
 # ---------------------------------------------------------------------------
@@ -659,6 +718,18 @@ class _Op(NamedTuple):
     the pole or the domain edge, so that a ball never vouches for a
     value the point rules would reject.
 
+    A block rule is the ball rule over a block of points (see
+    Tape.balls).  It takes and gives columns: the values at each point,
+    bit for bit those of the ball rule, and one error bound for them all.
+    The bound is the ball rule's with each term that grows with |x| taken
+    at the column's largest |x|: the rounding rel*|v|, the factors |x| and
+    |y| of a product and m of a positive power.  Each term that grows as
+    |x| shrinks is taken at its smallest |x|, with the values' sign, or 0
+    where their signs mix: a divisor's |y|, m of a negative power and the
+    argument of the _CALLS error rules.  So the bound holds at every
+    point, and the refusals, made at the smallest |x| with the block's
+    error, raise wherever a point would, and where the signs mix.
+
     A series rule is generic over the arithmetic of its coefficients
     (see the _s_* rules).  Walked from a ball center, a _F64Ball or an
     _MPBall, the series rules are ball rules too, by the same error
@@ -678,32 +749,40 @@ class _Op(NamedTuple):
     point: Callable
     series: Callable
     ball: Callable
+    block: Callable
     degree: Optional[Callable] = None
 
 
 _OPS: dict = {
     Const: _Op("leaf", "value", _PREC_ATOM, _const_value,
-               lambda e, c: _s_scal(_arith(c[0]).const(e), c[1]), _const_ball, lambda e: 0),
+               lambda e, c: _s_scal(_arith(c[0]).const(e), c[1]), _const_ball,
+               lambda e, c: _spread(_const_ball(e), len(c[0])), lambda e: 0),
     Var: _Op("leaf", "name", _PREC_ATOM, lambda e, x: x,
-             lambda e, c: _s_var(c[0], c[1]), lambda e, c: c, lambda e: 1),
+             lambda e, c: _s_var(c[0], c[1]), lambda e, c: c, lambda e, c: c, lambda e: 1),
     Neg: _Op("prefix", "-", _PREC_NEG, lambda a: -a, lambda a: [-v for v in a],
-             lambda a: (-a[0], a[1]), lambda a: a),
+             lambda a: (-a[0], a[1]), lambda a: (list(map(neg, a[0])), a[1], a[2], -a[3]),
+             lambda a: a),
     Add: _Op("infix", " + ", _PREC_ADD, lambda e, a, b: a + b,
              lambda e, a, b: [x + y for x, y in zip(a, b)],
-             lambda e, a, b: _ball(a[0] + b[0], a[1] + b[1]), lambda e, a, b: max(a, b)),
+             lambda e, a, b: _ball(a[0] + b[0], a[1] + b[1]),
+             lambda e, a, b: _column(list(map(add, a[0], b[0])), a[1] + b[1]),
+             lambda e, a, b: max(a, b)),
     Sub: _Op("infix", " - ", _PREC_ADD, lambda e, a, b: a - b,
              lambda e, a, b: [x - y for x, y in zip(a, b)],
-             lambda e, a, b: _ball(a[0] - b[0], a[1] + b[1]), lambda e, a, b: max(a, b)),
+             lambda e, a, b: _ball(a[0] - b[0], a[1] + b[1]),
+             lambda e, a, b: _column(list(map(sub, a[0], b[0])), a[1] + b[1]),
+             lambda e, a, b: max(a, b)),
     Mul: _Op("infix", "*", _PREC_MUL, lambda e, a, b: a * b,
-             lambda e, a, b: _s_mul(a, b), _mul_ball, lambda e, a, b: a + b),
+             lambda e, a, b: _s_mul(a, b), _mul_ball, _mul_block, lambda e, a, b: a + b),
     Div: _Op("infix", "/", _PREC_MUL, _div,
-             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right)), _div_ball, _div_degree),
+             lambda e, a, b: _s_div(a, b, lambda: _quote(e.right)), _div_ball, _div_block,
+             _div_degree),
     PowInt: _Op("postfix", "^", _PREC_POW, _pow,
-                lambda e, a: _s_powint(a, e.exponent), _pow_ball, _pow_degree),
-    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln, _call_ball("ln")),
-    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt, _call_ball("sqrt")),
-    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan, _call_ball("atan")),
-    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin, _call_ball("sin")),
+                lambda e, a: _s_powint(a, e.exponent), _pow_ball, _pow_block, _pow_degree),
+    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln, *_call_rules("ln")),
+    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt, *_call_rules("sqrt")),
+    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan, *_call_rules("atan")),
+    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin, *_call_rules("sin")),
 }
 
 
@@ -746,12 +825,14 @@ def _flatten(roots) -> tuple:
 
 
 # the fields of the rules in an _Op row
-_POINT, _SERIES, _BALL = (_Op._fields.index(f) for f in ("point", "series", "ball"))
+_POINT, _SERIES, _BALL, _BLOCK = (_Op._fields.index(f)
+                                  for f in ("point", "series", "ball", "block"))
 
 
 def _walk(tape: list, r: int, ctx, out: Optional[list] = None) -> list:
     """Every slot's result, in tape order, by the rule in field r of each
-    row (_POINT: ctx is x; _SERIES: (center, n); _BALL: (x, err)).  A
+    row (_POINT: ctx is x; _SERIES: (center, n); _BALL: (x, err);
+    _BLOCK: the column of a block's points, see Tape.balls).  A
     slot already set in out is kept; values and errors are the tree
     walk's.  No rule changes its arguments in place, so parents share a
     slot."""
@@ -787,6 +868,8 @@ class Tape:
         self.entries, self.roots = _flatten(roots)
         # rule field -> {mp.prec, or None for _BALL: variable-free slots}
         self._kept = {_POINT: {}, _BALL: {}}
+        # block size -> the kept _BALL slots spread over a block (see balls)
+        self._spreads = {}
 
     def _kept_walk(self, r: int, key, ctx) -> list:
         kept = self._kept[r]
@@ -811,34 +894,27 @@ class Tape:
         out = self._kept_walk(_BALL, None, (x, err))
         return [out[k] for k in self.roots]
 
-    def balls(self, xs: list, errs: list) -> list:
-        """ball at each (x, err) of a block, bit for bit: per root, its
-        pairs in the block's order.  Each varying slot is walked once
-        over the whole block by its row's ball rule; the variable-free
-        slots are the kept ones.  Raises where ball raises at any point."""
-        if len(xs) == 1:  # the same walk, without a list per slot
-            return [[v] for v in self.ball(xs[0], errs[0])]
-        consts = self._kept[_BALL].get(None)
-        if consts is None:
-            self.ball(xs[0], errs[0])  # keeps the variable-free slots
-            consts = self._kept[_BALL][None]
-        out = list(consts)
-        out[0] = list(zip(xs, errs))
-        for k, op, node, i, j, varying in self.entries:
-            if not varying:
-                continue
-            rule, a = op[_BALL], out[i]
-            if node is None:
-                out[k] = [rule(x) for x in a]
-            elif j is None:
-                out[k] = [rule(node, x) for x in a]
-            elif consts[i] is not None:  # only the right child varies
-                out[k] = [rule(node, a, y) for y in out[j]]
-            elif consts[j] is not None:
-                out[k] = [rule(node, x, out[j]) for x in a]
-            else:
-                out[k] = [rule(node, x, y) for x, y in zip(a, out[j])]
-        return [out[k] if consts[k] is None else [out[k]] * len(xs) for k in self.roots]
+    def balls(self, xs: list, err: float) -> list:
+        """The roots' (values, error bound) pairs over a block of points,
+        each within err of its x: the values are those of ball at each x,
+        bit for bit, and the one bound is at least the error of ball at
+        every point.  Each varying slot is walked once over the block by
+        its row's block rule (see _Op); the variable-free slots are the
+        kept ones, spread over the block.  Raises where ball raises at any
+        point, and may raise where none does: where the smallest |value|
+        of a divisor, a negative power's base or a function argument is
+        too close to 0 for the block's error or its signs mix, and where
+        any value is inf or NaN."""
+        n = len(xs)
+        spread = self._spreads.get(n)
+        if spread is None:
+            consts = self._kept[_BALL].get(None)
+            if consts is None:
+                self.ball(xs[0], err)  # keeps the variable-free slots
+                consts = self._kept[_BALL][None]
+            spread = self._spreads[n] = [None if c is None else _spread(c, n) for c in consts]
+        out = _walk(self.entries, _BLOCK, (xs, err, *_extent(xs)), list(spread))
+        return [out[k][:2] for k in self.roots]
 
     def series(self, center, n: int) -> list:
         """The roots' Taylor coefficients 0..n at center, in center's

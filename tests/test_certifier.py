@@ -458,18 +458,17 @@ def decisions(monkeypatch):
             seen.extend((t, verdict, walk(s, t)) for t in map(point, run))
         return verdict
 
-    def recording_blocks(s, xs, errs, right, model=None):
-        verdicts = float_verdicts(s, xs, errs, right, model)
-        if model is None:  # a block of a run, not a range
-            point, run, start = runs[-1]
-            block = run[start:start + certifier.BLOCK]
-            runs[-1][2] += certifier.BLOCK
-            assert xs == point.balls(block)[0]
-            for t, verdict in zip(map(point, block), verdicts):
-                if verdict is not None:
-                    assert (t >= 1) == right
-                    seen.append((t, verdict, walk(s, t)))
-                    seen.blocked += 1
+    def recording_blocks(s, xs, err, right):
+        verdicts = float_verdicts(s, xs, err, right)
+        point, run, start = runs[-1]
+        block = run[start:start + certifier.BLOCK]
+        runs[-1][2] += certifier.BLOCK
+        assert (xs, err) == point.balls(block)
+        for t, verdict in zip(map(point, block), verdicts):
+            if verdict is not None:
+                assert (t >= 1) == right
+                seen.append((t, verdict, walk(s, t)))
+                seen.blocked += 1
         return verdicts
 
     monkeypatch.setattr(search, "first_broken", recording_run)
@@ -599,9 +598,9 @@ def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions)
         ts = [t0, t1] + [t0 + (t1 - t0) * mpf(f.numerator) / f.denominator for f in fractions]
     boxes = search.model_box(t0, t1)
     # the one ball that range_verdict walks over the run
-    with mock.patch.object(search, "float_verdicts", wraps=search.float_verdicts) as fv:
+    with mock.patch.object(search, "ball_verdict", wraps=search.ball_verdict) as bv:
         search.range_verdict(t0, t1, side > 0)
-    (x,), (half,), *_ = fv.call_args.args
+    x, half, *_ = bv.call_args.args
     pads = search.pads(tape.ball(x, half))
     assert len(boxes) == len(pads) == (2 if expr.startswith("H") else 1)
     for t in ts:
@@ -680,8 +679,9 @@ def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
 # and the last one's gap vanishes beyond MODEL_ORDER, so no range near 1
 # decides; the first case-IV one breaks first within MODEL_RADIUS of 1,
 # where its ranges must split and fall back to the points, the third's
-# bracket comes from a scan annulus beyond MODEL_RADIUS, and the last
-# one has the largest eps of the certify benchmark
+# bracket comes from a scan annulus beyond MODEL_RADIUS, the fourth has
+# the largest eps of the certify benchmark, and the last one's far
+# blocks pass through a divisor
 CI_RADII = [
     ("2*t*ln(t) + 0.05*(t-1)^3", "0.9", "0.9"),
     ("H(t) - 0.0332*(t-1)^5", "0.9", "0.0026737999730672118497434751749342041193813201971352"),
@@ -690,6 +690,7 @@ CI_RADII = [
     ("H(t) - 0.0167*(t-1)^5", "0.999", "0.51852376474334027424005157357100870285648852586746"),
     ("2*t*ln(t) + (t-1)^13", "0.9", "0.9"),
     ("H(t) - 0.032*(t-1)^5", "0.5", "0.02740067053226373685732434430306625472439918667078"),
+    ("H(t) - 0.0167*(t-1)^5*2/(t+1)", "0.9", "0.82808250840683723802185175778278053426717519869271"),
 ]
 
 
@@ -724,6 +725,47 @@ def test_radius_without_the_box_tier_is_the_same(monkeypatch, expr, a, expected)
                         range_verdict(s, t0, t1, right) if t1 is t0 else None)
     radius, walks = _radius_and_walks(monkeypatch, expr, a)
     assert radius == kept and with_boxes <= walks
+
+
+# The radius text, walk_verdict calls and most model_box calls of each
+# search of RADIUS_CASES, in order.  A block's one error bound per slot is
+# looser than a point's; a point it leaves open goes to violates, whose
+# range of one must decide it, so that no walk or box is added.
+SEARCH_CALLS = [
+    ("0.9", 0, 86),
+    ("0.51852376474334027424005157357100870285648852586746", 35, 97),
+    ("0.02740067053226373685732434430306625472439918667078", 58, 409),
+    (None, 0, 0),
+    (None, 0, 0),
+    ("0.5", 0, 30),
+    ("0.9", 0, 30),
+    ("0.7", 0, 30),
+    ("0.5", 1960, 0),
+    ("0.9", 0, 30),
+    ("0.21814784076337357013710885293278352037305012345314", 288, 410),
+    ("0.9", 0, 30),
+    ("0.0026737999730672118497434751749342041193813201971352", 50, 847),
+    ("0.52020538082027734071659720822822237096261233091354", 34, 96),
+    ("0.999", 0, 30),
+    ("0.51852376474334027424005157357100870285648852586746", 35, 97),
+    ("0.9", 594, 930),
+    ("0.02740067053226373685732434430306625472439918667078", 58, 409),
+    ("0.82808250840683723802185175778278053426717519869271", 32, 92),
+]
+
+
+@pytest.mark.parametrize("expr, a, calls",
+                         [(c[0], c[1], n) for c, n in zip(RADIUS_CASES, SEARCH_CALLS)],
+                         ids=_ids(RADIUS_CASES))
+def test_searches_keep_their_radius_walks_and_boxes(monkeypatch, expr, a, calls):
+    text, walks, most = calls
+    boxes = []
+    model_box = certifier._Search.model_box
+    monkeypatch.setattr(certifier._Search, "model_box",
+                        lambda *args: boxes.append(1) or model_box(*args))
+    radius, walked = _radius_and_walks(monkeypatch, expr, a)
+    assert (None if radius is None else exprjet.decimal_text(radius, 50)) == text
+    assert walked == walks and len(boxes) <= most
 
 
 @pytest.mark.parametrize("expr, a, most", [
@@ -819,15 +861,9 @@ def test_radius_decisions_at_other_digits_match_the_walk(decisions, expr, a, dig
 def test_radius_without_the_block_tier_is_the_same(monkeypatch, expr, a, expected):
     kept, with_blocks = _radius_and_walks(monkeypatch, expr, a)
     assert expected is None or exprjet.decimal_text(kept, 50) == expected
-    # blocks, the float_verdicts calls without a model, decide nothing
-    float_verdicts = certifier._Search.float_verdicts
-
-    def ranges_only(s, xs, errs, right, model=None):
-        if model is None:
-            return [None] * len(xs)
-        return float_verdicts(s, xs, errs, right, model)
-
-    monkeypatch.setattr(certifier._Search, "float_verdicts", ranges_only)
+    # blocks decide nothing
+    monkeypatch.setattr(certifier._Search, "float_verdicts",
+                        lambda s, xs, err, right: [None] * len(xs))
     radius, walks = _radius_and_walks(monkeypatch, expr, a)
     # a point the block leaves undecided takes the path it took before
     assert radius == kept and with_blocks <= walks
@@ -845,8 +881,8 @@ def _assert_encloses(point, indices):
     # at the working precision of the search that computes point(i)
     for start in range(0, len(indices), certifier.BLOCK):
         block = indices[start:start + certifier.BLOCK]
-        xs, errs = point.balls(block)
-        for i, x, err in zip(block, xs, errs):
+        xs, err = point.balls(block)
+        for i, x in zip(block, xs):
             assert abs(_exact(point(i)) - _exact(x)) <= _exact(err), (point, i)
 
 
@@ -872,22 +908,72 @@ def test_block_balls_hold_the_grid_and_scan_points(r, nudge, digits):
             frontier, outer = outer, min(2 * outer, av)
 
 
-def _bits(columns):
-    return [[(x.hex(), e.hex()) for x, e in col] for col in columns]
+# Div, a negative power, ln, sqrt, atan and sin on one tape, scaled by c
+# so that its gaps come within the balls' errors of the thresholds
+MIXED = "2*t*ln(t) + {}*(sqrt(t)*atan(t - 1)/(t - 0.25) - (t - 0.75)^-2*sin(3*t))"
+# FILTER_CASES' tapes, a variable-free root ("1.5", the same ball at every
+# point), the mixed tape, and one whose product overflows to inf past
+# t = 1.88 while its factors stay finite
+BLOCK_TAPES = [c[0] for c in FILTER_CASES] + [
+    "1.5", MIXED.format(1), "2*t*ln(t) + 10^300*t^30 - 10^300*t^30"]
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.sampled_from([c[0] for c in FILTER_CASES] + ["1.5"]), st.booleans(),
-       st.lists(st.floats(0.0005, 2.5), min_size=2, max_size=70),
+@settings(max_examples=120, deadline=None)
+@given(st.sampled_from(BLOCK_TAPES), st.booleans(),
+       st.lists(st.floats(0.0005, 2.5), min_size=1, max_size=70),
        st.sampled_from([0.0, 2 * exprjet._U, 1e-9]))
-def test_tape_balls_is_ball_point_by_point(expr, drr, xs, rel):
-    # "1.5": a variable-free root, the same ball at every point
-    tape = certifier._search(parse(expr), drr, 50).tape
-    errs = [rel * x for x in xs]
+def test_tape_balls_bound_ball_at_every_point(expr, drr, xs, rel):
+    search = certifier._search(parse(expr), drr, 50)
+    tape, err = search.tape, rel * max(xs)
     try:
-        points = [tape.ball(x, e) for x, e in zip(xs, errs)]
+        points = [tape.ball(x, err) for x in xs]
     except (ArithmeticError, ValueError):
+        # where any point raises, the block raises
         with pytest.raises((ArithmeticError, ValueError)):
-            tape.balls(xs, errs)
+            tape.balls(xs, err)
         return
-    assert _bits(tape.balls(xs, errs)) == _bits(zip(*points))
+    if not all(math.isfinite(v) for roots in points for v, _ in roots):
+        # a block holding an overflowing point is undecided
+        assert search.float_verdicts(xs, err, True) == [None] * len(xs)
+        return
+    try:
+        cols = tape.balls(xs, err)
+    except (ArithmeticError, ValueError):
+        # a block may also raise where no point does: where a divisor's or
+        # an argument's smallest |value| comes within the block's error of
+        # 0, which only the mixed tape risks here
+        assert expr == MIXED.format(1)
+        return
+    assert len(cols) == len(tape.roots)
+    for (vs, e), balls in zip(cols, zip(*points)):
+        # the values of ball at each point, bit for bit, and one error
+        # bound at least each point's
+        assert [v.hex() for v in vs] == [v.hex() for v, _ in balls]
+        assert all(e >= point_err for _, point_err in balls)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_a_block_with_a_non_finite_point_is_undecided(bad):
+    # min and max skip a NaN that is not first; the walk must not
+    search = certifier._search(parse("2*t*ln(t) + 0.05*(t-1)^3"), False, 50)
+    xs = [1.25, 1.5, bad, 1.75]
+    with pytest.raises(OverflowError):
+        search.tape.balls(xs, 0.0)
+    assert search.float_verdicts(xs, 0.0, True) == [None] * len(xs)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(["1", "1e-13", "1e-15", "-1e-15", "1e-16", "-1e-16", "1e-17", "-1e-17"]),
+       st.booleans(),
+       st.sampled_from([1, -1]), st.floats(1 / 64, 0.99), st.floats(1e-6, 1 / 64))
+def test_block_verdicts_never_contradict_the_walk(c, drr, side, start, width):
+    # a far block of 64 points on one side of 1, as the searches make them;
+    # c of either sign, since the mixed part keeps one sign on each side
+    search = certifier._search(parse(MIXED.format(c)), drr, 50)
+    point = certifier._Points(mpf(start), mpf(width), 63, side)
+    with mp.workdps(50):
+        xs, err = point.balls(range(64))
+        verdicts = search.float_verdicts(xs, err, side > 0)
+        for i, verdict in enumerate(verdicts):
+            if verdict is not None:
+                assert verdict == search.walk_verdict(point(i), side > 0), point(i)

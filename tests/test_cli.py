@@ -333,6 +333,18 @@ def test_usage_errors_exit_2_with_one_line(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", line + "\n")
 
 
+@pytest.mark.parametrize("a", ["0.12345678901234567890123", "0.99999999999999999"])
+def test_a_is_read_with_every_digit(capsys, a):
+    # a float would round the first to 0.12345678901234568 and the second to 1
+    code, out, err = run(capsys, "radius", "--expr", "2*t*ln(t) + 0.05*(t-1)^3", "--a", a)
+    assert (code, out, err) == (0, f"case I: verified radius {a}\n", "")
+
+
+def test_a_that_is_not_a_number_exits_2_with_one_line(capsys):
+    code, out, err = run(capsys, "certify", "--expr", "2*t*ln(t) + 0.05*(t-1)^3", "--a", "0.9x")
+    assert (code, out, err) == (2, "", "error: --a must be a number, got '0.9x'\n")
+
+
 def test_lower_region_below_resolution_exit_2(capsys):
     # at 50 digits the first lower-region point -1 + 1e-60 rounds to -1
     lower = ("--region", "lower", "--delta", "1e-60")
