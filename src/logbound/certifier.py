@@ -44,7 +44,7 @@ from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_sub, round_nearest, to_float
 
 from .bounds import H_deriv, atan_deriv
-from .errors import BudgetError, LogboundError, PrecisionError
+from .errors import BudgetError, DomainError, LogboundError, PrecisionError
 from .exprjet import (
     _F64Ball,
     _GROW,
@@ -58,6 +58,7 @@ from .exprjet import (
     Jet,
     Num,
     Precision,
+    Sub,
     Tape,
     decimal_text,
     eval_expr,  # not called here; perfbench/test_perfbench.py checks this binding
@@ -143,9 +144,6 @@ class Certificate:
     mode: str  # "derived" | "paper-literal"
     nearest_miss: Optional[str] = None
 
-    def with_radius(self, r: mpf) -> "Certificate":
-        return dataclasses.replace(self, radius=r)
-
     def to_json_dict(self) -> dict:
         dec = lambda v: decimal_text(v, self.digits)
         return {
@@ -183,11 +181,12 @@ def condition_tolerance(p: Precision = DEFAULT_PRECISION) -> mpf:
 
 
 # Condition constants depend on (j, digits, mode) only, and every
-# certify call asks for the same few dozen; the memo keeps the most
-# recently used ones.
+# certify call asks for the same few dozen; each constant's memo keeps
+# the most recently used ones.
 _CONSTANTS_KEPT = 512
 
 
+@lru_cache(maxsize=_CONSTANTS_KEPT)
 def equality_constant(j: int, p: Precision = DEFAULT_PRECISION) -> mpf:
     """c_j with c_1 = -2 and c_j = 2*(-1)^(j+1)*(j-2)! for j >= 2.
 
@@ -197,17 +196,13 @@ def equality_constant(j: int, p: Precision = DEFAULT_PRECISION) -> mpf:
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    return _equality_constant(j, p.digits)
-
-
-@lru_cache(maxsize=_CONSTANTS_KEPT)
-def _equality_constant(j: int, digits: int) -> mpf:
-    with mp.workdps(digits):
+    with mp.workdps(p.digits):
         if j == 1:
             return mpf(-2)
         return +(2 * (-1) ** (j + 1) * mpmath.factorial(j - 2))
 
 
+@lru_cache(maxsize=_CONSTANTS_KEPT)
 def case3_constant(j: int, p: Precision = DEFAULT_PRECISION, paper_literal: bool = False) -> mpf:
     """The j-th additive constant of the case-III conditions.
 
@@ -219,18 +214,13 @@ def case3_constant(j: int, p: Precision = DEFAULT_PRECISION, paper_literal: bool
     """
     if j < 1:
         raise ValueError("j must be >= 1")
-    return _case3_constant(j, p.digits, bool(paper_literal))
-
-
-@lru_cache(maxsize=_CONSTANTS_KEPT)
-def _case3_constant(j: int, digits: int, paper_literal: bool) -> mpf:
-    with mp.workdps(digits + GUARD_DIGITS):
-        pp = Precision(digits + GUARD_DIGITS)
+    with mp.workdps(p.digits + GUARD_DIGITS):
+        pp = Precision(p.digits + GUARD_DIGITS)
         if paper_literal:
             val = 4 * (atan_deriv(j, 1, pp) + (j - 1) * atan_deriv(j - 1, 1, pp))
         else:
             val = -H_deriv(j, 1, pp)
-    with mp.workdps(digits):
+    with mp.workdps(p.digits):
         return +val
 
 
@@ -365,7 +355,7 @@ def certify(
                 mode=mode,
             )
             if compute_radius:
-                cert = cert.with_radius(find_radius(e, cert, p, a=a))
+                cert = dataclasses.replace(cert, radius=find_radius(e, cert, p, a=a))
             return cert
         worst = max(abs(r.margin) for r in failed)
         label = f"case {case}" + (f" n={n}" if n is not None else "")
@@ -444,12 +434,13 @@ class _Points(NamedTuple):
         return xs, rel * (base + abs(lo) + q) + _TINY
 
 
-def _past(gap: tuple, sign: int, right: bool, cut: float, pad: float) -> Optional[bool]:
+def _past(gap: tuple, floor: bool, cut: float, pad: float) -> Optional[bool]:
     """True where the gap ball (v, e) proves the pattern broken, False
-    where it proves it kept, None where it cannot tell."""
+    where it proves it kept, None where it cannot tell; the gap must stay
+    >= -cut where floor is set, else <= cut."""
     v, e = gap
     # signed distance into the pattern
-    above, err = _ball((v if right else -v) * sign + cut, e + pad)
+    above, err = _ball((v if floor else -v) + cut, e + pad)
     if above < -err:
         return True
     return False if above > err else None
@@ -471,14 +462,19 @@ class _Search:
     Right of 1 the pattern requires G = P - 2t*ln(t) >= -slack (and
     Q = P - H <= slack for drr); left of 1 it requires G <= slack (and
     Q >= -slack), with slack = condition_tolerance at digits.  tape holds
-    P, 2t*ln(t) and, for drr, H(t) on one tape (structurally equal
-    subtrees shared, so the H inside P is computed once per point); cut
-    is the slack as a float and rho the pad scale of ball_verdict,
-    10^-digits or more, a normal float.  Every decision gives the verdict
-    of walk_verdict, the pattern test at digits+GUARD_DIGITS."""
+    the roots P, 2t*ln(t) and, for drr, H(t), then the gaps G and, for
+    drr, Q as the rows Sub(P, 2t*ln(t)) and Sub(P, H(t)), whose rules give
+    each gap's ball, column and coefficients (structurally equal subtrees
+    share a slot, so P and the H inside it are computed once per point);
+    gaps is the number of gaps, the tape's last roots.  cut is the slack
+    as a float and rho the pad scale of range_verdict, 10^-digits or more,
+    a normal float.  Every decision gives the verdict of walk_verdict, the
+    pattern test at digits+GUARD_DIGITS."""
 
     def __init__(self, e: Expr, drr: bool, digits: int):
-        self.tape = Tape((e, parse("2*t*ln(t)")) + ((parse("H(t)"),) if drr else ()))
+        others = (parse("2*t*ln(t)"),) + ((parse("H(t)"),) if drr else ())
+        self.tape = Tape((e, *others, *(Sub(e, o) for o in others)))
+        self.gaps = len(others)
         self.digits = digits
         self.slack = condition_tolerance(Precision(digits))
         self.cut = float(self.slack)
@@ -491,36 +487,35 @@ class _Search:
         on first use; None where the build raises, a pole or domain edge
         in the box for one: then no point is decided by the model.
 
-        The gaps' coefficients at t = 1 are mpf balls from the series walk
-        at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's) cancel there
-        and not at each point.  g_k is the float nearest the midpoint; w_k
-        bounds the ball's radius, that rounding and the float roundings of
-        model_box per unit of |d|^k.  R bounds the gap's
+        The gaps' coefficients at t = 1 are the mpf balls of their rows'
+        series walk at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's)
+        cancel there and not at each point.  g_k is the float nearest the
+        midpoint; w_k bounds the ball's radius, that rounding and the float
+        roundings of model_box per unit of |d|^k.  R bounds the gap's
         order-(MODEL_ORDER+1) coefficient at every center in the box
         (binary64 balls, see exprjet._Ball), so that R*|d|^(MODEL_ORDER+1)
         bounds the Lagrange remainder.
         """
         try:
             with mp.workdps(self.digits + GUARD_DIGITS):
-                p, *others = self.tape.series(_MPBall(mpf(1)), MODEL_ORDER)
-                coeffs = [[a - b for a, b in zip(p, o)] for o in others]
+                coeffs = self.tape.series(_MPBall(mpf(1)), MODEL_ORDER)[-self.gaps:]
             # the box reaches past MODEL_RADIUS by more than d's rounding
-            p, *others = self.tape.series(_F64Ball(1.0, MODEL_RADIUS * _GROW ** 2),
-                                          MODEL_ORDER + 1)
+            box = self.tape.series(_F64Ball(1.0, MODEL_RADIUS * _GROW ** 2), MODEL_ORDER + 1)
         except (ArithmeticError, ValueError, LogboundError):
             return None
         models = []
-        for c, o in zip(coeffs, others):
+        for c, over in zip(coeffs, box[-self.gaps:]):
             g = [float(b.v) for b in c]
             rows = tuple((v, (b.e + (2 * MODEL_ORDER + 2) * _U * abs(v) + _TINY) * _GROW)
                          for v, b in zip(g, c))
-            r = p[-1] - o[-1]
+            r = over[-1]  # the gap's order-(MODEL_ORDER+1) coefficient over the box
             models.append((rows, (abs(r.v) + r.e) * _GROW))
         return tuple(models)
 
     def pads(self, roots: list) -> list:
-        """The pad of each gap (see ball_verdict) from the roots' balls:
-        P's first, then 2t*ln(t)'s and, for drr, H's."""
+        """The pad of each gap (see range_verdict) from the balls of the
+        roots before the gaps: P's first, then 2t*ln(t)'s and, for drr,
+        H's."""
         (vp, ep), *others = roots
         return [self.rho * (abs(vp) + abs(vo) + (ep + eo) / _U) + 2 * _U * self.cut
                 for vo, eo in others]
@@ -530,72 +525,40 @@ class _Search:
         balls prove it, else None.
 
         Point k is any t within err of xs[k], on the side of 1 that right
-        names; the roots' columns (Tape.balls) hold their values at the xs
-        and one error bound for every point.  The test is ball_verdict's
-        without a model: at a point the gap's ball is (vp - vo, ep + eo),
-        padded as there, and compared with the slack.  Its pad and
-        roundings take the block's largest |P|, |2t*ln(t) or H|, |gap| and
-        |slack +- gap|, so that one bound per gap serves the whole block
-        and a point costs a subtraction and its comparisons.  A walk that
-        raises or overflows at any point decides no point of the block.
+        names; the columns (Tape.balls) hold the roots' and the gaps' values
+        at the xs and one error bound for every point.  The test is
+        range_verdict's without a model: at a point the gap's ball, padded
+        as there, is compared with the slack.  Its pad and roundings take
+        the block's largest |P|, |2t*ln(t) or H|, |gap| and |slack +- gap|,
+        so that one bound per gap serves the whole block and a point costs
+        its comparisons.  A walk that raises or overflows at any point
+        decides no point of the block.
         """
         try:
             cols = self.tape.balls(xs, err)
         except (ArithmeticError, ValueError):
             return [None] * len(xs)
-        (ps, ep), *others = cols
         cut, verdicts = self.cut, [False] * len(xs)
-        pads = self.pads([(max(map(abs, vs)), e) for vs, e in cols])
+        pads = self.pads([(max(map(abs, vs)), e) for vs, e in cols[:-self.gaps]])
         # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-        for (os, eo), floor, pad in zip(others, (right, not right), pads):
-            gaps = list(map(sub, ps, os))
+        for (gaps, gap), floor, pad in zip(cols[-self.gaps:], (right, not right), pads):
             # the signed distances into the pattern, then one bound for all
             aboves = list(map(add if floor else sub, repeat(cut), gaps))
-            gap = _ball(max(max(gaps), -min(gaps)), ep + eo)[1]
             bound = _ball(max(max(aboves), -min(aboves)), gap + pad)[1]
             for k, (above, known) in enumerate(zip(aboves, verdicts)):
                 if known is False:
                     verdicts[k] = True if above < -bound else (False if above > bound else None)
         return verdicts
 
-    def ball_verdict(self, x: float, half: float, right: bool, model) -> Optional[bool]:
-        """walk_verdict's answer at every t within half of x, on the side
-        of 1 that right names, where binary64 balls prove it, else None.
-
-        The roots' balls (Tape.ball) enclose their exact values there.  A
-        gap whose ball cannot decide it takes model()'s ball instead (see
-        range_verdict); both enclose the exact gap.  walk_verdict's G and
-        Q differ from the exact ones by the rounding of P and H to digits,
-        at most 10^-(digits+1) of each, and by its walk's own error.  That
-        walk rounds the same operations with a unit roundoff about
-        10^-(digits+14)/u times u = 2^-53, so its error is at most that
-        factor times the balls' errors, which a wider input ball only
-        widens.  A pad of 10^-digits * (|P| + |2t*ln(t) or H| + their
-        errors/u) covers both, and with the conversion of slack it is added
-        to the gap's error before the comparison.  A walk that raises
-        decides nothing; balls that overflow to inf or NaN decide nothing.
-        """
-        try:
-            roots = self.tape.ball(x, half)
-        except (ArithmeticError, ValueError):
-            return None
-        (vp, ep), *others = roots
-        near = None  # model()'s balls, computed on first need
-        # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
-        for i, ((vo, eo), sign, pad) in enumerate(zip(others, (1, -1), self.pads(roots))):
-            gap = _past(_ball(vp - vo, ep + eo), sign, right, self.cut, pad)
-            if gap is None:
-                near = model() if near is None else near
-                gap = _past(near[i], sign, right, self.cut, pad) if near else None
-            if gap is not False:
-                return gap
-        return False
-
     def walk_verdict(self, t: mpf, right: bool) -> bool:
         """The pattern test at digits+GUARD_DIGITS, with P and H rounded to
-        digits first."""
+        digits first.  A t where P is undefined (a pole or a domain edge
+        of P, DomainError) breaks the pattern."""
         with mp.workdps(self.digits + GUARD_DIGITS):
-            pt, two_t_ln_t, *h = self.tape.point(t)
+            try:
+                pt, two_t_ln_t, *h = self.tape.point(t)[:-self.gaps]
+            except DomainError:
+                return True
             with mp.workdps(self.digits):
                 pt, h = +pt, [+v for v in h]
             g = pt - two_t_ln_t
@@ -651,23 +614,49 @@ class _Search:
         True where every such t breaks the pattern, False where none does.
         A point t is the range from t to t.
 
-        The range is one ball (ball_verdict) that holds every
-        point's input ball (float(t) within 2u|float(t)| of t): float(t0)
-        itself when t1 is t0, else the hull of float(t0) and float(t1), whose
-        half-width covers their spread and the roundings of both ends and of
-        the center.  The ball rules, like interval arithmetic, give a larger
-        input a ball that holds the smaller input's, so the range's balls
+        The range is one input ball (x, half) that holds every point's
+        (float(t) within 2u|float(t)| of t): float(t0) itself when t1 is t0,
+        else the hull of float(t0) and float(t1), whose half-width covers
+        their spread and the roundings of both ends and of the center.  The
+        ball rules, like interval arithmetic, give a larger input a ball
+        that holds the smaller input's, so the range's balls (Tape.ball)
         hold every point's and, with |v| <= |V| + E - e for a ball (v, e)
-        inside (V, E), its pads dominate theirs.  A gap the ball cannot
-        decide takes the Taylor model's box over the range (model_box),
-        which exists within MODEL_RADIUS of 1."""
+        inside (V, E), its pads dominate theirs.  A gap whose ball cannot
+        decide it takes the Taylor model's box over the range instead
+        (model_box, which exists within MODEL_RADIUS of 1); both enclose
+        the exact gap.
+
+        walk_verdict's G and Q differ from the exact ones by the rounding
+        of P and H to digits, at most 10^-(digits+1) of each, and by its
+        walk's own error.  That walk rounds the same operations with a unit
+        roundoff about 10^-(digits+14)/u times u = 2^-53, so its error is at
+        most that factor times the balls' errors, which a wider input ball
+        only widens.  A pad of 10^-digits * (|P| + |2t*ln(t) or H| + their
+        errors/u) covers both, and with the conversion of slack it is added
+        to the gap's error before the comparison.  A walk that raises
+        decides nothing; balls that overflow to inf or NaN decide nothing.
+        """
         f0 = float(t0)
         if t1 is t0:
             x, half = f0, 2 * _U * abs(f0)
         else:
             f1 = float(t1)
             x, half = (f0 + f1) / 2, (abs(f1 - f0) / 2 + 4 * _U * max(abs(f0), abs(f1))) * _GROW
-        return self.ball_verdict(x, half, right, lambda: self.model_box(t0, t1))
+        try:
+            balls = self.tape.ball(x, half)
+        except (ArithmeticError, ValueError):
+            return None
+        box = None  # model_box's balls, computed on first need
+        # G must stay >= -slack right of 1 and <= slack left of it; Q the reverse
+        for i, (gap, floor, pad) in enumerate(zip(balls[-self.gaps:], (right, not right),
+                                                  self.pads(balls[:-self.gaps]))):
+            verdict = _past(gap, floor, self.cut, pad)
+            if verdict is None:
+                box = self.model_box(t0, t1) if box is None else box
+                verdict = _past(box[i], floor, self.cut, pad) if box else None
+            if verdict is not False:
+                return verdict
+        return False
 
     def violates(self, t: mpf) -> bool:
         """Whether t breaks the pattern.  t is decided as a range of one
@@ -676,7 +665,7 @@ class _Search:
         |t - 1| <= MODEL_RADIUS the Taylor model of the gaps at t = 1 (see
         model_box), which encloses them where the balls' errors,
         O(u*|t-1|), swamp gaps that vanish to high order at 1.  Where
-        neither clears the thresholds by ball_verdict's pad, or the float
+        neither clears the thresholds by range_verdict's pad, or the float
         walk raises or overflows, walk_verdict decides, with the same
         verdict.  The searches call it for bisection points and for the
         points that first_broken leaves undecided."""

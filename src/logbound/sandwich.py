@@ -282,18 +282,11 @@ def _violation_margins(r: RationalFn, x: mpf, region: str, p: Precision):
         v = r.value(x)
         log_side = ln1p(x, p)
         cb_side = _cb(x, p)
-        out = []
-        if region == "upper":
-            if log_side - v > 0:
-                out.append(("log", log_side, v, log_side - v))
-            if v - cb_side > 0:
-                out.append(("cb", v, cb_side, v - cb_side))
-        else:
-            if v - log_side > 0:
-                out.append(("log", log_side, v, v - log_side))
-            if cb_side - v > 0:
-                out.append(("cb", v, cb_side, cb_side - v))
-        return [(s, +l, +rr, +m) for (s, l, rr, m) in out]
+        # the upper region requires ln(1+x) <= v <= cb, the lower the reverse
+        sign = 1 if region == "upper" else -1
+        out = (("log", log_side, v, sign * (log_side - v)),
+               ("cb", v, cb_side, sign * (v - cb_side)))
+        return [(s, +l, +rr, +m) for (s, l, rr, m) in out if m > 0]
 
 
 def _witness_at(r: RationalFn, x: mpf, region: str, p: Precision) -> Optional[Witness]:

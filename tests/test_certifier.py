@@ -3,6 +3,7 @@
 import contextlib
 import json
 import math
+import operator
 import os
 from fractions import Fraction
 from unittest import mock
@@ -112,8 +113,8 @@ def test_condition_constant_memo_keys_are_complete():
 
     cold = {}
     for key in keys:
-        certifier._case3_constant.cache_clear()
-        certifier._equality_constant.cache_clear()
+        case3_constant.cache_clear()
+        equality_constant.cache_clear()
         cold[key] = values(*key)
     assert {key: values(*key) for key in keys} == cold
     # the keys matter: at j = 40 the constants carry more than 30
@@ -537,7 +538,8 @@ def test_binary64_decisions_differ_when_a_ball_rule_lies(decisions, monkeypatch)
 
 def test_gap_tape_computes_the_shared_H_once_per_point(monkeypatch):
     # P's H(t) and the tape's own H(t) are equal trees, so they share one
-    # slot: one atan per walk, in binary64 and at full precision alike
+    # slot: one atan per walk, in binary64 and at full precision alike,
+    # the gap rows G = P - 2t*ln(t) and Q = P - H included
     row = exprjet._OPS[Atan]
     calls = []
     monkeypatch.setitem(exprjet._OPS, Atan, row._replace(
@@ -545,8 +547,9 @@ def test_gap_tape_computes_the_shared_H_once_per_point(monkeypatch):
         ball=lambda a: calls.append("ball") or row.ball(a)))
     tape = certifier._search(parse("H(x) - 0.01*(x-1)^5"), True, 50).tape
     with mp.workdps(65):
-        p, two_t_ln_t, h = tape.point(mpf("1.25"))
+        p, two_t_ln_t, h, g, q = tape.point(mpf("1.25"))
         assert p == h - mpf("0.01") * mpf("0.25") ** 5
+        assert (g, q) == (p - two_t_ln_t, p - h)
     tape.ball(1.25, 0.0)
     assert calls == ["point", "ball"]
 
@@ -571,10 +574,12 @@ def test_taylor_model_encloses_the_gaps(case, delta):
     search = certifier._search(parse(expr), expr.startswith("H"), 50)
     with mp.workdps(120):
         t = 1 + mpf(delta)
-        p, two_t_ln_t, *h = search.tape.point(t)
+        roots = search.tape.point(t)
+        p, two_t_ln_t, *h = roots[:-search.gaps]
         gaps = [p - two_t_ln_t] + [p - v for v in h]
+        assert roots[-search.gaps:] == gaps
         balls = search.model_box(t, t)
-        assert len(balls) == len(gaps)
+        assert len(balls) == len(gaps) == search.gaps
         for (v, e), gap in zip(balls, gaps):
             assert abs(gap - v) <= e
 
@@ -598,21 +603,21 @@ def test_box_encloses_the_gaps_over_a_run(case, side, m0, m1, nudges, fractions)
         ts = [t0, t1] + [t0 + (t1 - t0) * mpf(f.numerator) / f.denominator for f in fractions]
     boxes = search.model_box(t0, t1)
     # the one ball that range_verdict walks over the run
-    with mock.patch.object(search, "ball_verdict", wraps=search.ball_verdict) as bv:
+    with mock.patch.object(tape, "ball", wraps=tape.ball) as walked:
         search.range_verdict(t0, t1, side > 0)
-    x, half, *_ = bv.call_args.args
-    pads = search.pads(tape.ball(x, half))
-    assert len(boxes) == len(pads) == (2 if expr.startswith("H") else 1)
+    (x, half), = [c.args for c in walked.call_args_list]
+    pads = search.pads(tape.ball(x, half)[:-search.gaps])
+    assert len(boxes) == len(pads) == search.gaps == (2 if expr.startswith("H") else 1)
     for t in ts:
         with mp.workdps(120):
-            p, two_t_ln_t, *h = tape.point(t)
+            p, two_t_ln_t, *h = tape.point(t)[:-search.gaps]
             gaps = [p - two_t_ln_t] + [p - v for v in h]
         for (v, e), gap in zip(boxes, gaps):
             assert abs(gap - v) <= e
         tf = float(t)
         # the run's input ball holds the point's, so its pads dominate
         assert abs(_exact(tf) - _exact(x)) + _exact(2 * exprjet._U * abs(tf)) <= _exact(half)
-        point_pads = search.pads(tape.ball(tf, 2 * exprjet._U * abs(tf)))
+        point_pads = search.pads(tape.ball(tf, 2 * exprjet._U * abs(tf))[:-search.gaps])
         assert all(run >= one for run, one in zip(pads, point_pads))
 
 
@@ -950,6 +955,49 @@ def test_tape_balls_bound_ball_at_every_point(expr, drr, xs, rel):
         # bound at least each point's
         assert [v.hex() for v in vs] == [v.hex() for v, _ in balls]
         assert all(e >= point_err for _, point_err in balls)
+
+
+# the family-A and family-C tapes, two gaps and one, and the mixed tape
+GAP_TAPES = [("H(t) - 0.0167*(t-1)^5", True), ("2*t*ln(t) + 0.05*(t-1)^3", False),
+             (MIXED.format(1), False), (MIXED.format(1), True)]
+
+
+def _bits(v):
+    """A float, an mpf or a series ball as a value that compares bit for bit."""
+    if isinstance(v, exprjet._Ball):
+        return _bits(v.v), _bits(v.e)
+    return v.hex() if isinstance(v, float) else v._mpf_
+
+
+@pytest.mark.parametrize("expr, drr", GAP_TAPES, ids=[f"{e} drr={d}" for e, d in GAP_TAPES])
+def test_gap_rows_are_the_hand_subtraction_bit_for_bit(expr, drr):
+    # the rows Sub(P, 2t*ln(t)) and Sub(P, H) of the search tape give each
+    # gap's ball, column, bound and coefficients by the operations that
+    # subtracting P's and the other root's by hand performs
+    search = certifier._search(parse(expr), drr, 50)
+    tape, m = search.tape, search.gaps
+    assert len(tape.roots) == 1 + 2 * m == (5 if drr else 3)
+    # blocks away from the mixed tape's poles at t = 0.25 and 0.75
+    for xs in ([0.3 + k / 200 for k in range(64)], [0.8 + k / 64 for k in range(64)]):
+        for err in (0.0, 1e-12):
+            for x in xs:
+                balls = tape.ball(x, err)
+                (vp, ep), *others = balls[:-m]
+                assert [_bits(v) for gap in balls[-m:] for v in gap] == [
+                    _bits(v) for vo, eo in others for v in exprjet._ball(vp - vo, ep + eo)]
+            cols = tape.balls(xs, err)
+            (ps, ep), *others = cols[:-m]
+            for (os, eo), (gaps, bound) in zip(others, cols[-m:]):
+                hand = list(map(operator.sub, ps, os))
+                assert list(map(_bits, gaps)) == list(map(_bits, hand))
+                assert _bits(bound) == _bits(exprjet._ball(max(max(hand), -min(hand)), ep + eo)[1])
+    for center in (1.0, 0.5, 1.6):
+        for ball, n in ((exprjet._MPBall, certifier.MODEL_ORDER), (exprjet._F64Ball, 9)):
+            with mp.workdps(65):  # the _MPBall subtractions round here
+                series = tape.series(ball(ball._exact(center), 1e-3), n)
+                p, *others = series[:-m]
+                assert [[_bits(c) for c in gap] for gap in series[-m:]] == [
+                    [_bits(a - b) for a, b in zip(p, o)] for o in others]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])

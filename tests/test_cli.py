@@ -345,6 +345,20 @@ def test_a_that_is_not_a_number_exits_2_with_one_line(capsys):
     assert (code, out, err) == (2, "", "error: --a must be a number, got '0.9x'\n")
 
 
+@pytest.mark.parametrize("expr, a, radius", [
+    # a bisection midpoint of the radius search lands on the pole t = 0.5
+    # exactly, at either a, and on the domain edge of the sqrt
+    ("2*t*ln(t) + (t-1)^3/(t-0.5)", "0.9", "0.49999999949999999999052609686600590066518634557724"),
+    ("2*t*ln(t) + (t-1)^3/(t-0.5)", "0.7", "0.49999999949999999999052609686600590066518634557724"),
+    ("2*t*ln(t) + sqrt(t-0.5)*(t-1)^3", "0.9", "0.4999999995"),
+    # a pole that no evaluated point hits
+    ("2*t*ln(t) + (t-1)^3/(t-0.45)", "0.9", "0.5499999994499999999904208569752352142590012817891"),
+], ids=["pole 0.5 --a 0.9", "pole 0.5 --a 0.7", "sqrt edge 0.5", "pole 0.45"])
+def test_a_radius_point_where_P_is_undefined_breaks_the_pattern(capsys, expr, a, radius):
+    code, out, err = run(capsys, "radius", "--expr", expr, "--a", a)
+    assert (code, out, err) == (0, f"case I: verified radius {radius}\n", "")
+
+
 def test_lower_region_below_resolution_exit_2(capsys):
     # at 50 digits the first lower-region point -1 + 1e-60 rounds to -1
     lower = ("--region", "lower", "--delta", "1e-60")
