@@ -454,8 +454,9 @@ def _call_rules(name: str) -> tuple:
 
 def _extent(vs: list) -> tuple:
     """(big, small) of the values vs; OverflowError where one is inf or NaN."""
-    # a NaN anywhere makes the sum NaN, while min and max may skip it
-    if not abs(sum(vs)) < math.inf:
+    # a NaN anywhere makes the sum NaN, while min and max may skip it; the
+    # sum of finite values may overflow too, so then look at each value
+    if not abs(sum(vs)) < math.inf and not all(map(math.isfinite, vs)):
         raise OverflowError("a value of the block overflows")
     lo, hi = min(vs), max(vs)
     return max(hi, -lo), lo if lo > 0 else hi if hi < 0 else 0.0

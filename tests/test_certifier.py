@@ -10,7 +10,7 @@ from unittest import mock
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
 
@@ -927,6 +927,8 @@ BLOCK_TAPES = [c[0] for c in FILTER_CASES] + [
 @given(st.sampled_from(BLOCK_TAPES), st.booleans(),
        st.lists(st.floats(0.0005, 2.5), min_size=1, max_size=70),
        st.sampled_from([0.0, 2 * exprjet._U, 1e-9]))
+# two finite products near the largest float whose sum overflows
+@example(BLOCK_TAPES[-1], False, [1.875, 1.875], 0.0)
 def test_tape_balls_bound_ball_at_every_point(expr, drr, xs, rel):
     search = certifier._search(parse(expr), drr, 50)
     tape, err = search.tape, rel * max(xs)
