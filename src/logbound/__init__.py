@@ -23,7 +23,6 @@ from .bounds import (
     phi_identity,
 )
 from .certifier import (
-    CandidateJet,
     Certificate,
     ConditionReport,
     case3_constant,
@@ -72,7 +71,6 @@ __all__ = [
     "BOUNDS",
     "BoundSpec",
     "BudgetError",
-    "CandidateJet",
     "Certificate",
     "ConditionReport",
     "ConvergenceError",

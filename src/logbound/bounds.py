@@ -110,7 +110,7 @@ def ln1p(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
         xv = mpmath.mpmathify(x)
         if xv <= -1:
             raise DomainError("ln(1+x) requires x > -1")
-        val = mpmath.ln(1 + xv)
+        val = mpmath.log1p(xv)
     with mp.workdps(p.digits):
         return +val
 

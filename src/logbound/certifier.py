@@ -82,39 +82,6 @@ RADIUS_CONFIRMATIONS = 4
 
 
 @dataclass(frozen=True)
-class CandidateJet:
-    """Candidate P together with its jet at 1 and half-width a, read at
-    the jet's digits."""
-
-    expr: Expr
-    jet_at_1: Jet
-    a: mpf
-
-    def __post_init__(self):
-        if self.jet_at_1.center != 1:
-            raise ValueError("candidate jet must be centered at 1")
-        if not (0 < self.a < 1):
-            raise ValueError("half-width a must lie in (0, 1)")
-
-    @classmethod
-    def build(
-        cls,
-        expr: Expr,
-        a: Num,
-        order: int = DEFAULT_JET_ORDER,
-        p: Precision = DEFAULT_PRECISION,
-    ) -> "CandidateJet":
-        with mp.workdps(p.digits):
-            av = +mpmath.mpmathify(a)
-        return cls(expr=expr, jet_at_1=jet(expr, 1, order, p), a=av)
-
-    @cached_property
-    def derivatives(self) -> tuple:
-        """P^(k)(1) for k = 0..order, computed once per candidate."""
-        return tuple(self.jet_at_1.derivatives())
-
-
-@dataclass(frozen=True)
 class ConditionReport:
     """Outcome of one derivative condition.
 
@@ -138,11 +105,16 @@ class Certificate:
     case: str  # "I" | "II" | "III" | "IV" | "none"
     n: Optional[int]
     conditions: tuple
-    direction_pair: Optional[str]  # "dr" | "drr"
     radius: Optional[mpf]
     digits: int
     mode: str  # "derived" | "paper-literal"
     nearest_miss: Optional[str] = None
+
+    @property
+    def direction_pair(self) -> Optional[str]:
+        """The certified pattern: "dr" for case I, "drr" for cases II-IV,
+        None without a certificate."""
+        return None if self.case == "none" else "dr" if self.case == "I" else "drr"
 
     def to_json_dict(self) -> dict:
         dec = lambda v: decimal_text(v, self.digits)
@@ -224,64 +196,59 @@ def case3_constant(j: int, p: Precision = DEFAULT_PRECISION, paper_literal: bool
         return +val
 
 
-def _report(label, kind, target, actual, tol):
+def _report(label, kind, sign, target, actual, tol):
     # target and actual already carry the working precision
+    margin = actual - target if sign > 0 else target - actual
     if kind == "equality":
-        margin = actual - target
         passed = abs(margin) <= tol
     elif kind == "strict":
-        margin = actual - target
         passed = margin > tol
-    elif kind == "strict-below":
-        margin = target - actual
-        passed = margin > tol
-        kind = "strict"
     else:  # at-least
-        margin = actual - target
         passed = margin >= -tol
     return ConditionReport(label, kind, target, actual, margin, bool(passed))
 
 
 @lru_cache(maxsize=_CONSTANTS_KEPT)
 def _conditions(case: str, n: Optional[int], digits: int, paper_literal: bool) -> tuple:
-    """(label, kind, derivative order, target, tolerance) of each
-    condition of one case, all at `digits`."""
+    """(label, kind, sign, derivative order, target, tolerance) of each
+    condition of one case, all at `digits`; sign is +1 where the margin
+    is actual - target and -1 where it is target - actual."""
     p = Precision(digits)
     with mp.workdps(digits):
 
         def eq_g(j):
-            return (f"j={j} equality", "equality", j, -equality_constant(j, p))
+            return (f"j={j} equality", "equality", 1, j, -equality_constant(j, p))
 
-        conds = [("P(1)", "equality", 0, mpf(0))]
+        conds = [("P(1)", "equality", 1, 0, mpf(0))]
         if case == "I":
-            conds.append(("j=1 slope", "at-least", 1, mpf(2)))
+            conds.append(("j=1 slope", "at-least", 1, 1, mpf(2)))
             conds += [eq_g(j) for j in range(2, n + 2)]
-            conds.append((f"j={n + 2} strict", "strict", n + 2, -equality_constant(n + 2, p)))
+            conds.append((f"j={n + 2} strict", "strict", 1, n + 2, -equality_constant(n + 2, p)))
         elif case == "II":
             conds += [eq_g(j) for j in range(1, n + 1)]
-            conds.append((f"j={n + 1} strict", "strict", n + 1, -equality_constant(n + 1, p)))
+            conds.append((f"j={n + 1} strict", "strict", 1, n + 1, -equality_constant(n + 1, p)))
         elif case == "III":
             conds += [eq_g(j) for j in range(1, 5)]
-            conds += [(f"j={j} equality", "equality", j, -case3_constant(j, p, paper_literal))
+            conds += [(f"j={j} equality", "equality", 1, j, -case3_constant(j, p, paper_literal))
                       for j in range(5, n + 1)]
-            conds.append((f"j={n + 1} strict (below)", "strict-below", n + 1,
+            conds.append((f"j={n + 1} strict (below)", "strict", -1, n + 1,
                           -case3_constant(n + 1, p, paper_literal)))
         else:  # case IV
             conds += [eq_g(j) for j in range(1, 5)]
-            conds.append(("j=5 above -12", "strict", 5, mpf(-12)))
-            conds.append(("j=5 below -8", "strict-below", 5, mpf(-8)))
+            conds.append(("j=5 above -12", "strict", 1, 5, mpf(-12)))
+            conds.append(("j=5 below -8", "strict", -1, 5, mpf(-8)))
         tol = condition_tolerance(p)
-        return tuple((*c, tol * max(1, abs(c[3]))) for c in conds)
+        return tuple((*c, tol * max(1, abs(c[4]))) for c in conds)
 
 
 def check_case(
-    c: CandidateJet,
+    jet_at_1: Jet,
     case: str,
     n: Optional[int] = None,
     p: Precision = DEFAULT_PRECISION,
     paper_literal: bool = False,
 ):
-    """Evaluate every condition of one case on the candidate's jet.
+    """Evaluate every condition of one case on a candidate's jet at 1.
 
     Returns the list of ConditionReport; the case holds iff all pass.
     Case I needs n odd and jet order >= n+2; cases II/III need n even
@@ -293,17 +260,31 @@ def check_case(
         raise ValueError("case I needs an odd n >= 1")
     if case in ("II", "III") and (n is None or n < 6 or n % 2 == 1):
         raise ValueError(f"case {case} needs an even n >= 6")
+    if jet_at_1.center != 1:
+        raise ValueError("candidate jet must be centered at 1")
     conds = _conditions(case, None if case == "IV" else n, p.digits,
                         case == "III" and bool(paper_literal))
-    order = c.jet_at_1.order
-    need = conds[-1][2]
+    order = jet_at_1.order
+    need = conds[-1][3]
     if order < need:
         raise ValueError(f"case {case} with n={n} needs jet order >= {need}, have {order}")
-    d = c.derivatives
+    d = jet_at_1.derivatives
     with mp.workdps(p.digits):
-        if c.jet_at_1.digits != p.digits:
+        if jet_at_1.digits != p.digits:
             d = [+v for v in d]
-        return [_report(label, kind, target, d[j], tol) for label, kind, j, target, tol in conds]
+        return [_report(label, kind, sign, target, d[j], tol)
+                for label, kind, sign, j, target, tol in conds]
+
+
+def _half_width(a: Num, digits: int) -> mpf:
+    """a read at digits+GUARD_DIGITS; a ValueError unless it lies in
+    (0, 1) once rounded to digits."""
+    with mp.workdps(digits + GUARD_DIGITS):
+        av = mpmath.mpmathify(a)
+    with mp.workdps(digits):
+        if not 0 < +av < 1:
+            raise ValueError("half-width a must lie in (0, 1)")
+    return av
 
 
 def _attempts(max_n: int):
@@ -333,29 +314,29 @@ def certify(
     largest radius found (see find_radius).  If nothing passes, the
     returned certificate has case "none" and carries the
     nearest-missing attempt's reports.  max_n must lie in
-    [1, MAX_N_CEILING].
+    [1, MAX_N_CEILING], and a in (0, 1) once rounded to p's digits.
     """
     if not 1 <= max_n <= MAX_N_CEILING:
         raise ValueError(f"max_n must lie in [1, {MAX_N_CEILING}], got {max_n}")
+    av = _half_width(a, p.digits)
     mode = "paper-literal" if paper_literal else "derived"
-    cand = CandidateJet.build(e, a, order=max(max_n + 2, DEFAULT_JET_ORDER), p=p)
+    jet_at_1 = jet(e, 1, max(max_n + 2, DEFAULT_JET_ORDER), p)
 
     best = None  # (n_failed, worst_margin, label, reports)
     for case, n in _attempts(max_n):
-        reports = check_case(cand, case, n, p, paper_literal)
+        reports = check_case(jet_at_1, case, n, p, paper_literal)
         failed = [r for r in reports if not r.passed]
         if not failed:
             cert = Certificate(
                 case=case,
                 n=n,
                 conditions=tuple(reports),
-                direction_pair="dr" if case == "I" else "drr",
                 radius=None,
                 digits=p.digits,
                 mode=mode,
             )
             if compute_radius:
-                cert = dataclasses.replace(cert, radius=find_radius(e, cert, p, a=a))
+                cert = dataclasses.replace(cert, radius=find_radius(e, cert, p, a=av))
             return cert
         worst = max(abs(r.margin) for r in failed)
         label = f"case {case}" + (f" n={n}" if n is not None else "")
@@ -366,7 +347,6 @@ def certify(
         case="none",
         n=None,
         conditions=tuple(best[2]),
-        direction_pair=None,
         radius=None,
         digits=p.digits,
         mode=mode,
@@ -821,13 +801,8 @@ def find_radius(
     drr = cert.direction_pair == "drr"
     digits = p.digits
     search = _search(e, drr, digits)
-
+    av = _half_width(a, digits)
     with mp.workdps(digits + GUARD_DIGITS):
-        av = mpmath.mpmathify(a)
-        with mp.workdps(digits):
-            inside = 0 < +av < 1
-        if not inside:
-            raise ValueError("half-width a must lie in (0, 1)")
         floor = mpf(10) ** (-digits // 2)
         if av <= floor:
             raise PrecisionError(

@@ -271,10 +271,11 @@ def _cmd_sandwich_check(args) -> Report:
 def _cmd_sandwich_fit(args) -> Report:
     p = Precision(args.digits)
     # a repeated --deg or --xmax names the same cell: keep its first occurrence
-    degrees = list(dict.fromkeys(tuple(int(v) for v in d.split(",")) for d in args.deg))
+    try:
+        degrees = list(dict.fromkeys((int(n), int(m)) for n, m in (d.split(",") for d in args.deg)))
+    except ValueError:  # not two parts, or a part int() cannot read
+        raise LogboundError("--deg expects n,m") from None
     for d in degrees:
-        if len(d) != 2:
-            raise LogboundError("--deg expects n,m")
         size = d[0] + d[1] + 2  # fit_sandwich rejects a negative degree
         if size > 0 and args.samples > MAX_FIT_SIZE // size:
             raise LogboundError(f"--samples must be <= {MAX_FIT_SIZE // size} for degrees "

@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import partialmethod
+from functools import cached_property, partialmethod
 from itertools import islice
 from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple, Optional, Union
@@ -1211,8 +1211,10 @@ class Jet:
         with mp.workdps(self.digits):
             return +(self.coeffs[k] * mpmath.factorial(k))
 
-    def derivatives(self) -> list:
-        return [self.derivative(k) for k in range(self.order + 1)]
+    @cached_property
+    def derivatives(self) -> tuple:
+        """derivative(k) for k = 0..order, computed once per jet."""
+        return tuple(self.derivative(k) for k in range(self.order + 1))
 
 
 def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> Jet:

@@ -94,6 +94,15 @@ def test_bound_value_anchors():
         bound_value("CB", -1)
 
 
+@pytest.mark.parametrize("x", ["1e-70", "1e-40", "-1e-30"])
+def test_ln1p_keeps_its_digits_near_0(x):
+    # 1 + x rounded at digits+15 would keep only about 65 + log10|x| of them
+    with mp.workdps(150):
+        want = mpmath.log1p(mpf(x))
+    with mp.workdps(50):
+        assert ln1p(x) == +want
+
+
 def test_bound_registry_formulas_have_nonzero_denominators_on_region():
     # spot checks across each region, including the CB lower region
     for bid, spec in BOUNDS.items():

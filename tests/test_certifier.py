@@ -16,7 +16,6 @@ from mpmath import mp, mpf
 
 from logbound import certifier, cli, exprjet
 from logbound.certifier import (
-    CandidateJet,
     case3_constant,
     certify,
     check_case,
@@ -25,7 +24,7 @@ from logbound.certifier import (
     verify_pattern_on_grid,
 )
 from logbound.errors import BudgetError, LogboundError
-from logbound.exprjet import Atan, Jet, Precision, parse
+from logbound.exprjet import Atan, Jet, Precision, jet, parse
 
 
 # ---------------------------------------------------------------------------
@@ -125,12 +124,12 @@ def test_condition_constant_memo_keys_are_complete():
 
 
 def test_certify_computes_the_derivative_list_once(monkeypatch):
-    calls = []
-    derivatives = Jet.derivatives
-    monkeypatch.setattr(Jet, "derivatives", lambda self: calls.append(1) or derivatives(self))
+    orders = []
+    derivative = Jet.derivative
+    monkeypatch.setattr(Jet, "derivative", lambda self, k: orders.append(k) or derivative(self, k))
     cert = certify(parse("H(t) - (1/30)*(t-1)^5"), "0.9", compute_radius=False)
-    # every case of the search order was tried on the same candidate
-    assert cert.case == "none" and len(calls) == 1
+    # every case of the search order was tried on the same jet, of order 14
+    assert cert.case == "none" and orders == list(range(15))
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def test_certify_computes_the_derivative_list_once(monkeypatch):
 
 
 def test_check_case_quadratic_case_I():
-    cand = CandidateJet.build(parse("2*(t-1) + (t-1)^2"), "0.5")
+    cand = jet(parse("2*(t-1) + (t-1)^2"), 1, 7)
     reports = check_case(cand, "I", 1)
     assert all(r.passed for r in reports)
     strict = [r for r in reports if r.kind == "strict"]
@@ -147,13 +146,13 @@ def test_check_case_quadratic_case_I():
 
 
 def test_check_case_IV_of_refined_family():
-    cand = CandidateJet.build(parse("H(t) - (1/60)*(t-1)^5"), "0.9")
+    cand = jet(parse("H(t) - (1/60)*(t-1)^5"), 1, 7)
     reports = check_case(cand, "IV")
     assert all(r.passed for r in reports)
     d5 = [r for r in reports if r.label == "j=5 above -12"][0]
     assert abs(d5.actual - (-10)) < mpf("1e-40")  # -8 - 120/60
 
-    cand = CandidateJet.build(parse("H(t) - (1/30)*(t-1)^5"), "0.9")
+    cand = jet(parse("H(t) - (1/30)*(t-1)^5"), 1, 7)
     reports = check_case(cand, "IV")
     bad = [r for r in reports if not r.passed]
     assert len(bad) == 1 and bad[0].label == "j=5 above -12"
@@ -162,7 +161,7 @@ def test_check_case_IV_of_refined_family():
 
 def test_check_case_III_direct():
     # H - c*(t-1)^7 satisfies case III with n = 6 in derived mode
-    cand = CandidateJet.build(parse("H(t) - (1/10)*(t-1)^7"), "0.9", order=8)
+    cand = jet(parse("H(t) - (1/10)*(t-1)^7"), 1, 8)
     reports = check_case(cand, "III", 6)
     assert all(r.passed for r in reports)
     # paper-literal constants break the j=5 equality for the same candidate
@@ -173,13 +172,13 @@ def test_check_case_III_direct():
 def test_check_case_II_direct():
     # jet equal to 2t*ln(t) up to order 6 with a +1 bump at order 7
     derivs = [2, 2, -2, 4, -12, 48, -239]  # (2t ln t)^(7)(1) = -240
-    cand = CandidateJet.build(parse(poly_in_shifted_powers(derivs)), "0.9", order=8)
+    cand = jet(parse(poly_in_shifted_powers(derivs)), 1, 8)
     reports = check_case(cand, "II", 6)
     assert all(r.passed for r in reports)
 
 
 def test_check_case_validation():
-    cand = CandidateJet.build(parse("2*(t-1)"), "0.5", order=4)
+    cand = jet(parse("2*(t-1)"), 1, 4)
     with pytest.raises(ValueError):
         check_case(cand, "I", 2)  # n must be odd
     with pytest.raises(ValueError):
@@ -188,12 +187,14 @@ def test_check_case_validation():
         check_case(cand, "I", 7)  # jet order too small
     with pytest.raises(ValueError):
         check_case(cand, "V")
+    with pytest.raises(ValueError, match=r"^candidate jet must be centered at 1$"):
+        check_case(jet(parse("2*(t-1)"), "0.5", 7), "IV")
 
 
 def test_condition_targets_carry_the_working_precision():
     # -c_25 = -2*23! needs 79 bits; a target negated at the ambient 15
     # digits would keep only 53 of them
-    cand = CandidateJet.build(parse("2*t*ln(t)"), "0.5", order=27, p=Precision(50))
+    cand = jet(parse("2*t*ln(t)"), 1, 27, Precision(50))
     reports = check_case(cand, "I", 25, Precision(50))
     target = next(r.target for r in reports if r.label == "j=25 equality")
     assert target == -2 * math.factorial(23)
@@ -209,9 +210,9 @@ def test_condition_targets_carry_the_working_precision():
 def test_a_finer_jet_is_checked_at_the_working_digits(expr, case, n):
     # an 80-digit jet checked at 50 digits has its derivatives rounded to
     # 50 digits first, and passes or fails as the 50-digit jet does
-    fine = CandidateJet.build(parse(expr), "0.9", order=8, p=Precision(80))
-    coarse = CandidateJet.build(parse(expr), "0.9", order=8, p=Precision(50))
-    assert (fine.jet_at_1.digits, coarse.jet_at_1.digits) == (80, 50)
+    fine = jet(parse(expr), 1, 8, Precision(80))
+    coarse = jet(parse(expr), 1, 8, Precision(50))
+    assert (fine.digits, coarse.digits) == (80, 50)
     got, want = (check_case(c, case, n, Precision(50)) for c in (fine, coarse))
     assert [r.passed for r in got] == [r.passed for r in want]
     assert [r.label for r in got] == [r.label for r in want]
@@ -260,12 +261,10 @@ def test_certify_H_itself_is_case_I_n3():
     # strict margin is exactly 0.)
     cert = certify(parse("H(t)"), "0.9")
     assert (cert.case, cert.n) == ("I", 3)
-    reports = check_case(CandidateJet.build(parse("H(t)"), "0.9"), "IV")
+    reports = check_case(jet(parse("H(t)"), 1, 7), "IV")
     bad = [r for r in reports if not r.passed]
     assert len(bad) == 1 and abs(bad[0].margin) < mpf("1e-40")  # exactly boundary
-    reports = check_case(
-        CandidateJet.build(parse("H(t)"), "0.9", order=8), "III", 6
-    )
+    reports = check_case(jet(parse("H(t)"), 1, 8), "III", 6)
     bad = [r for r in reports if not r.passed]
     assert len(bad) == 1 and bad[0].kind == "strict" and abs(bad[0].margin) < mpf("1e-40")
 
@@ -287,7 +286,7 @@ def test_certify_case_I_family_all_odd_n():
         derivs.append(-equality_constant(n + 2) + 1)
         derivs = [int(d) for d in derivs]
         expr = parse(poly_in_shifted_powers(derivs))
-        cand = CandidateJet.build(expr, "0.8", order=n + 2)
+        cand = jet(expr, 1, n + 2)
         assert all(r.passed for r in check_case(cand, "I", n))
         # search order tries case IV first; the n = 3 member lands there
         # (its fifth derivative -11 falls inside the open interval)
@@ -337,6 +336,15 @@ def test_find_radius_rejects_a_outside_the_domain(a):
         find_radius(e, cert, a=a)
 
 
+@pytest.mark.parametrize("a", _OUTSIDE, ids=_OUTSIDE_IDS)
+def test_certify_rejects_a_outside_the_domain_before_the_jet(monkeypatch, a):
+    walk = mock.Mock(side_effect=AssertionError("the jet was walked"))
+    monkeypatch.setattr(certifier, "jet", walk)
+    with pytest.raises(ValueError, match=r"^half-width a must lie in \(0, 1\)$"):
+        certify(parse("2*t*ln(t) + 0.05*(t-1)^3"), a, compute_radius=False)
+    walk.assert_not_called()
+
+
 @pytest.mark.parametrize("r", _OUTSIDE, ids=_OUTSIDE_IDS)
 def test_grid_rejects_r_outside_the_domain(r):
     # r = 1.5 used to return t = -0.5, outside the domain, as a violation
@@ -368,6 +376,28 @@ def test_find_radius_refined_family_matches_sign_change_oracle():
 
         assert G(mpf("1.5")) > 0 > G(mpf("1.6"))
         assert mpf("0.5") < r < mpf("0.6")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1 (exact jets at t = 1): the j = 2 margin 2e-45 "
+                   "passes under the tolerance, and case IV is certified")
+def test_a_margin_below_the_tolerance_is_not_certified():
+    # P - H = 1e-45*(t-1)^2 - (t-1)^5/60 is positive on (1, 1 + 3.9e-15),
+    # so "P <= H on [1, 1+r]" is false for every r
+    cert = certify(parse("H(t) - (1/60)*(t-1)^5 + (1/10)^45*(t-1)^2"), "0.9",
+                   compute_radius=False)
+    assert cert.case == "none"
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 2 (a proved radius): the grid and the scan sample "
+                   "past the dip, and the radius is 0.9")
+def test_a_dip_between_samples_bounds_the_radius():
+    # P - 2t*ln(t) is about -5043 at t = 1.2345678, negative on an
+    # interval about 4e-28 wide there
+    e = parse("2*t*ln(t) + (t-1)^3 - (t-1)^10*(1/10)^50/((t-1.2345678)^2 + (1/10)^60)")
+    cert = certify(e, "0.9")
+    assert cert.case == "I" and cert.radius < mpf("0.2345678")
 
 
 def test_radius_confirmation_is_budgeted(monkeypatch):

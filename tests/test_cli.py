@@ -322,13 +322,16 @@ def test_non_finite_inputs_exit_2(capsys, argv):
 @pytest.mark.parametrize("argv, line", [
     (["table", "--log", "--xmin", "0"], "error: --log needs xmin > 0"),
     (["sandwich", "fit", "--deg", "1"], "error: --deg expects n,m"),
+    (["sandwich", "fit", "--deg", "1,a"], "error: --deg expects n,m"),
+    (["sandwich", "fit", "--deg", ","], "error: --deg expects n,m"),
     (["sandwich", "check", "--p", "x", "--q", "1", "--xmax", "0"],
      "error: upper region needs xmax > 0"),
     (["sandwich", "check", "--p", "x", "--q", "1", "--region", "lower", "--delta", "1"],
      "error: lower region needs delta in (0, 1)"),
     (["compare", "--xmin", "2", "--xmax", "1"],
      "error: log grid needs 0 < lo < hi and count >= 2"),
-], ids=["table log xmin 0", "fit deg 1", "check xmax 0", "check delta 1", "compare xmin > xmax"])
+], ids=["table log xmin 0", "fit deg 1", "fit deg 1,a", "fit deg ,", "check xmax 0",
+        "check delta 1", "compare xmin > xmax"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", line + "\n")
 
