@@ -54,8 +54,8 @@ MAX_POINT_DIGITS = MAX_POINTS * 50
 MAX_GRID = 5000  # sandwich check
 # sandwich fit: --samples times the n+m+2 coefficients of a cell, since
 # the simplex's work grows with both; the slowest cell at its ceiling,
-# (7,7) at 81 samples, took 5.0-6.7 s on a busy 2-core host where the
-# table ceiling took 5.9-8.0 s.
+# (7,7) at 81 samples, took 1.7-1.8 s on a lightly loaded 2-core host
+# where the table ceiling took 3.7 s.
 MAX_FIT_SIZE = 1300
 
 _CEILINGS = {"digits": MAX_DIGITS, "points": MAX_POINTS, "grid": MAX_GRID}

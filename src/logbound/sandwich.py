@@ -479,7 +479,7 @@ def fit_sandwich(
 
         status, y, infeas = _phase1_simplex(rows, rhs, nv, p)
         if status == "feasible":
-            slack = min(_horner_dot(row, y) - r0 for row, r0 in zip(rows, rhs))
+            slack = min(_dot(row, y) - r0 for row, r0 in zip(rows, rhs))
         else:
             slack = -infeas
         with mp.workdps(p.digits):
@@ -497,12 +497,81 @@ def fit_sandwich(
             )
 
 
-def _horner_dot(row, y):
+def _dot(row, y):
     return mpmath.fsum(a * b for a, b in zip(row, y))
 
 
 # sort key that orders raw libmp values by the numbers they hold
 _by_value = cmp_to_key(mpf_cmp)
+
+
+def _round(sign, man, exp, prec):
+    """The raw libmp value of (-1)**sign * man * 2**exp, for man > 0,
+    rounded to prec bits, to nearest with ties to even, in libmp's
+    canonical form: an odd mantissa and its bit count."""
+    n = man.bit_length() - prec
+    if n > 0:
+        t = man >> (n - 1)
+        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+            man = (t >> 1) + 1
+        else:
+            man = t >> 1
+        exp += n
+    zeros = (man & -man).bit_length() - 1
+    man >>= zeros
+    return sign, man, exp + zeros, man.bit_length()
+
+
+def _msub_row(row, f, prow, prec):
+    """[v - f*w for v, w in zip(row, prow)] on finite raw libmp values of
+    at most prec bits: each product rounded to prec bits, then each
+    difference, to nearest with ties to even, as
+    mpf_sub(v, mpf_mul(f, w, prec, 'n'), prec, 'n') rounds them.  Both
+    roundings are of exact integer results and the result is canonical,
+    so each entry is libmp's tuple, bit for bit.  A zero product leaves
+    v itself."""
+    fsign, fman, fexp, _ = f
+    if not fman:
+        return list(row)
+    out = []
+    append = out.append
+    for v, (wsign, wman, wexp, _) in zip(row, prow):
+        if not wman:
+            append(v)
+            continue
+        man = fman * wman
+        exp = fexp + wexp
+        vsign, vman, vexp, _ = v
+        if not vman:
+            append(_round(fsign ^ wsign ^ 1, man, exp, prec))
+            continue
+        # the product rounded as _round rounds it, inline: calling _round
+        # here made a fit about 25% slower; its trailing zeros may stay
+        n = man.bit_length() - prec
+        if n > 0:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += n
+        # v - f*w as one signed integer times 2**min(vexp, exp)
+        if fsign ^ wsign:
+            man = -man
+        if vsign:
+            vman = -vman
+        if vexp >= exp:
+            man = (vman << (vexp - exp)) - man
+        else:
+            man = vman - (man << (exp - vexp))
+            exp = vexp
+        if man > 0:
+            append(_round(0, man, exp, prec))
+        elif man:
+            append(_round(1, -man, exp, prec))
+        else:
+            append(fzero)
+    return out
 
 
 def _phase1_simplex(rows, rhs, nv: int, p: Precision):
@@ -518,11 +587,15 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
     streak guard against cycling.
 
     The tableau, costs, bounds, basic values and optimum are raw libmp
-    values (mpf._mpf_), combined by the libmp functions that mpf's
-    operators call, at the working precision and rounding, in the order
-    the mpf expressions would evaluate.  Every libmp operation rounds
-    its exact result once, so each value, pivot choice and tie is the
-    one the mpf arithmetic gives; only the object layer is skipped.
+    values (mpf._mpf_) at the working precision, rounded to nearest, in
+    the order the mpf expressions would evaluate.  pivot's row updates,
+    nearly all of the work, go through _msub_row, which computes each
+    v - f*w on the tuples' integers: the exact product rounded once, then
+    the exact difference rounded once, in libmp's canonical odd-mantissa
+    form.  libmp's mpf_mul and mpf_sub also round their exact results
+    once to nearest, so each entry is the tuple they give, bit for bit,
+    and so is each pivot choice and tie; the rest of the simplex calls
+    libmp itself.
 
     Returns ("feasible", y, 0) or ("infeasible", None, optimum), as mpf.
     """
@@ -541,18 +614,17 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
         at_upper = [False] * m_rows
         basis = [m_rows + k for k in range(nv)]
         value = [fzero] * nv  # of each row's basic variable
+        zeros = [fzero] * (m_rows + nv)
 
         def pivot(r, j):
+            # the pivot row times inv is 0 - (-inv)*v, one rounding each
             inv = mpf_div(fone, tab[r][j], prec, rnd)
-            tab[r] = prow = [mpf_mul(v, inv, prec, rnd) for v in tab[r]]
+            tab[r] = prow = _msub_row(zeros, mpf_neg(inv), tab[r], prec)
             for i in range(nv):
                 f = tab[i][j]
                 if i != r and f != fzero:
-                    tab[i] = [mpf_sub(v, mpf_mul(f, w, prec, rnd), prec, rnd)
-                              for v, w in zip(tab[i], prow)]
-            f = cost[j]
-            cost[:] = [mpf_sub(v, mpf_mul(f, w, prec, rnd), prec, rnd)
-                       for v, w in zip(cost, prow)]
+                    tab[i] = _msub_row(tab[i], f, prow, prec)
+            cost[:] = _msub_row(cost, cost[j], prow, prec)
             basis[r] = j
 
         # Starting basis at w = 0: pivot each row on its largest entry

@@ -3,11 +3,13 @@
 import hashlib
 import json
 import os
+import random
 import time
 
 import mpmath
 import pytest
 from mpmath import mp, mpf
+from mpmath.libmp import fzero, mpf_mul, mpf_sub, normalize
 
 from logbound import sandwich
 from logbound.errors import BudgetError, DomainError, PrecisionError, QVanishesError
@@ -394,46 +396,65 @@ def test_fit_repeated_sample_points(points):
 
 
 # sha256 prefixes of the exact _mpf_ tuples (status, y, optimum) that
-# _phase1_simplex returned for each fit cell, recorded before the simplex
-# moved from mpf objects to raw libmp values; a last-bit change in any
-# coefficient or optimum changes its digest
+# _phase1_simplex returned for each fit cell, recorded while the simplex
+# still ran on mpf objects (30 and 50 digits) or on libmp's mpf_mul and
+# mpf_sub (100 digits); a last-bit change in any coefficient or optimum
+# changes its digest
 SIMPLEX_PINS = {
     "0,0,upper,xmax=1,30": "4bb08f41cd8fa029",
     "0,0,upper,xmax=1,50": "f9a41dc51ef18196",
+    "0,0,upper,xmax=1,100": "016da5cb02ba0c2b",
     "0,0,upper,xmax=4,30": "b83a8a875e33d22c",
     "0,0,upper,xmax=4,50": "357902d731f3865a",
+    "0,0,upper,xmax=4,100": "a94f8f23b455e866",
     "0,0,lower,delta=0.5,30": "a04f487e5ac8730b",
     "0,0,lower,delta=0.5,50": "872ec384e75da4c4",
+    "0,0,lower,delta=0.5,100": "44d879f56ee48921",
     "1,1,upper,xmax=1,30": "e321ca57cda19f6e",
     "1,1,upper,xmax=1,50": "c54b562e2fe65f37",
+    "1,1,upper,xmax=1,100": "7904785a72955ad6",
     "1,1,upper,xmax=4,30": "f09f06dc17b64c45",
     "1,1,upper,xmax=4,50": "673ef804af6e0bc4",
+    "1,1,upper,xmax=4,100": "339369c57a1704d6",
     "1,1,lower,delta=0.5,30": "a490e0aeee105c76",
     "1,1,lower,delta=0.5,50": "9589f0c1b69c81dc",
+    "1,1,lower,delta=0.5,100": "8f4373ac85cf7132",
     "2,1,upper,xmax=1,30": "65be39fa4fac7536",
     "2,1,upper,xmax=1,50": "05bd83521e069c2d",
+    "2,1,upper,xmax=1,100": "97abf66fb1f059f2",
     "2,1,upper,xmax=4,30": "1a52e0c76e7535fe",
     "2,1,upper,xmax=4,50": "2a10b6d10a214cc7",
+    "2,1,upper,xmax=4,100": "d3c28224eb958af7",
     "2,1,lower,delta=0.5,30": "466d89e71b88b864",
     "2,1,lower,delta=0.5,50": "b65fa736631d0fab",
+    "2,1,lower,delta=0.5,100": "48c427c3bb673ccc",
     "3,2,upper,xmax=1,30": "95fbfb9e39c10996",
     "3,2,upper,xmax=1,50": "07bbcfba6e0e966d",
+    "3,2,upper,xmax=1,100": "9695636407eed7a5",
     "3,2,upper,xmax=4,30": "c775d7c3dca8bab8",
     "3,2,upper,xmax=4,50": "936b816b868e9903",
+    "3,2,upper,xmax=4,100": "ad16e692b9289f89",
     "3,2,lower,delta=0.5,30": "088cfeb241b2c750",
     "3,2,lower,delta=0.5,50": "17a89f9e92c1bc6a",
+    "3,2,lower,delta=0.5,100": "272674788a181bd7",
     "3,3,upper,xmax=1,30": "92d38ae210a0dd42",
     "3,3,upper,xmax=1,50": "321431b7ed68bab8",
+    "3,3,upper,xmax=1,100": "ff203f43fda04cda",
     "3,3,upper,xmax=4,30": "b383e3ff5304d5a2",
     "3,3,upper,xmax=4,50": "db74f69b62c3ce09",
+    "3,3,upper,xmax=4,100": "891aa2b77fd1a7bc",
     "3,3,lower,delta=0.5,30": "f4f6db43930d1547",
     "3,3,lower,delta=0.5,50": "d433e3a1573a4ac6",
+    "3,3,lower,delta=0.5,100": "763b6fad3aa2bf84",
     "4,4,upper,xmax=1,30": "fc8587a99d6bbcce",
     "4,4,upper,xmax=1,50": "c7030018a205bc05",
+    "4,4,upper,xmax=1,100": "1414e35a1eb0bbd4",
     "4,4,upper,xmax=4,30": "0e4f9b710415a9fb",
     "4,4,upper,xmax=4,50": "a90dd9bda263f550",
+    "4,4,upper,xmax=4,100": "c2f3ec75d457b614",
     "4,4,lower,delta=0.5,30": "48947cd5c6599c36",
     "4,4,lower,delta=0.5,50": "22ec1a6c4cb8393b",
+    "4,4,lower,delta=0.5,100": "a98b05626c7073bf",
     "3,3,points=0.5": "18e16799af7c4981",
     "3,3,points=0.25,0.5": "505829b789ef2552",
 }
@@ -459,13 +480,92 @@ def test_phase1_simplex_bits_are_pinned(monkeypatch):
     for n, m in ((0, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 4)):
         for region, name, bound in (("upper", "xmax", "1"), ("upper", "xmax", "4"),
                                     ("lower", "delta", "0.5")):
-            for digits in (30, 50):
+            for digits in (30, 50, 100):
                 fit_sandwich(n, m, region, p=Precision(digits), **{name: bound})
                 got[f"{n},{m},{region},{name}={bound},{digits}"] = digest()
     for points in REPEATED_POINTS:
         fit_sandwich(3, 3, "upper", sample_points=points)
         got["3,3,points=" + ",".join(sorted(set(points)))] = digest()
     assert got == SIMPLEX_PINS
+
+
+def _raw(sign, man, exp):
+    """The canonical raw libmp value (-1)**sign * man * 2**exp."""
+    return normalize(sign, man, exp, man.bit_length(), max(man.bit_length(), 1), "n")
+
+
+def _msub_cases(prec, rng):
+    """(v, f, w) triples of raw values of at most prec bits: random
+    operands of both signs, exponent gaps on both sides of libmp's
+    prec + 4 shortcut and up to 3,000 bits in both directions, zeros,
+    ties, carries to a power of two and exact cancellations."""
+    def rand(exp=None):
+        bits = rng.choice((1, 2, prec // 2, prec - 1, prec, rng.randint(1, prec)))
+        man = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+        return _raw(rng.getrandbits(1), man, rng.randint(-40, 40) if exp is None else exp)
+
+    cases = [(rand(), rand(), rand()) for _ in range(300)]
+    for gap in (101, prec + 3, prec + 4, prec + 5, prec + 6, 2 * prec, 3000):
+        for _ in range(10):
+            v, f, w = rand(), rand(), rand()
+            top = v[2] + v[3]
+            # w scaled so that f*w's leading bit is at 2**t or 2**(t - 1)
+            at = lambda t: (w[0], w[1], t - f[2] - f[3] - w[3], w[3])
+            cases += [(v, f, at(top - gap)), (v, f, at(top + gap))]
+    one = _raw(0, 1, 0)
+    for sign in (0, 1):
+        v = rand()
+        cases += [(fzero, rand(), rand()), (v, fzero, rand()), (v, rand(), fzero),
+                  (fzero, fzero, fzero)]
+        for _ in range(10):
+            # 3*w odd of prec+1 bits: the product is a tie
+            w = _raw(0, rng.randrange((1 << prec) // 3 + 1, (2 << prec) // 3 - 1) | 1, 0)
+            assert (3 * w[1]).bit_length() == prec + 1
+            cases += [(v, _raw(sign, 3, 0), w), (fzero, _raw(sign, 3, 5), w)]
+            # 2*odd -+ 1 with odd of prec bits: the difference is a tie
+            odd = _raw(sign, rng.getrandbits(prec) | 1 | 1 << (prec - 1), 1)
+            cases += [(odd, one, _raw(s, 1, 0)) for s in (0, 1)]
+            # the rounded product cancels v exactly
+            f = rand()
+            cases.append((mpf_mul(f, w, prec, "n"), f, w))
+        # (2**h - 1)*(2**h + 1) is 2*h > prec ones: the product carries
+        h = prec // 2 + 1
+        for u in (v, fzero):
+            cases.append((u, _raw(sign, (1 << h) - 1, 0), _raw(0, (1 << h) + 1, -7)))
+        # 2*(2**prec - 1) + 1 is prec+1 ones: the difference carries
+        cases.append((_raw(sign, (1 << prec) - 1, 1), one, _raw(sign ^ 1, 1, 0)))
+    return cases
+
+
+@pytest.mark.parametrize("prec", (53, 219, 1700))
+def test_msub_row_matches_libmp_bit_for_bit(prec):
+    cases = _msub_cases(prec, random.Random(prec))
+    for v, f, w in cases:
+        want = mpf_sub(v, mpf_mul(f, w, prec, "n"), prec, "n")
+        assert sandwich._msub_row([v], f, [w], prec) == [want], (v, f, w)
+    # one factor for a whole row, as pivot uses it
+    f = cases[0][1]
+    row, prow = [c[0] for c in cases], [c[2] for c in cases]
+    assert sandwich._msub_row(row, f, prow, prec) == [
+        mpf_sub(v, mpf_mul(f, w, prec, "n"), prec, "n") for v, w in zip(row, prow)]
+
+
+@pytest.mark.parametrize("prec", (53, 219, 1700))
+def test_round_matches_libmp_normalize(prec):
+    rng = random.Random(prec)
+    mans = [rng.getrandbits(rng.randint(1, 3 * prec)) | 1 for _ in range(500)]
+    mans += [m << rng.randint(1, 70) for m in mans[:100]]  # trailing zeros
+    for n in (1, 2, 3, 70):
+        for _ in range(5):
+            head = rng.getrandbits(prec) | 1 << (prec - 1)
+            tie = head << n | 1 << (n - 1)  # to even, up or down with head's last bit
+            mans += [tie, tie - 1, tie + 1]
+        mans.append((1 << (prec + n)) - 1)  # all ones: carries to a power of two
+    for man in mans:
+        for sign in (0, 1):
+            exp = rng.randint(-3000, 3000)
+            want = normalize(sign, man, exp, man.bit_length(), prec, "n")
+            assert sandwich._round(sign, man, exp, prec) == want, (sign, man, exp)
 
 
 def test_fit_validation_and_precision_guard():
