@@ -53,9 +53,11 @@ MAX_POINTS = 20000  # table and compare
 MAX_POINT_DIGITS = MAX_POINTS * 50
 MAX_GRID = 5000  # sandwich check
 # sandwich fit: --samples times the n+m+2 coefficients of a cell, since
-# the simplex's work grows with both; the slowest cell at its ceiling,
-# (7,7) at 81 samples, took 1.7-1.8 s on a lightly loaded 2-core host
-# where the table ceiling took 3.7 s.
+# the simplex's pivots grow with both.  On a lightly loaded 2-core host
+# the slowest cell at its ceiling, (7,7) at 81 samples, took 1.5-1.55 s
+# end to end, nearly all in its 415 pivots; (0,0) at 650 samples, 649
+# bound flips against 9 pivots, took 0.21 s, since pricing runs once
+# per pivot.
 MAX_FIT_SIZE = 1300
 
 _CEILINGS = {"digits": MAX_DIGITS, "points": MAX_POINTS, "grid": MAX_GRID}

@@ -25,8 +25,9 @@ before being returned.
 from __future__ import annotations
 
 import json
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import cmp_to_key
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import mpmath
@@ -37,7 +38,6 @@ from mpmath.libmp import (
     fzero,
     mpf_abs,
     mpf_add,
-    mpf_cmp,
     mpf_div,
     mpf_gt,
     mpf_lt,
@@ -399,6 +399,47 @@ def find_witness(r: RationalFn, region: str = "upper",
 # ---------------------------------------------------------------------------
 
 
+# The corridor values on a sample grid depend only on its points and the
+# digits, and fits share grids: the CLI's batch matrix runs every degree
+# pair on each --xmax grid, and the fit benchmark's closed loop draws
+# its cells from 72 grids of 1,304 points in all.  The memo keeps
+# the most recently used grids, up to _CORRIDOR_POINTS points in all
+# (about 600 bytes a point at 50 digits); the newest grid stays whatever
+# its size.
+_CORRIDOR_POINTS = 4096
+_corridors: OrderedDict = OrderedDict()
+
+
+def _corridor(points: tuple, p: Precision):
+    """ln(1+x) and cb(x) at each raw libmp value x of points, as two
+    tuples of mpf at p.digits + GUARD_DIGITS.  Raises PrecisionError,
+    and memoises nothing, where the corridor is narrower than the
+    working resolution."""
+    key = (points, p)
+    values = _corridors.pop(key, None)
+    if values is None:
+        lnv, cbv = [], []
+        with mp.workdps(p.digits + GUARD_DIGITS):
+            for raw in points:
+                x = mp.make_mpf(raw)
+                l = mpmath.ln(1 + x)
+                c = _cb(x, p)
+                if x != 0 and abs(c - l) < mpf(10) ** (2 - p.digits):
+                    raise PrecisionError(
+                        f"corridor width at x = {mpmath.nstr(x, 8)} is below resolution; "
+                        "raise the working precision"
+                    )
+                lnv.append(l)
+                cbv.append(c)
+        values = tuple(lnv), tuple(cbv)
+        kept = len(points) + sum(len(k[0]) for k in _corridors)
+        while kept > _CORRIDOR_POINTS and _corridors:
+            (old, _), _ = _corridors.popitem(last=False)
+            kept -= len(old)
+    _corridors[key] = values
+    return values
+
+
 def fit_sandwich(
     n: int,
     m: int,
@@ -438,19 +479,9 @@ def fit_sandwich(
     if samples < min_samples:
         raise ValueError(f"need at least {min_samples} samples for degrees ({n},{m})")
     wd = p.digits + GUARD_DIGITS
+    lnv, cbv = _corridor(tuple(x._mpf_ for x in xs), p)
     with mp.workdps(wd):
         lo, hi = +xs[0], +xs[-1]
-        lnv, cbv = [], []
-        for x in xs:
-            l = mpmath.ln(1 + x)
-            c = _cb(x, p)
-            if x != 0 and abs(c - l) < mpf(10) ** (2 - p.digits):
-                raise PrecisionError(
-                    f"corridor width at x = {mpmath.nstr(x, 8)} is below resolution; "
-                    "raise the working precision"
-                )
-            lnv.append(l)
-            cbv.append(c)
 
         # Constraint rows in ">= rhs" form over [a_0..a_n, b_0..b_m].
         # The homogeneous corridor rows are loosened by distinct
@@ -501,8 +532,25 @@ def _dot(row, y):
     return mpmath.fsum(a * b for a, b in zip(row, y))
 
 
-# sort key that orders raw libmp values by the numbers they hold
-_by_value = cmp_to_key(mpf_cmp)
+def _size(v, prec):
+    """An exact integer key that orders finite raw libmp values of at
+    most prec bits by magnitude: zero first, then by the leading bit's
+    exponent and the mantissa widened to prec bits."""
+    _, man, exp, bc = v
+    return (man != 0, exp + bc, man << (prec - bc))
+
+
+def _entering(cost, at_upper, floor, prec, bland):
+    """The columns j < len(at_upper) whose gain exceeds floor, the
+    _size of the pricing tolerance, in the order the simplex enters
+    them: the largest gain first and the lowest index on ties (Dantzig),
+    or the lowest index first (Bland).  Raising a w_j at 0 gains
+    cost[j]; lowering one at its bound 1 gains -cost[j]."""
+    gains = [(size, j) for j, (v, up) in enumerate(zip(cost, at_upper))
+             if v[0] == up and (size := _size(v, prec)) > floor]
+    if not bland:
+        gains.sort(key=itemgetter(0), reverse=True)  # stable: ties keep index order
+    return [j for _, j in gains]
 
 
 def _round(sign, man, exp, prec):
@@ -565,12 +613,24 @@ def _msub_row(row, f, prow, prec):
         else:
             man = vman - (man << (exp - vexp))
             exp = vexp
-        if man > 0:
-            append(_round(0, man, exp, prec))
-        elif man:
-            append(_round(1, -man, exp, prec))
-        else:
+        if not man:
             append(fzero)
+            continue
+        # the difference rounded as _round rounds it, inline as well
+        sign = 0
+        if man < 0:
+            sign, man = 1, -man
+        n = man.bit_length() - prec
+        if n > 0:
+            t = man >> (n - 1)
+            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
+                man = (t >> 1) + 1
+            else:
+                man = t >> 1
+            exp += n
+        zeros = (man & -man).bit_length() - 1
+        man >>= zeros
+        append((sign, man, exp + zeros, man.bit_length()))
     return out
 
 
@@ -593,9 +653,15 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
     v - f*w on the tuples' integers: the exact product rounded once, then
     the exact difference rounded once, in libmp's canonical odd-mantissa
     form.  libmp's mpf_mul and mpf_sub also round their exact results
-    once to nearest, so each entry is the tuple they give, bit for bit,
-    and so is each pivot choice and tie; the rest of the simplex calls
-    libmp itself.
+    once to nearest, so each entry is the tuple they give, bit for bit.
+    Pricing and the starting basis compare magnitudes by _size's exact
+    integer keys, so each pivot choice and tie is the one mpf_gt would
+    make; the ratio test and the basic values call libmp itself.
+
+    A bound flip leaves the reduced costs as they are and makes only its
+    own column's gain negative, so the columns that gain, sorted once
+    after each pivot, are the entering columns up to the next pivot, in
+    order: a full pricing scan per pivot, not per iteration.
 
     Returns ("feasible", y, 0) or ("infeasible", None, optimum), as mpf.
     """
@@ -605,11 +671,18 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
         m_rows = len(rows)
         piv_tol = (mpf(10) ** (-(wd - 10)))._mpf_
         feas_tol = mpf(10) ** (-(p.digits - 10))
+        floor = _size(piv_tol, prec)
+
+        def raw(v):
+            # an mpf of at most prec bits already is its rounding to prec
+            if type(v) is mpf and v._mpf_[3] <= prec:
+                return v._mpf_
+            return mpf(v)._mpf_
+
         # columns m_rows.. are the identity block: fixed at 0, never entering
-        tab = [[mpf(row[k])._mpf_ for row in rows] + [fone if k == j else fzero
-                                                        for j in range(nv)]
+        tab = [[raw(row[k]) for row in rows] + [fone if k == j else fzero for j in range(nv)]
                for k in range(nv)]
-        cost = [mpf(r)._mpf_ for r in rhs] + [fzero] * nv  # reduced costs
+        cost = [raw(r) for r in rhs] + [fzero] * nv  # reduced costs
         upper = [fone if r > 0 else finf for r in rhs] + [fzero] * nv
         at_upper = [False] * m_rows
         basis = [m_rows + k for k in range(nv)]
@@ -632,23 +705,20 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
         # depends on earlier rows (repeated sample points) and keeps its
         # identity column at 0.
         for k in range(nv):
-            size = [mpf_abs(v, prec, rnd) for v in tab[k][:m_rows]]
-            j = max(range(m_rows), key=lambda j: _by_value(size[j]))
-            if mpf_gt(size[j], piv_tol):
+            size = [_size(v, prec) for v in tab[k][:m_rows]]
+            j = max(range(m_rows), key=size.__getitem__)
+            if size[j] > floor:
                 pivot(k, j)
 
         optimum = fzero
         degenerate_streak = 0
         bland = False
+        # a flip steps a full 1, so it never lengthens the degenerate
+        # streak or switches to Bland's rule: one order serves until the
+        # next pivot
+        order = iter(_entering(cost, at_upper, floor, prec, bland))
         for _ in range(20000):
-            # raising a w_j at 0 gains cost[j]; lowering one at 1 gains -cost[j]
-            enter, best = -1, piv_tol
-            for j in range(m_rows):
-                gain = mpf_neg(cost[j], prec, rnd) if at_upper[j] else cost[j]
-                if mpf_gt(gain, best):
-                    enter, best = j, gain
-                    if bland:
-                        break
+            enter = next(order, -1)
             if enter < 0:
                 break
             # ratio test; ties keep the bound flip, then the lowest basis index
@@ -685,6 +755,7 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
             value[leave] = mpf_add(upper[enter] if at_upper[enter] else fzero, step, prec, rnd)
             at_upper[enter] = False
             pivot(leave, enter)
+            order = iter(_entering(cost, at_upper, floor, prec, bland))
         else:
             raise BudgetError("simplex iteration guard exceeded")
 

@@ -9,7 +9,17 @@ import time
 import mpmath
 import pytest
 from mpmath import mp, mpf
-from mpmath.libmp import fzero, mpf_mul, mpf_sub, normalize
+from mpmath.libmp import (
+    fone,
+    fzero,
+    mpf_abs,
+    mpf_cmp,
+    mpf_gt,
+    mpf_mul,
+    mpf_neg,
+    mpf_sub,
+    normalize,
+)
 
 from logbound import sandwich
 from logbound.errors import BudgetError, DomainError, PrecisionError, QVanishesError
@@ -399,7 +409,10 @@ def test_fit_repeated_sample_points(points):
 # _phase1_simplex returned for each fit cell, recorded while the simplex
 # still ran on mpf objects (30 and 50 digits) or on libmp's mpf_mul and
 # mpf_sub (100 digits); a last-bit change in any coefficient or optimum
-# changes its digest
+# changes its digest.  The samples= cells and the point grids at 30
+# digits were recorded while pricing still scanned every column through
+# libmp at each iteration: (1,6) at 36 samples switches to Bland's rule,
+# and (0,0) at 650 samples makes 649 bound flips against 9 pivots.
 SIMPLEX_PINS = {
     "0,0,upper,xmax=1,30": "4bb08f41cd8fa029",
     "0,0,upper,xmax=1,50": "f9a41dc51ef18196",
@@ -455,7 +468,11 @@ SIMPLEX_PINS = {
     "4,4,lower,delta=0.5,30": "48947cd5c6599c36",
     "4,4,lower,delta=0.5,50": "22ec1a6c4cb8393b",
     "4,4,lower,delta=0.5,100": "a98b05626c7073bf",
+    "1,6,upper,xmax=1,samples=36,50": "97257e026089b7f6",
+    "0,0,upper,xmax=1,samples=650,50": "ccb259fe0dec388f",
+    "3,3,points=0.5,digits=30": "205cf5b52fcb9c5c",
     "3,3,points=0.5": "18e16799af7c4981",
+    "3,3,points=0.25,0.5,digits=30": "2b7af042700fffdd",
     "3,3,points=0.25,0.5": "505829b789ef2552",
 }
 
@@ -477,15 +494,24 @@ def test_phase1_simplex_bits_are_pinned(monkeypatch):
         return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
     got = {}
+    sandwich._corridors.clear()
     for n, m in ((0, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 4)):
         for region, name, bound in (("upper", "xmax", "1"), ("upper", "xmax", "4"),
                                     ("lower", "delta", "0.5")):
             for digits in (30, 50, 100):
                 fit_sandwich(n, m, region, p=Precision(digits), **{name: bound})
                 got[f"{n},{m},{region},{name}={bound},{digits}"] = digest()
+    for n, m, samples in ((1, 6, 36), (0, 0, 650)):
+        fit_sandwich(n, m, "upper", xmax="1", samples=samples)
+        got[f"{n},{m},upper,xmax=1,samples={samples},50"] = digest()
     for points in REPEATED_POINTS:
+        # the same points at 30 and then 50 digits: the corridor memo
+        # must not hand the 50-digit fit the 30-digit values
+        key = "3,3,points=" + ",".join(sorted(set(points)))
+        fit_sandwich(3, 3, "upper", sample_points=points, p=Precision(30))
+        got[key + ",digits=30"] = digest()
         fit_sandwich(3, 3, "upper", sample_points=points)
-        got["3,3,points=" + ",".join(sorted(set(points)))] = digest()
+        got[key] = digest()
     assert got == SIMPLEX_PINS
 
 
@@ -550,6 +576,70 @@ def test_msub_row_matches_libmp_bit_for_bit(prec):
         mpf_sub(v, mpf_mul(f, w, prec, "n"), prec, "n") for v, w in zip(row, prow)]
 
 
+def _magnitudes(prec, rng):
+    """Raw values of at most prec bits around the pricing tolerance
+    10**-20: the tolerance itself and its neighbours of prec bits,
+    random mantissas within a few binades of it on both sides, both
+    signs, and zero.  Few enough that costs drawn from them tie."""
+    with mp.workprec(prec):
+        tol = (mpf(10) ** -20)._mpf_
+    _, man, exp, bc = tol
+    wide, top = man << (prec - bc), exp + bc - prec
+    vals = [tol, _raw(0, wide + 1, top), _raw(0, wide - 1, top)]
+    for _ in range(6):
+        bits = rng.randint(1, prec)
+        vals.append(_raw(0, rng.getrandbits(bits) | 1 | 1 << (bits - 1),
+                         top + prec - bits + rng.randint(-3, 3)))
+    return tol, [(s,) + v[1:] for v in vals for s in (0, 1)] + [fzero]
+
+
+@pytest.mark.parametrize("prec", (53, 219))
+def test_size_orders_raw_values_by_magnitude(prec):
+    _, vals = _magnitudes(prec, random.Random(prec))
+    for a in vals:
+        for b in vals:
+            want = mpf_cmp(mpf_abs(a), mpf_abs(b))
+            got = sandwich._size(a, prec), sandwich._size(b, prec)
+            assert (got[0] > got[1]) - (got[0] < got[1]) == want, (a, b)
+
+
+def _full_scan(cost, at_upper, piv_tol, prec, bland):
+    """The entering column as the simplex chose it before it kept a
+    sorted candidate list: every column's gain compared through libmp."""
+    enter, best = -1, piv_tol
+    for j in range(len(at_upper)):
+        gain = mpf_neg(cost[j], prec, "n") if at_upper[j] else cost[j]
+        if mpf_gt(gain, best):
+            enter, best = j, gain
+            if bland:
+                break
+    return enter
+
+
+@pytest.mark.parametrize("prec", (53, 219))
+@pytest.mark.parametrize("bland", (False, True))
+def test_entering_order_matches_a_full_pricing_scan(prec, bland):
+    rng = random.Random(2 * prec + bland)
+    tol, vals = _magnitudes(prec, rng)
+    floor = sandwich._size(tol, prec)
+    flips = 0
+    for _ in range(300):
+        width = rng.randint(1, 40)
+        # a cost row longer than at_upper: the identity block's columns
+        # never enter, whatever their cost
+        cost = [rng.choice(vals) for _ in range(width)] + [fone, (1,) + fone[1:]]
+        at_upper = [rng.random() < 0.5 for _ in range(width)]
+        order = iter(sandwich._entering(cost, at_upper, floor, prec, bland))
+        while True:
+            enter = _full_scan(cost, at_upper, tol, prec, bland)
+            assert next(order, -1) == enter, (cost, at_upper)
+            if enter < 0:
+                break
+            at_upper[enter] = not at_upper[enter]  # a bound flip
+            flips += 1
+    assert flips > 1000
+
+
 @pytest.mark.parametrize("prec", (53, 219, 1700))
 def test_round_matches_libmp_normalize(prec):
     rng = random.Random(prec)
@@ -574,8 +664,30 @@ def test_fit_validation_and_precision_guard():
     with pytest.raises(ValueError):
         fit_sandwich(2, 2, samples=10)
     pts = [mpf(0), mpf("1e-11")] + [mpf(i) / 10 for i in range(1, 7)]
-    with pytest.raises(PrecisionError):
-        fit_sandwich(0, 0, "upper", sample_points=pts)
+    for _ in range(2):  # the corridor memo keeps no failed grid
+        with pytest.raises(PrecisionError):
+            fit_sandwich(0, 0, "upper", sample_points=pts)
+
+
+def test_corridor_memo_keeps_one_entry_per_grid(monkeypatch):
+    # xmax written three ways draws the same points: one corridor for three fits
+    calls = []
+    real = sandwich._cb
+    monkeypatch.setattr(sandwich, "_cb", lambda x, p: calls.append(x) or real(x, p))
+    sandwich._corridors.clear()
+    reports = [fit_sandwich(1, 1, "upper", xmax=x) for x in ("1", "1.0", 1)]
+    assert len(calls) == 16 and len(sandwich._corridors) == 1
+    assert reports[1] == reports[0] and reports[2] == reports[0]
+
+
+def test_corridor_memo_drops_the_least_recently_used_grid(monkeypatch):
+    monkeypatch.setattr(sandwich, "_CORRIDOR_POINTS", 40)
+    sandwich._corridors.clear()
+    for xmax in ("1", "2", "1", "3"):  # 16 points each
+        fit_sandwich(1, 1, "upper", xmax=xmax)
+    assert [mp.make_mpf(points[-1]) for points, _ in sandwich._corridors] == [1, 3]
+    fit_sandwich(1, 1, "upper", xmax="5", samples=48)  # alone above the budget
+    assert [mp.make_mpf(points[-1]) for points, _ in sandwich._corridors] == [5]
 
 
 def test_report_serialization():
