@@ -56,8 +56,8 @@ MAX_GRID = 5000  # sandwich check
 # the simplex's pivots grow with both.  On a lightly loaded 2-core host
 # the slowest cell at its ceiling, (7,7) at 81 samples, took 1.5-1.55 s
 # end to end, nearly all in its 415 pivots; (0,0) at 650 samples, 649
-# bound flips against 9 pivots, took 0.21 s, since pricing runs once
-# per pivot.
+# bound flips against 9 pivots, took 0.17-0.18 s, since pricing runs
+# once per pivot.
 MAX_FIT_SIZE = 1300
 
 _CEILINGS = {"digits": MAX_DIGITS, "points": MAX_POINTS, "grid": MAX_GRID}

@@ -25,7 +25,6 @@ before being returned.
 from __future__ import annotations
 
 import json
-from collections import OrderedDict
 from dataclasses import dataclass
 from operator import itemgetter
 from typing import Optional, Sequence
@@ -399,47 +398,6 @@ def find_witness(r: RationalFn, region: str = "upper",
 # ---------------------------------------------------------------------------
 
 
-# The corridor values on a sample grid depend only on its points and the
-# digits, and fits share grids: the CLI's batch matrix runs every degree
-# pair on each --xmax grid, and the fit benchmark's closed loop draws
-# its cells from 72 grids of 1,304 points in all.  The memo keeps
-# the most recently used grids, up to _CORRIDOR_POINTS points in all
-# (about 600 bytes a point at 50 digits); the newest grid stays whatever
-# its size.
-_CORRIDOR_POINTS = 4096
-_corridors: OrderedDict = OrderedDict()
-
-
-def _corridor(points: tuple, p: Precision):
-    """ln(1+x) and cb(x) at each raw libmp value x of points, as two
-    tuples of mpf at p.digits + GUARD_DIGITS.  Raises PrecisionError,
-    and memoises nothing, where the corridor is narrower than the
-    working resolution."""
-    key = (points, p)
-    values = _corridors.pop(key, None)
-    if values is None:
-        lnv, cbv = [], []
-        with mp.workdps(p.digits + GUARD_DIGITS):
-            for raw in points:
-                x = mp.make_mpf(raw)
-                l = mpmath.ln(1 + x)
-                c = _cb(x, p)
-                if x != 0 and abs(c - l) < mpf(10) ** (2 - p.digits):
-                    raise PrecisionError(
-                        f"corridor width at x = {mpmath.nstr(x, 8)} is below resolution; "
-                        "raise the working precision"
-                    )
-                lnv.append(l)
-                cbv.append(c)
-        values = tuple(lnv), tuple(cbv)
-        kept = len(points) + sum(len(k[0]) for k in _corridors)
-        while kept > _CORRIDOR_POINTS and _corridors:
-            (old, _), _ = _corridors.popitem(last=False)
-            kept -= len(old)
-    _corridors[key] = values
-    return values
-
-
 def fit_sandwich(
     n: int,
     m: int,
@@ -479,9 +437,19 @@ def fit_sandwich(
     if samples < min_samples:
         raise ValueError(f"need at least {min_samples} samples for degrees ({n},{m})")
     wd = p.digits + GUARD_DIGITS
-    lnv, cbv = _corridor(tuple(x._mpf_ for x in xs), p)
     with mp.workdps(wd):
         lo, hi = +xs[0], +xs[-1]
+        lnv, cbv = [], []
+        for x in xs:
+            l = mpmath.ln(1 + x)
+            c = _cb(x, p)
+            if x != 0 and abs(c - l) < mpf(10) ** (2 - p.digits):
+                raise PrecisionError(
+                    f"corridor width at x = {mpmath.nstr(x, 8)} is below resolution; "
+                    "raise the working precision"
+                )
+            lnv.append(l)
+            cbv.append(c)
 
         # Constraint rows in ">= rhs" form over [a_0..a_n, b_0..b_m].
         # The homogeneous corridor rows are loosened by distinct
@@ -613,24 +581,12 @@ def _msub_row(row, f, prow, prec):
         else:
             man = vman - (man << (exp - vexp))
             exp = vexp
-        if not man:
+        if man > 0:
+            append(_round(0, man, exp, prec))
+        elif man:
+            append(_round(1, -man, exp, prec))
+        else:
             append(fzero)
-            continue
-        # the difference rounded as _round rounds it, inline as well
-        sign = 0
-        if man < 0:
-            sign, man = 1, -man
-        n = man.bit_length() - prec
-        if n > 0:
-            t = man >> (n - 1)
-            if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-                man = (t >> 1) + 1
-            else:
-                man = t >> 1
-            exp += n
-        zeros = (man & -man).bit_length() - 1
-        man >>= zeros
-        append((sign, man, exp + zeros, man.bit_length()))
     return out
 
 

@@ -201,24 +201,6 @@ def test_sandwich_fit_fits_each_distinct_cell_once(capsys, monkeypatch):
     assert out.splitlines()[0] == "degrees\\X,1.0,0.5"
 
 
-def test_sandwich_fit_matrix_cells_match_single_runs(capsys):
-    # the batch fits three degree pairs on each grid from the corridor
-    # memo, which it fills once per grid; each single run starts from an
-    # empty memo
-    base = ["sandwich", "fit", "--samples", "20", "--format", "json"]
-    sandwich._corridors.clear()
-    code, out, err = run(capsys, *base, "--deg", "0,0", "--deg", "1,1", "--deg", "2,1",
-                         "--xmax", "0.5", "--xmax", "1")
-    assert code == 0 and len(sandwich._corridors) == 2
-    cells = json.loads(out)["cells"]
-    assert len(cells) == 6
-    for cell in cells:
-        sandwich._corridors.clear()
-        code, out, err = run(capsys, *base, "--deg", f"{cell['degree_p']},{cell['degree_q']}",
-                             "--xmax", cell.pop("xmax"))
-        assert code == 0 and json.loads(out) == cell
-
-
 def test_sandwich_fit_lower_region_reaches_zero(capsys):
     # the last sample of [-0.1, 0] is 0 itself, where the corridor closes
     code, out, err = run(capsys, "sandwich", "fit", "--deg", "3,3", "--region", "lower",

@@ -409,10 +409,10 @@ def test_fit_repeated_sample_points(points):
 # _phase1_simplex returned for each fit cell, recorded while the simplex
 # still ran on mpf objects (30 and 50 digits) or on libmp's mpf_mul and
 # mpf_sub (100 digits); a last-bit change in any coefficient or optimum
-# changes its digest.  The samples= cells and the point grids at 30
-# digits were recorded while pricing still scanned every column through
-# libmp at each iteration: (1,6) at 36 samples switches to Bland's rule,
-# and (0,0) at 650 samples makes 649 bound flips against 9 pivots.
+# changes its digest.  The samples= cells were recorded while pricing
+# still scanned every column through libmp at each iteration: (1,6) at
+# 36 samples switches to Bland's rule, and (0,0) at 650 samples makes
+# 649 bound flips against 9 pivots.
 SIMPLEX_PINS = {
     "0,0,upper,xmax=1,30": "4bb08f41cd8fa029",
     "0,0,upper,xmax=1,50": "f9a41dc51ef18196",
@@ -470,9 +470,7 @@ SIMPLEX_PINS = {
     "4,4,lower,delta=0.5,100": "a98b05626c7073bf",
     "1,6,upper,xmax=1,samples=36,50": "97257e026089b7f6",
     "0,0,upper,xmax=1,samples=650,50": "ccb259fe0dec388f",
-    "3,3,points=0.5,digits=30": "205cf5b52fcb9c5c",
     "3,3,points=0.5": "18e16799af7c4981",
-    "3,3,points=0.25,0.5,digits=30": "2b7af042700fffdd",
     "3,3,points=0.25,0.5": "505829b789ef2552",
 }
 
@@ -494,7 +492,6 @@ def test_phase1_simplex_bits_are_pinned(monkeypatch):
         return hashlib.sha256(repr(key).encode()).hexdigest()[:16]
 
     got = {}
-    sandwich._corridors.clear()
     for n, m in ((0, 0), (1, 1), (2, 1), (3, 2), (3, 3), (4, 4)):
         for region, name, bound in (("upper", "xmax", "1"), ("upper", "xmax", "4"),
                                     ("lower", "delta", "0.5")):
@@ -505,13 +502,8 @@ def test_phase1_simplex_bits_are_pinned(monkeypatch):
         fit_sandwich(n, m, "upper", xmax="1", samples=samples)
         got[f"{n},{m},upper,xmax=1,samples={samples},50"] = digest()
     for points in REPEATED_POINTS:
-        # the same points at 30 and then 50 digits: the corridor memo
-        # must not hand the 50-digit fit the 30-digit values
-        key = "3,3,points=" + ",".join(sorted(set(points)))
-        fit_sandwich(3, 3, "upper", sample_points=points, p=Precision(30))
-        got[key + ",digits=30"] = digest()
         fit_sandwich(3, 3, "upper", sample_points=points)
-        got[key] = digest()
+        got["3,3,points=" + ",".join(sorted(set(points)))] = digest()
     assert got == SIMPLEX_PINS
 
 
@@ -664,30 +656,8 @@ def test_fit_validation_and_precision_guard():
     with pytest.raises(ValueError):
         fit_sandwich(2, 2, samples=10)
     pts = [mpf(0), mpf("1e-11")] + [mpf(i) / 10 for i in range(1, 7)]
-    for _ in range(2):  # the corridor memo keeps no failed grid
-        with pytest.raises(PrecisionError):
-            fit_sandwich(0, 0, "upper", sample_points=pts)
-
-
-def test_corridor_memo_keeps_one_entry_per_grid(monkeypatch):
-    # xmax written three ways draws the same points: one corridor for three fits
-    calls = []
-    real = sandwich._cb
-    monkeypatch.setattr(sandwich, "_cb", lambda x, p: calls.append(x) or real(x, p))
-    sandwich._corridors.clear()
-    reports = [fit_sandwich(1, 1, "upper", xmax=x) for x in ("1", "1.0", 1)]
-    assert len(calls) == 16 and len(sandwich._corridors) == 1
-    assert reports[1] == reports[0] and reports[2] == reports[0]
-
-
-def test_corridor_memo_drops_the_least_recently_used_grid(monkeypatch):
-    monkeypatch.setattr(sandwich, "_CORRIDOR_POINTS", 40)
-    sandwich._corridors.clear()
-    for xmax in ("1", "2", "1", "3"):  # 16 points each
-        fit_sandwich(1, 1, "upper", xmax=xmax)
-    assert [mp.make_mpf(points[-1]) for points, _ in sandwich._corridors] == [1, 3]
-    fit_sandwich(1, 1, "upper", xmax="5", samples=48)  # alone above the budget
-    assert [mp.make_mpf(points[-1]) for points, _ in sandwich._corridors] == [5]
+    with pytest.raises(PrecisionError):
+        fit_sandwich(0, 0, "upper", sample_points=pts)
 
 
 def test_report_serialization():
