@@ -251,7 +251,19 @@ def _parse_rational(args, p: Precision) -> sandwich.RationalFn:
     return sandwich.RationalFn(tuple(pc), tuple(qc))
 
 
+def _read_region(args, xmax) -> None:
+    """Refuse the region option that args.region does not read (--delta
+    in the upper region, --xmax in the lower), then default --xmax to
+    xmax and --delta to 1e-6."""
+    unread = "delta" if args.region == "upper" else "xmax"
+    if getattr(args, unread) is not None:
+        raise LogboundError(f"--{unread} is not read by the {args.region} region")
+    args.xmax = xmax if args.xmax is None else args.xmax
+    args.delta = 1e-6 if args.delta is None else args.delta
+
+
 def _cmd_sandwich_check(args) -> Report:
+    _read_region(args, 10.0)
     p = Precision(args.digits)
     r = _parse_rational(args, p)
     w = sandwich.check_sandwich(
@@ -271,6 +283,7 @@ def _cmd_sandwich_check(args) -> Report:
 
 
 def _cmd_sandwich_fit(args) -> Report:
+    _read_region(args, [1.0])
     p = Precision(args.digits)
     # a repeated --deg or --xmax names the same cell: keep its first occurrence
     try:
@@ -282,7 +295,7 @@ def _cmd_sandwich_fit(args) -> Report:
         if size > 0 and args.samples > MAX_FIT_SIZE // size:
             raise LogboundError(f"--samples must be <= {MAX_FIT_SIZE // size} for degrees "
                                 f"({d[0]},{d[1]}), got {args.samples}")
-    xmaxes = list(dict.fromkeys(args.xmax or [1.0]))
+    xmaxes = list(dict.fromkeys(args.xmax))
     cells = {}
     for (n, m) in degrees:
         for X in xmaxes:
@@ -412,8 +425,9 @@ def _build_parser() -> argparse.ArgumentParser:
     sc.add_argument("--p", required=True, help="numerator polynomial in x")
     sc.add_argument("--q", required=True, help="denominator polynomial in x")
     sc.add_argument("--region", choices=("upper", "lower"), default="upper")
-    sc.add_argument("--xmax", type=float, default=10.0)
-    sc.add_argument("--delta", type=float, default=1e-6)
+    sc.add_argument("--xmax", type=float, help="upper region: right endpoint (default 10)")
+    sc.add_argument("--delta", type=float, help="lower region: left endpoint -1+delta "
+                                                "(default 1e-6)")
     sc.add_argument("--grid", type=int, default=1000)
     sc.set_defaults(fn=_cmd_sandwich_check)
 
@@ -422,8 +436,10 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="degrees of P and Q (repeatable)")
     sf.add_argument("--region", choices=("upper", "lower"), default="upper")
     sf.add_argument("--xmax", action="append", type=float, metavar="X",
-                    help="right endpoint (repeatable for a batch matrix)")
-    sf.add_argument("--delta", type=float, default=1e-6)
+                    help="upper region: right endpoint (default 1; repeatable for a "
+                         "batch matrix)")
+    sf.add_argument("--delta", type=float, help="lower region: left endpoint -1+delta "
+                                                "(default 1e-6)")
     sf.add_argument("--samples", type=int, default=0,
                     help="sample count (default: the minimum 4*(n+m+2))")
     sf.set_defaults(fn=_cmd_sandwich_fit)

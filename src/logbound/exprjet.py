@@ -850,8 +850,8 @@ def _walk(tape: list, r: int, ctx, out: Optional[list] = None) -> list:
     return out
 
 
-# Working precisions whose variable-free slots a tape keeps: a witness
-# is checked at p and then at p.doubled(), each with its own.
+# Keys per walk whose variable-free slots a tape keeps: enough for a
+# witness's p and p.doubled(), and for the block sizes 64, 24 and a tail.
 _KEPT_PRECISIONS = 4
 
 
@@ -859,18 +859,17 @@ class Tape:
     """Expressions flattened into one tape, and walked together.
 
     Structurally equal subtrees of the roots share one slot, so a value
-    they have in common is computed once per point.  The variable-free slots are kept from the first walk
-    that returned, per working precision for the last _KEPT_PRECISIONS
-    of them and once for the binary64 walk; one that raises is computed,
-    and raises, again on every call.
+    they have in common is computed once per point.  The variable-free
+    slots are kept from the first walk that returned, per key for the
+    last _KEPT_PRECISIONS keys: the working precision for point, one key
+    for ball, the block size for balls.  A walk that raises keeps
+    nothing, so the next one computes them, and raises, again.
     """
 
     def __init__(self, roots):
         self.entries, self.roots = _flatten(roots)
-        # rule field -> {mp.prec, or None for _BALL: variable-free slots}
-        self._kept = {_POINT: {}, _BALL: {}}
-        # block size -> the kept _BALL slots spread over a block (see balls)
-        self._spreads = {}
+        # rule field -> {key: variable-free slots}
+        self._kept = {_POINT: {}, _BALL: {}, _BLOCK: {}}
 
     def _kept_walk(self, r: int, key, ctx) -> list:
         kept = self._kept[r]
@@ -899,22 +898,14 @@ class Tape:
         """The roots' (values, error bound) pairs over a block of points,
         each within err of its x: the values are those of ball at each x,
         bit for bit, and the one bound is at least the error of ball at
-        every point.  Each varying slot is walked once over the block by
-        its row's block rule (see _Op); the variable-free slots are the
-        kept ones, spread over the block.  Raises where ball raises at any
-        point, and may raise where none does: where the smallest |value|
-        of a divisor, a negative power's base or a function argument is
-        too close to 0 for the block's error or its signs mix, and where
-        any value is inf or NaN."""
-        n = len(xs)
-        spread = self._spreads.get(n)
-        if spread is None:
-            consts = self._kept[_BALL].get(None)
-            if consts is None:
-                self.ball(xs[0], err)  # keeps the variable-free slots
-                consts = self._kept[_BALL][None]
-            spread = self._spreads[n] = [None if c is None else _spread(c, n) for c in consts]
-        out = _walk(self.entries, _BLOCK, (xs, err, *_extent(xs)), list(spread))
+        every point.  Each slot is walked over the block by its row's
+        block rule (see _Op), which on a variable-free column gives the
+        ball rule's value at every point and its bound, bit for bit.
+        Raises where ball raises at any point, and may raise where none
+        does: where the smallest |value| of a divisor, a negative power's
+        base or a function argument is too close to 0 for the block's
+        error or its signs mix, and where any value is inf or NaN."""
+        out = self._kept_walk(_BLOCK, len(xs), (xs, err, *_extent(xs)))
         return [out[k][:2] for k in self.roots]
 
     def series(self, center, n: int) -> list:
@@ -1228,7 +1219,7 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
     if order < 0:
         raise ValueError("order must be >= 0")
     with mp.workdps(p.digits + GUARD_DIGITS + order):
-        coeffs = _walk(_tape(e).entries, _SERIES, (mpmath.mpmathify(center), order))[-1]
+        coeffs = _tape(e).series(mpmath.mpmathify(center), order)[0]
     with mp.workdps(p.digits):
         return Jet(
             center=+mpmath.mpmathify(center),

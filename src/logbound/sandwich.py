@@ -45,7 +45,7 @@ from mpmath.libmp import (
     mpf_sub,
 )
 
-from .bounds import f_cb, linear_grid, ln1p
+from .bounds import f_cb, linear_grid
 from .errors import (
     BudgetError,
     DomainError,
@@ -255,10 +255,15 @@ def _region_grid(region: str, xmax, delta, count: int, p: Precision):
     raise ValueError(f"unknown region {region!r}")
 
 
-def _cb(x: mpf, p: Precision) -> mpf:
-    """cb(x) = f(x)/sqrt(x+1), with f rounded to p.digits + GUARD_DIGITS;
-    call it at that working precision."""
-    return f_cb(x, Precision(p.digits + GUARD_DIGITS)) / mpmath.sqrt(x + 1)
+def _corridor(x: mpf, p: Precision) -> tuple:
+    """The corridor's walls (ln(1+x), cb(x)) at x > -1, with cb(x) =
+    f(x)/sqrt(x+1) and f rounded to p.digits + GUARD_DIGITS; call it at
+    that working precision.  ln takes 1+x exact, so it keeps every digit
+    near 0 as mpmath.log1p does, at about half its cost."""
+    if not x > -1:
+        raise DomainError("ln(1+x) requires x > -1")
+    return (mpmath.ln(mpmath.fadd(1, x, exact=True)),
+            f_cb(x, Precision(p.digits + GUARD_DIGITS)) / mpmath.sqrt(x + 1))
 
 
 def _check_q_sign(r: RationalFn, ts, p: Precision):
@@ -279,8 +284,7 @@ def _violation_margins(r: RationalFn, x: mpf, region: str, p: Precision):
     """((side, lhs, rhs, margin) for each violated inequality at x)."""
     with mp.workdps(p.digits + GUARD_DIGITS):
         v = r.value(x)
-        log_side = ln1p(x, p)
-        cb_side = _cb(x, p)
+        log_side, cb_side = _corridor(x, p)
         # the upper region requires ln(1+x) <= v <= cb, the lower the reverse
         sign = 1 if region == "upper" else -1
         out = (("log", log_side, v, sign * (log_side - v)),
@@ -428,21 +432,19 @@ def fit_sandwich(
         raise ValueError("degrees are limited to 0..8")
     min_samples = 4 * (n + m + 2)
     if sample_points is not None:
-        xs = sorted(mpmath.mpmathify(x) for x in sample_points)
-        samples = len(xs)
-    else:
-        if samples == 0:
-            samples = min_samples
-        xs = _region_grid(region, xmax, delta, samples, p)
+        sample_points = sorted(mpmath.mpmathify(x) for x in sample_points)
+        samples = len(sample_points)
+    elif samples == 0:
+        samples = min_samples
     if samples < min_samples:
         raise ValueError(f"need at least {min_samples} samples for degrees ({n},{m})")
+    xs = sample_points or _region_grid(region, xmax, delta, samples, p)
     wd = p.digits + GUARD_DIGITS
     with mp.workdps(wd):
         lo, hi = +xs[0], +xs[-1]
         lnv, cbv = [], []
         for x in xs:
-            l = mpmath.ln(1 + x)
-            c = _cb(x, p)
+            l, c = _corridor(x, p)
             if x != 0 and abs(c - l) < mpf(10) ** (2 - p.digits):
                 raise PrecisionError(
                     f"corridor width at x = {mpmath.nstr(x, 8)} is below resolution; "

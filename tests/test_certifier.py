@@ -989,6 +989,81 @@ def test_tape_balls_bound_ball_at_every_point(expr, drr, xs, rel):
         assert all(e >= point_err for _, point_err in balls)
 
 
+def _spread_balls(tape, xs, err):
+    """Tape.balls as it once kept its variable-free slots: a ball walk at
+    xs[0] keeps them, and each kept ball is spread over the block."""
+    tape.ball(xs[0], err)
+    spread = [None if c is None else exprjet._spread(c, len(xs))
+              for c in tape._kept[exprjet._BALL][None]]
+    out = exprjet._walk(tape.entries, exprjet._BLOCK, (xs, err, *exprjet._extent(xs)), spread)
+    return [out[k][:2] for k in tape.roots]
+
+
+# the family-A and family-C search tapes, and one whose variable-free
+# slots go through every row kind: Neg, Add, Sub, Mul, Div, a negative
+# and a zeroth power, and the calls
+SPREAD_TAPES = [("H(t) - 0.0167*(t-1)^5", True), ("2*t*ln(t) + 0.05*(t-1)^3", False),
+                ("2*t*ln(t) + (ln(3)/sqrt(2) - atan(0.5)*sin(-1.5)^2 + (-0.75)^-3"
+                 " + 2^0 - pi)*(t-1)^3", False)]
+
+
+@pytest.mark.parametrize("expr, drr", SPREAD_TAPES, ids=[e for e, _ in SPREAD_TAPES])
+def test_block_walk_keeps_the_spread_balls_bit_for_bit(expr, drr):
+    # on a variable-free column each block rule gives the ball rule's
+    # value and bound, so the kept columns are the kept balls spread
+    tape = certifier._search(parse(expr), drr, 50).tape
+    for n in (64, 24, 13):
+        for start in (0.2, 0.9, 1.05, 1.7):
+            xs = [start + k / 512 for k in range(n)]
+            for err in (0.0, 1e-12):
+                for _ in range(2):  # the walk that keeps them, then one that reads them
+                    assert ([[_bits(v) for v in vs] + [_bits(e)] for vs, e in tape.balls(xs, err)]
+                            == [[_bits(v) for v in vs] + [_bits(e)]
+                                for vs, e in _spread_balls(tape, xs, err)])
+
+
+def _counted_consts(monkeypatch):
+    """A list that grows by one at each Const block rule a tape built
+    after this call runs."""
+    calls, const = [], exprjet._OPS[exprjet.Const]
+    monkeypatch.setitem(exprjet._OPS, exprjet.Const, const._replace(
+        block=lambda e, c: calls.append(e) or const.block(e, c)))
+    return calls
+
+
+def test_block_walk_walks_the_variable_free_rows_once_per_size(monkeypatch):
+    calls = _counted_consts(monkeypatch)
+    tape = certifier._search(parse("H(t) - 0.0167*(t-1)^5"), True, 50).tape
+    xs = [0.3 + k / 256 for k in range(64)]
+    tape.balls(xs, 0.0)
+    walked = len(calls)
+    assert walked > 0
+    tape.balls([x + 0.5 for x in xs], 1e-12)
+    assert len(calls) == walked
+    tape.balls(xs[:24], 0.0)  # a new size walks them again
+    assert len(calls) == 2 * walked
+    tape.balls(xs, 0.0)
+    assert len(calls) == 2 * walked
+
+
+def test_a_block_walk_that_raises_keeps_nothing(monkeypatch):
+    calls = _counted_consts(monkeypatch)
+    tape = exprjet.Tape((parse("3*t + 2/(t - 1)"),))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError):
+            tape.balls([0.5, 1.0, 1.5], 0.0)
+        assert tape._kept[exprjet._BLOCK] == {}
+    assert len(calls) == 6  # 3, 2 and 1, on each call
+    # as ball and point do
+    with pytest.raises(ArithmeticError):
+        tape.ball(1.0, 0.0)
+    with pytest.raises(exprjet.DomainError):
+        tape.point(mpf(1))
+    assert tape._kept[exprjet._BALL] == tape._kept[exprjet._POINT] == {}
+    tape.balls([1.25, 1.5, 2.0], 0.0)
+    assert list(tape._kept[exprjet._BLOCK]) == [3]
+
+
 # the family-A and family-C tapes, two gaps and one, and the mixed tape
 GAP_TAPES = [("H(t) - 0.0167*(t-1)^5", True), ("2*t*ln(t) + 0.05*(t-1)^3", False),
              (MIXED.format(1), False), (MIXED.format(1), True)]

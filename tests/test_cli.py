@@ -201,6 +201,26 @@ def test_sandwich_fit_fits_each_distinct_cell_once(capsys, monkeypatch):
     assert out.splitlines()[0] == "degrees\\X,1.0,0.5"
 
 
+@pytest.mark.parametrize("argv, defaults", [
+    (["sandwich", "check", "--p", "x*(2+x)", "--q", "2*(1+x)", "--grid", "4"], ["--xmax", "10"]),
+    (["sandwich", "check", "--p", "x", "--q", "1", "--region", "lower", "--grid", "20"],
+     ["--delta", "1e-6"]),
+    (["sandwich", "fit", "--deg", "0,0", "--deg", "1,0"], ["--xmax", "1"]),
+    (["sandwich", "fit", "--deg", "1,1", "--region", "lower", "--format", "json"],
+     ["--delta", "1e-6"]),
+], ids=["check upper", "check lower", "fit upper", "fit lower"])
+def test_region_option_defaults_keep_their_bytes(capsys, argv, defaults):
+    default = run(capsys, *argv)
+    assert run(capsys, *argv, *defaults) == default
+    assert default[0] in (0, 1) and default[2] == ""
+
+
+def test_lower_fit_matrix_keeps_its_column(capsys):
+    code, out, err = run(capsys, "sandwich", "fit", "--deg", "0,0", "--deg", "1,0",
+                         "--region", "lower", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "degrees\\X,1.0"
+
+
 def test_sandwich_fit_lower_region_reaches_zero(capsys):
     # the last sample of [-0.1, 0] is 0 itself, where the corridor closes
     code, out, err = run(capsys, "sandwich", "fit", "--deg", "3,3", "--region", "lower",
@@ -330,8 +350,25 @@ def test_non_finite_inputs_exit_2(capsys, argv):
      "error: lower region needs delta in (0, 1)"),
     (["compare", "--xmin", "2", "--xmax", "1"],
      "error: log grid needs 0 < lo < hi and count >= 2"),
+    (["sandwich", "fit", "--deg", "0,0", "--samples", "1"],
+     "error: need at least 8 samples for degrees (0,0)"),
+    (["sandwich", "fit", "--deg", "0,0", "--samples", "-5"],
+     "error: need at least 8 samples for degrees (0,0)"),
+    (["sandwich", "fit", "--deg", "0,0", "--samples", "3"],
+     "error: need at least 8 samples for degrees (0,0)"),
+    # an option that the region does not read
+    (["sandwich", "check", "--p", "x", "--q", "1", "--region", "lower", "--xmax", "7"],
+     "error: --xmax is not read by the lower region"),
+    (["sandwich", "check", "--p", "x", "--q", "1", "--delta", "0.5"],
+     "error: --delta is not read by the upper region"),
+    (["sandwich", "fit", "--deg", "1,1", "--region", "lower", "--xmax", "1", "--xmax", "4",
+      "--format", "csv"], "error: --xmax is not read by the lower region"),
+    (["sandwich", "fit", "--deg", "1,1", "--region", "upper", "--delta", "0.5"],
+     "error: --delta is not read by the upper region"),
 ], ids=["table log xmin 0", "fit deg 1", "fit deg 1,a", "fit deg ,", "check xmax 0",
-        "check delta 1", "compare xmin > xmax"])
+        "check delta 1", "compare xmin > xmax", "fit samples 1", "fit samples -5",
+        "fit samples 3", "check lower xmax", "check upper delta", "fit lower xmax",
+        "fit upper delta"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", line + "\n")
 
@@ -607,7 +644,8 @@ _ARGVS = st.one_of(
         st.sampled_from((15, 20, 30))),
     st.builds(
         lambda p, q, region, grid: ["sandwich", "check", "--p=" + p, "--q=" + q,
-                                    "--region", region, "--xmax", "2", "--grid", str(grid)],
+                                    "--region", region, "--grid", str(grid)]
+        + (["--xmax", "2"] if region == "upper" else []),
         st.one_of(st.lists(st.sampled_from(_COEFFS), min_size=1, max_size=4).map(_poly),
                   exprs("x", max_leaves=4).map(to_text)),
         st.lists(st.sampled_from(_COEFFS[1:]), min_size=1, max_size=3).map(

@@ -154,6 +154,26 @@ def test_check_sandwich_holds_inside_corridor():
     assert check_sandwich(PADE32, "upper", xmax="0.1", grid=1000) is None
 
 
+@pytest.mark.parametrize("x", ["-0.999999", "-0.5", "1e-70", "1e-40", "0.5", "3", "1e6"])
+def test_corridor_walls_at_the_working_precision(x):
+    # check, witness and fit read one pair of walls: ln(1+x) to every
+    # digit of the working precision (it keeps them near 0, where
+    # ln(1 + x) loses 1+x's rounding), and cb = f/sqrt(x+1)
+    p = Precision(50)
+    with mp.workdps(p.digits + 15):
+        xv = mpf(x)
+        log_wall, cb_wall = sandwich._corridor(xv, p)
+    with mp.workdps(200):
+        assert abs(log_wall - mpmath.log(1 + xv)) <= abs(log_wall) * mpf(10) ** -64
+        assert abs(cb_wall - cb_direct(xv)) <= max(1, abs(cb_wall)) * mpf(10) ** -60
+
+
+@pytest.mark.parametrize("x", ["-1", "-2"])
+def test_corridor_refuses_x_at_or_below_minus_1(x):
+    with mp.workdps(65), pytest.raises(DomainError):
+        sandwich._corridor(mpf(x), Precision(50))
+
+
 def test_check_sandwich_rejects_vanishing_q():
     bad = RationalFn((0, 1), (-1, 1))  # Q = x - 1 changes sign on [0, 10]
     with pytest.raises(QVanishesError):
@@ -658,6 +678,14 @@ def test_fit_validation_and_precision_guard():
     pts = [mpf(0), mpf("1e-11")] + [mpf(i) / 10 for i in range(1, 7)]
     with pytest.raises(PrecisionError):
         fit_sandwich(0, 0, "upper", sample_points=pts)
+
+
+@pytest.mark.parametrize("samples", [1, -5, 3])
+def test_fit_refuses_too_few_samples_before_the_grid(monkeypatch, samples):
+    monkeypatch.setattr(sandwich, "_region_grid", lambda *args: pytest.fail("grid built"))
+    with pytest.raises(ValueError) as err:
+        fit_sandwich(0, 0, samples=samples)
+    assert str(err.value) == "need at least 8 samples for degrees (0,0)"
 
 
 def test_report_serialization():
