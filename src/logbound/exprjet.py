@@ -11,22 +11,22 @@ time into the arctangent-corridor function
 
 and its square-substituted form H(u) = f(u^2 - 1).
 
-Everything known about an operation -- its printed form, its value
-rule, its Taylor-series rule, its binary64 value-and-error-bound rule
-and, for the rational operations, its polynomial-degree rule -- sits in
-one row of the op table ``_OPS``; the parser takes its function names,
-infix operators and their precedences from the same rows.  The series
-rules run in mpf, or in balls (binary64 or mpf midpoints) that enclose
-the exact coefficients.  A polynomial
-is its own jet at 0, so sandwich.expr_to_poly expands one by the series
-rules.  A tree is flattened once into a tape, one slot per distinct
-node; values, jets and binary64 balls are one loop over it (balls also
-over a block of points, each slot once for all with one error bound),
-and its variable-free slots are evaluated once per working precision.
-Several expressions can share one tape, structurally equal subtrees in
-one slot.  The aliases share their argument node, so a tree is a DAG:
-expansion, evaluation and the depth check each do a shared node's work
-once.
+Everything known about an operation -- its printed form, its value rule,
+its Taylor-series rule, its binary64 value-and-error-bound rule and, for
+the rational operations, its polynomial-degree rule -- sits in one row
+of the op table ``_OPS``; the parser takes its function names, infix
+operators and their precedences from the same rows.  The series rules
+run in mpf, or in balls (binary64 or mpf midpoints) that enclose the
+exact coefficients.  Each function is one ``_CALLS`` entry, which its
+row and every arithmetic call by name.  A polynomial is its own jet at
+0, so sandwich.expr_to_poly expands one by the series rules.  A tree is
+flattened once into a tape, one slot per distinct node; values, jets and
+binary64 balls are one loop over it (balls also over a block of points,
+each slot once for all with one error bound), and its variable-free
+slots are evaluated once per walk and key (see Tape).  Several
+expressions can share one tape, structurally equal subtrees in one slot.
+The aliases share their argument node, so a tree is a DAG: expansion,
+evaluation and the depth check each do a shared node's work once.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partialmethod
+from functools import cached_property
 from itertools import islice
 from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple, Optional, Union
@@ -189,10 +189,10 @@ def h_of(u: Expr) -> Expr:
 # (the mp arithmetic) or a ball (_F64Ball, _MPBall; see _Ball).  They
 # add, multiply and divide coefficients and small ints, subtract and
 # negate coefficients, compare a coefficient with 0, test it for truth
-# (an exact zero is false), and take fsum, the functions and the
-# scalars from _arith(coefficient).  On mpf these are the mpmath calls,
-# so each rule makes the same calls in the same order whatever the
-# arithmetic.
+# (an exact zero is false), and take the scalars, fsum and the functions
+# of _CALLS, called by name, from _arith(coefficient) (see _Arith).  On
+# mpf these are the mpmath calls, so each rule makes the same calls in
+# the same order whatever the arithmetic.
 
 
 def _s_scal(v, n: int) -> list:
@@ -258,17 +258,21 @@ def _s_powint(u: list, k: int) -> list:
     return acc
 
 
+def _s_ode(w0, u: list, d: list) -> list:
+    # d*w' = u', w_0 = w0:  k*w_k*d_0 = k*u_k - sum_{0<j<k} j*w_j*d_{k-j}
+    fsum = _arith(w0).fsum
+    out = [w0]
+    for k in range(1, len(u)):
+        acc = k * u[k] - fsum(j * out[j] * d[k - j] for j in range(1, k))
+        out.append(acc / (k * d[0]))
+    return out
+
+
 def _s_ln(u: list) -> list:
-    # w = ln(u):  u*w' = u'  =>  k*w_k*u_0 = k*u_k - sum_{j<k} j*w_j*u_{k-j}
-    ar = _arith(u[0])
-    n = len(u) - 1
+    # w = ln(u):  u*w' = u'
     if u[0] <= 0:
         raise DomainError("ln of non-positive value at expansion center")
-    out = [ar.ln(u[0])]
-    for k in range(1, n + 1):
-        acc = k * u[k] - ar.fsum(j * out[j] * u[k - j] for j in range(1, k))
-        out.append(acc / (k * u[0]))
-    return out
+    return _s_ode(_arith(u[0]).call("ln", u[0]), u, u)
 
 
 def _s_sqrt(u: list) -> list:
@@ -281,7 +285,7 @@ def _s_sqrt(u: list) -> list:
         if n == 0:
             return [ar.scalar(0)]
         raise NonDifferentiableError("sqrt is not differentiable where its argument vanishes")
-    out = [ar.sqrt(u[0])]
+    out = [ar.call("sqrt", u[0])]
     for k in range(1, n + 1):
         acc = u[k] - ar.fsum(out[j] * out[k - j] for j in range(1, k))
         out.append(acc / (2 * out[0]))
@@ -289,24 +293,18 @@ def _s_sqrt(u: list) -> list:
 
 
 def _s_atan(u: list) -> list:
-    # w = atan(u):  w'*(1+u^2) = u', solved coefficient by coefficient.
-    ar = _arith(u[0])
-    n = len(u) - 1
+    # w = atan(u):  (1+u^2)*w' = u'
     d = _s_mul(u, u)
     d[0] += 1
-    out = [ar.atan(u[0])]
-    for k in range(1, n + 1):
-        acc = k * u[k] - ar.fsum(j * out[j] * d[k - j] for j in range(1, k))
-        out.append(acc / (k * d[0]))
-    return out
+    return _s_ode(_arith(u[0]).call("atan", u[0]), u, d)
 
 
 def _s_sin(u: list) -> list:
     # Joint recurrence for s = sin(u), c = cos(u):  s' = u'*c,  c' = -u'*s.
     ar = _arith(u[0])
     n = len(u) - 1
-    s = [ar.sin(u[0])]
-    c = [ar.cos(u[0])]
+    s = [ar.call("sin", u[0])]
+    c = [ar.call("cos", u[0])]
     for k in range(1, n + 1):
         s.append(ar.fsum(j * u[j] * c[k - j] for j in range(1, k + 1)) / k)
         c.append(-ar.fsum(j * u[j] * s[k - j] for j in range(1, k + 1)) / k)
@@ -420,19 +418,19 @@ def _trig_err(x: float, ex: float) -> float:
     return ex  # |sin'| and |cos'| are at most 1
 
 
-# name: (binary64 function, mpmath function, error rule, rounding in units u)
+# name: (binary64 function, point rule, error rule, rounding in units u)
 _CALLS = {
-    "ln": (math.log, mpmath.ln, _ln_err, 8),
-    "sqrt": (math.sqrt, mpmath.sqrt, _sqrt_err, 1),
+    "ln": (math.log, _ln, _ln_err, 8),
+    "sqrt": (math.sqrt, _sqrt, _sqrt_err, 1),
     "atan": (math.atan, mpmath.atan, _atan_err, 8),
     "sin": (math.sin, mpmath.sin, _trig_err, 8),
     "cos": (math.cos, mpmath.cos, _trig_err, 8),
 }
 
 
-def _call_rules(name: str) -> tuple:
-    """The ball rule and the block rule of a call row."""
-    fn, _, err, ulps = _CALLS[name]
+def _call_op(name: str, series: Callable) -> _Op:
+    """A call node's row: its point, ball and block rules from _CALLS."""
+    fn, point, err, ulps = _CALLS[name]
     rel = ulps * _U
 
     def ball(a: tuple) -> tuple:
@@ -443,7 +441,7 @@ def _call_rules(name: str) -> tuple:
         xs, ex, _, small = a
         return _column(list(map(fn, xs)), err(small, ex), rel)
 
-    return ball, block
+    return _Op("call", name, _PREC_ATOM, point, series, ball, block)
 
 
 # Block rules: a block's column is (values, err, big, small), the values
@@ -512,15 +510,10 @@ class _Arith(NamedTuple):
     scalar: Callable  # a small int as a coefficient
     const: Callable  # a Const node's value as a coefficient
     fsum: Callable
-    ln: Callable
-    sqrt: Callable
-    atan: Callable
-    sin: Callable
-    cos: Callable
+    call: Callable  # call(name, x): the _CALLS function name at x
 
 
-_MP = _Arith(mpf, _const_value, mpmath.fsum, mpmath.ln, mpmath.sqrt, mpmath.atan,
-             mpmath.sin, mpmath.cos)
+_MP = _Arith(mpf, _const_value, mpmath.fsum, lambda name, x: _CALLS[name][1](x))
 
 
 def _arith(x):
@@ -532,8 +525,9 @@ class _Ball:
     """A series coefficient as a ball: the exact coefficient lies within
     e (a float) of the midpoint v, and h is a float >= |v|.  The class
     is its arithmetic (see _Arith): _F64Ball rounds v in binary64,
-    _MPBall at mpmath's working precision.  Both follow the _Op error
-    model with u the unit roundoff of v, 8u*|v| for pi as for the
+    _MPBall at mpmath's working precision, and call takes the function,
+    its error rule and its rounding from _CALLS.  Both follow the _Op
+    error model with u the unit roundoff of v, 8u*|v| for pi as for the
     functions, |k|ex for an int multiple, and the sum of the errs plus
     u times the sum of |terms| for fsum (mpmath's drops a term far below
     the others).
@@ -565,17 +559,12 @@ class _Ball:
         err = math.fsum([b.e for b in terms]) + cls._u() * math.fsum([b.h for b in terms])
         return cls._make(cls._sum([b.v for b in terms]), err)
 
-    def _call(self, name: str) -> "_Ball":
+    @classmethod
+    def call(cls, name: str, x: "_Ball") -> "_Ball":
         rules = _CALLS[name]
         # the error rule sees a float no larger than |v|, of v's sign
-        e = rules[2](math.copysign(self._lo(self.v), self.v), self.e)
-        return self._make(rules[self._fn](self.v), e, rules[3])
-
-    ln = partialmethod(_call, "ln")
-    sqrt = partialmethod(_call, "sqrt")
-    atan = partialmethod(_call, "atan")
-    sin = partialmethod(_call, "sin")
-    cos = partialmethod(_call, "cos")
+        e = rules[2](math.copysign(cls._lo(x.v), x.v), x.e)
+        return cls._make(rules[cls._fn](x.v), e, rules[3])
 
     def __add__(self, o):
         if not isinstance(o, _Ball):
@@ -664,7 +653,7 @@ class _MPBall(_Ball):
     either side of it, 2^(exp+bc-1) <= |v| < 2^(exp+bc)."""
 
     __slots__ = ()
-    _fn = 1  # the mpmath function of a _CALLS entry
+    _fn = 1  # the point rule of a _CALLS entry
     _exact = mpf
     _sum = staticmethod(mpmath.fsum)
     _hi = staticmethod(_mp_hi)
@@ -700,6 +689,7 @@ class _Op(NamedTuple):
     base^exponent).  Leaf rules get the node and the walk's context (x,
     or (center, n)); prefix and call rules get the child's result;
     infix and postfix rules get the node, then the children's results.
+    A call row is _call_op's, from its function's _CALLS entry.
 
     A ball rule is a point rule in binary64: its context is (x, err),
     and each result is (v, err) with the exact value of the node within
@@ -780,10 +770,10 @@ _OPS: dict = {
              _div_degree),
     PowInt: _Op("postfix", "^", _PREC_POW, _pow,
                 lambda e, a: _s_powint(a, e.exponent), _pow_ball, _pow_block, _pow_degree),
-    Ln: _Op("call", "ln", _PREC_ATOM, _ln, _s_ln, *_call_rules("ln")),
-    Sqrt: _Op("call", "sqrt", _PREC_ATOM, _sqrt, _s_sqrt, *_call_rules("sqrt")),
-    Atan: _Op("call", "atan", _PREC_ATOM, mpmath.atan, _s_atan, *_call_rules("atan")),
-    Sin: _Op("call", "sin", _PREC_ATOM, mpmath.sin, _s_sin, *_call_rules("sin")),
+    Ln: _call_op("ln", _s_ln),
+    Sqrt: _call_op("sqrt", _s_sqrt),
+    Atan: _call_op("atan", _s_atan),
+    Sin: _call_op("sin", _s_sin),
 }
 
 

@@ -43,6 +43,8 @@ from mpmath.libmp import (
     mpf_mul,
     mpf_neg,
     mpf_sub,
+    normalize,
+    round_nearest,
 )
 
 from .bounds import f_cb, linear_grid
@@ -281,9 +283,13 @@ def _check_q_sign(r: RationalFn, ts, p: Precision):
 
 
 def _violation_margins(r: RationalFn, x: mpf, region: str, p: Precision):
-    """((side, lhs, rhs, margin) for each violated inequality at x)."""
+    """((side, lhs, rhs, margin) for each violated inequality at x), none
+    where Q(x) = 0."""
     with mp.workdps(p.digits + GUARD_DIGITS):
-        v = r.value(x)
+        q = r.q_value(x)
+        if q == 0:
+            return []
+        v = r.p_value(x) / q
         log_side, cb_side = _corridor(x, p)
         # the upper region requires ln(1+x) <= v <= cb, the lower the reverse
         sign = 1 if region == "upper" else -1
@@ -296,10 +302,7 @@ def _witness_at(r: RationalFn, x: mpf, region: str, p: Precision) -> Optional[Wi
     """The witness at x re-checked at doubled precision, or None where
     Q(x) = 0 or no violation at working precision exceeds
     WITNESS_MARGIN / 2."""
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        if r.q_value(x) == 0:
-            return None
-        hits = _violation_margins(r, x, region, p)
+    hits = _violation_margins(r, x, region, p)
     if not hits or max(h[3] for h in hits) <= WITNESS_MARGIN / 2:
         return None
     p2 = p.doubled()
@@ -523,31 +526,15 @@ def _entering(cost, at_upper, floor, prec, bland):
     return [j for _, j in gains]
 
 
-def _round(sign, man, exp, prec):
-    """The raw libmp value of (-1)**sign * man * 2**exp, for man > 0,
-    rounded to prec bits, to nearest with ties to even, in libmp's
-    canonical form: an odd mantissa and its bit count."""
-    n = man.bit_length() - prec
-    if n > 0:
-        t = man >> (n - 1)
-        if t & 1 and (t & 2 or man & ((1 << (n - 1)) - 1)):
-            man = (t >> 1) + 1
-        else:
-            man = t >> 1
-        exp += n
-    zeros = (man & -man).bit_length() - 1
-    man >>= zeros
-    return sign, man, exp + zeros, man.bit_length()
-
-
 def _msub_row(row, f, prow, prec):
     """[v - f*w for v, w in zip(row, prow)] on finite raw libmp values of
     at most prec bits: each product rounded to prec bits, then each
     difference, to nearest with ties to even, as
     mpf_sub(v, mpf_mul(f, w, prec, 'n'), prec, 'n') rounds them.  Both
-    roundings are of exact integer results and the result is canonical,
-    so each entry is libmp's tuple, bit for bit.  A zero product leaves
-    v itself."""
+    roundings are of exact integer results, and each difference (and a
+    product where v is zero) rounds through libmp's normalize, so each
+    entry is libmp's tuple, bit for bit.  A zero product leaves v
+    itself."""
     fsign, fman, fexp, _ = f
     if not fman:
         return list(row)
@@ -561,10 +548,10 @@ def _msub_row(row, f, prow, prec):
         exp = fexp + wexp
         vsign, vman, vexp, _ = v
         if not vman:
-            append(_round(fsign ^ wsign ^ 1, man, exp, prec))
+            append(normalize(fsign ^ wsign ^ 1, man, exp, man.bit_length(), prec, round_nearest))
             continue
-        # the product rounded as _round rounds it, inline: calling _round
-        # here made a fit about 25% slower; its trailing zeros may stay
+        # the product rounded as normalize rounds it, inline: a call here
+        # made a fit about 25% slower; its trailing zeros may stay
         n = man.bit_length() - prec
         if n > 0:
             t = man >> (n - 1)
@@ -583,12 +570,10 @@ def _msub_row(row, f, prow, prec):
         else:
             man = vman - (man << (exp - vexp))
             exp = vexp
-        if man > 0:
-            append(_round(0, man, exp, prec))
-        elif man:
-            append(_round(1, -man, exp, prec))
-        else:
-            append(fzero)
+        sign = 0
+        if man < 0:
+            sign, man = 1, -man
+        append(normalize(sign, man, exp, man.bit_length(), prec, round_nearest))
     return out
 
 
@@ -609,9 +594,10 @@ def _phase1_simplex(rows, rhs, nv: int, p: Precision):
     the order the mpf expressions would evaluate.  pivot's row updates,
     nearly all of the work, go through _msub_row, which computes each
     v - f*w on the tuples' integers: the exact product rounded once, then
-    the exact difference rounded once, in libmp's canonical odd-mantissa
-    form.  libmp's mpf_mul and mpf_sub also round their exact results
-    once to nearest, so each entry is the tuple they give, bit for bit.
+    the exact difference rounded once by libmp's normalize, in its
+    canonical odd-mantissa form.  libmp's mpf_mul and mpf_sub also round
+    their exact results once to nearest, so each entry is the tuple they
+    give, bit for bit.
     Pricing and the starting basis compare magnitudes by _size's exact
     integer keys, so each pivot choice and tie is the one mpf_gt would
     make; the ratio test and the basic values call libmp itself.

@@ -528,6 +528,31 @@ def test_series_ball_refuses_a_divisor_ball_near_0():
         exprjet.Tape((parse("1/(t - 0.9)"),)).series(exprjet._F64Ball(1.0, 0.07), 3)
 
 
+def test_each_function_is_its_one_calls_entry():
+    # mpf calls the entry's point rule, bit for bit; both ball classes
+    # enclose mpmath's 100-digit value at every point of their ball; each
+    # call row takes its point and binary64 functions from the entry
+    rows = {op.form: op for op in exprjet._OPS.values() if op.kind == "call"}
+    assert set(rows) < set(exprjet._CALLS)
+    for name, (fn, point, _, _) in exprjet._CALLS.items():
+        for x in ("0.3", "1", "2.5"):
+            with mp.workdps(30):
+                v = mpf(x)
+                assert exprjet._MP.call(name, v)._mpf_ == point(v)._mpf_
+            if name in rows:
+                assert rows[name].point is point
+                assert rows[name].ball((float(x), 0.0))[0] == fn(float(x))
+            for ball, dps in ((exprjet._F64Ball, 15), (exprjet._MPBall, 30)):
+                for e in (0.0, 1e-3):
+                    with mp.workdps(dps):
+                        center = ball(ball._exact(x), e)
+                        got = ball.call(name, center)
+                    with mp.workdps(100):
+                        for s in (-e, 0, e):
+                            want = getattr(mpmath, name)(mpf(center.v) + s)
+                            assert abs(want - got.v) <= got.e, (name, x, ball, e, s)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 # ---------------------------------------------------------------------------
