@@ -663,6 +663,33 @@ def test_entering_order_matches_a_full_pricing_scan(prec, bland):
     assert flips > 1000
 
 
+@pytest.mark.parametrize("prec", (53, 219, 1700))
+def test_round_matches_libmp_normalize(prec):
+    # _msub_row rounds the product f*w inline; this checks that rounding
+    # alone against libmp's normalize.  The exact product man*2**exp comes
+    # in as f with w = 1, and v lies so far below it that v - f*w rounds to
+    # the rounded product negated.  A product of two prec-bit mantissas has
+    # at most 2*prec bits.
+    rng = random.Random(prec)
+    mans = [rng.getrandbits(rng.randint(1, 2 * prec)) | 1 for _ in range(500)]
+    mans += [m << rng.randint(1, 70) for m in mans[:100]]  # trailing zeros
+    for n in (1, 2, 3, 70):
+        for _ in range(5):
+            head = rng.getrandbits(prec) | 1 << (prec - 1)
+            tie = head << n | 1 << (n - 1)  # to even, up or down with head's last bit
+            mans += [tie, tie - 1, tie + 1]
+        mans.append((1 << (prec + n)) - 1)  # all ones: carries to a power of two
+    mans = [m for m in mans if m.bit_length() <= 2 * prec]
+    one = _raw(0, 1, 0)
+    for man in mans:
+        for sign in (0, 1):
+            exp = rng.randint(-3000, 3000)
+            f = (sign, man, exp, man.bit_length())
+            v = _raw(0, 1, exp - 2 * prec - 10)
+            want = normalize(sign ^ 1, man, exp, man.bit_length(), prec, "n")
+            assert sandwich._msub_row([v], f, [one], prec) == [want], (sign, man, exp)
+
+
 def test_fit_validation_and_precision_guard():
     with pytest.raises(ValueError):
         fit_sandwich(9, 0)
