@@ -11,7 +11,6 @@ from .bounds import (
     ATLAS_COLUMNS,
     BOUNDS,
     BoundSpec,
-    GapValue,
     H_deriv,
     H_value,
     atan_deriv,
@@ -34,7 +33,6 @@ from .certifier import (
 )
 from .errors import (
     BudgetError,
-    ConvergenceError,
     DomainError,
     LogboundError,
     NonDifferentiableError,
@@ -73,12 +71,10 @@ __all__ = [
     "BudgetError",
     "Certificate",
     "ConditionReport",
-    "ConvergenceError",
     "DEFAULT_PRECISION",
     "DomainError",
     "Expr",
     "FeasibilityReport",
-    "GapValue",
     "H_deriv",
     "H_value",
     "Jet",

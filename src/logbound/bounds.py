@@ -45,9 +45,9 @@ from .exprjet import (
 @dataclass(frozen=True)
 class BoundSpec:
     """One member of the bound family: an upper bound of ln(1+x) on
-    its region (CB is also a lower bound on (-1, 0])."""
+    its region (CB is also a lower bound on (-1, 0]).  Its id is its
+    key in BOUNDS."""
 
-    id: str
     formula: Expr
     region_lo: float
     region_lo_open: bool
@@ -59,22 +59,14 @@ class BoundSpec:
 # Registry order is report order: atlas columns, compare rows and the
 # selftest chain all follow it.
 BOUNDS = {
-    "SQRT": BoundSpec("SQRT", parse("x/sqrt(x+1)"), 0.0, False),
-    "PADE": BoundSpec("PADE", parse("x*(2+x)/(2*(1+x))"), 0.0, False),
-    "KARAMATA": BoundSpec("KARAMATA", parse("x*(6+x)/(2*(3+2*x))"), 0.0, False),
-    "CUBIC": BoundSpec("CUBIC", parse("(x+2)*((x+1)^3-1)/(3*(1+x)*((x+1)^2+1))"), 0.0, False),
-    "CB": BoundSpec("CB", parse("f(x)/sqrt(x+1)"), -1.0, True),
+    "SQRT": BoundSpec(parse("x/sqrt(x+1)"), 0.0, False),
+    "PADE": BoundSpec(parse("x*(2+x)/(2*(1+x))"), 0.0, False),
+    "KARAMATA": BoundSpec(parse("x*(6+x)/(2*(3+2*x))"), 0.0, False),
+    "CUBIC": BoundSpec(parse("(x+2)*((x+1)^3-1)/(3*(1+x)*((x+1)^2+1))"), 0.0, False),
+    "CB": BoundSpec(parse("f(x)/sqrt(x+1)"), -1.0, True),
 }
 
 ATLAS_COLUMNS = ("x", "ln1p") + tuple(bid.lower() for bid in BOUNDS)
-
-
-@dataclass(frozen=True)
-class GapValue:
-    """Value of R(t) = 2t*ln(t) - f(t^2-1) at a point t > 0."""
-
-    t: mpf
-    value: mpf
 
 
 _F = parse("f(x)")
@@ -115,8 +107,8 @@ def ln1p(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
         return +val
 
 
-def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> GapValue:
-    """R(t) = 2t*ln(t) - f(t^2-1) for t > 0.
+def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
+    """R(t) = 2t*ln(t) - f(t^2-1) for t > 0, at p's digits.
 
     R(1) = 0 and R is non-increasing, so R <= 0 for t >= 1 and
     0 <= R(t) < 2 - pi/2 on (0, 1].
@@ -125,9 +117,7 @@ def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> GapValue:
         tv = mpmath.mpmathify(t)
         if tv <= 0:
             raise DomainError(f"R is defined for t > 0, got {mpmath.nstr(tv, 8)}")
-    value = eval_expr(_R, tv, p)
-    with mp.workdps(p.digits):
-        return GapValue(t=+tv, value=value)
+    return eval_expr(_R, tv, p)
 
 
 _PHI = parse("ln(t) - ((1/2)*(4+pi)*t - 2*t*atan(t) - 2)")
@@ -178,15 +168,16 @@ def H_value(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
 def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """n-th derivative of H(t) = f(t^2-1) in closed form, for t > 0.
 
-    Low orders are written out directly:
+    The first two orders are written out directly:
 
         H'(t)   = (4+pi)t - 4t*atan(t) - 2
         H''(t)  = (4+pi) - 4*atan(t) - 4t/(1+t^2)
-        H'''(t) = -8/(1+t^2)^2
 
-    and for n >= 4 the Leibniz expansion of [t*atan t]^(n-1) gives
+    and for n >= 3 the Leibniz expansion of [t*atan t]^(n-1) gives
 
-        H^(n)(t) = -4*[t*atan^(n-1)(t) + (n-1)*atan^(n-2)(t)].
+        H^(n)(t) = -4*[t*atan^(n-1)(t) + (n-1)*atan^(n-2)(t)],
+
+    which at n = 3 is -8/(1+t^2)^2.
 
     Note the arctangent orders n-1 and n-2 here: this is the expansion
     forced by H^(n) = -4*[t*atan t]^(n-1), and it reproduces
@@ -207,8 +198,6 @@ def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
             val = (4 + mp.pi) * tv - 4 * tv * mpmath.atan(tv) - 2
         elif n == 2:
             val = (4 + mp.pi) - 4 * mpmath.atan(tv) - 4 * tv / (1 + tv * tv)
-        elif n == 3:
-            val = -8 / (1 + tv * tv) ** 2
         else:
             pp = Precision(p.digits + GUARD_DIGITS)
             val = -4 * (

@@ -765,10 +765,12 @@ def find_radius(
     e: Expr,
     cert: Certificate,
     p: Precision = DEFAULT_PRECISION,
-    a: Optional[Num] = None,
+    *,
+    a: Num,
 ) -> mpf:
     """Largest r in (0, a] such that the certified pattern holds on a
-    grid of [1-r, 1+r].
+    grid of [1-r, 1+r], where a is the half-width the certificate was
+    made for (certify passes its own).
 
     Outward doubling scan from r = 1e-6 (see _Search.scan) locates the
     first violating sample of G (or Q for two-sided certificates); 60
@@ -796,8 +798,6 @@ def find_radius(
     """
     if cert.case == "none":
         raise ValueError("cannot search for a radius without a certificate")
-    if a is None:
-        a = mpf("0.999")
     drr = cert.direction_pair == "drr"
     digits = p.digits
     search = _search(e, drr, digits)

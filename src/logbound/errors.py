@@ -31,10 +31,6 @@ class NonDifferentiableError(DomainError):
     differentiable to the requested order (e.g. sqrt at 0)."""
 
 
-class ConvergenceError(LogboundError):
-    """A numerical procedure failed to reach the requested tolerance."""
-
-
 class PrecisionError(LogboundError):
     """The working precision is insufficient to resolve the quantity
     being computed."""

@@ -120,12 +120,6 @@ class RationalFn:
     def q_value(self, x: mpf) -> mpf:
         return _horner(self.q_coeffs, x)
 
-    def value(self, x: mpf) -> mpf:
-        q = self.q_value(x)
-        if q == 0:
-            raise DomainError("denominator vanishes at evaluation point")
-        return self.p_value(x) / q
-
 
 def _horner(coeffs: Sequence, x: mpf) -> mpf:
     acc = mpf(0)
@@ -192,8 +186,8 @@ class Witness:
             "region": self.region,
         }
 
-    def to_json(self, digits: int = 50, indent: int = 2) -> str:
-        return json.dumps(self.to_json_dict(digits), indent=indent)
+    def to_json(self, digits: int = 50) -> str:
+        return json.dumps(self.to_json_dict(digits), indent=2)
 
 
 @dataclass(frozen=True)

@@ -9,15 +9,13 @@ so a deployed installation can be checked in place.
 
 from __future__ import annotations
 
-from typing import Callable, List, Tuple
+from typing import List, Tuple
 
 import mpmath
 from mpmath import mp, mpf
 
 from . import bounds, certifier, exprjet, sandwich
 from .exprjet import Precision, parse
-
-Suite = Callable[[Precision], Tuple[bool, str]]
 
 
 def _chain(p: Precision):
@@ -33,7 +31,7 @@ def _two_sided(p: Precision):
     slack = mpf("1e-30")
     for lo, hi, sign in (("1", "100", 1), ("1e-6", "1", -1)):
         for t in bounds.log_grid(lo, hi, 500, p):
-            r = bounds.gap_R(t, p).value
+            r = bounds.gap_R(t, p)
             if sign * r > slack:
                 return False, f"side {sign} fails at t = {mpmath.nstr(t, 10)}"
     return True, "2t*ln(t) vs H(t) on both sides of t = 1, 500 points each"
@@ -45,12 +43,12 @@ def _gap_monotone(p: Precision):
     prev = None
     with mp.workdps(p.digits):
         for t in ts:
-            r = bounds.gap_R(t, p).value
+            r = bounds.gap_R(t, p)
             if prev is not None and r > prev + slack:
                 return False, f"R increases near t = {mpmath.nstr(t, 10)}"
             prev = r
         lim = 2 - mp.pi / 2
-        r0 = bounds.gap_R("1e-8", p).value
+        r0 = bounds.gap_R("1e-8", p)
         if abs(r0 - lim) > mpf("1e-3"):
             return False, "R(1e-8) misses the limit 2 - pi/2"
     return True, "R non-increasing on (0, 100], endpoint limit matched"

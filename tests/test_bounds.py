@@ -75,8 +75,7 @@ R_PINS = {
 
 
 def test_f_H_R_report_strings_are_pinned():
-    for fn, pins in ((f_cb, F_PINS), (H_value, H_PINS),
-                     (lambda t: gap_R(t).value, R_PINS)):
+    for fn, pins in ((f_cb, F_PINS), (H_value, H_PINS), (gap_R, R_PINS)):
         for x, text in pins.items():
             assert decimal_text(fn(x), 50) == text, x
 
@@ -114,15 +113,15 @@ def test_bound_registry_formulas_have_nonzero_denominators_on_region():
 
 
 def test_gap_R_anchors():
-    assert gap_R(1).value == 0
+    assert gap_R(1) == 0
     with mp.workdps(60):
         lim = 2 - mp.pi / 2
-        assert abs(gap_R("1e-8").value - lim) < mpf("1e-3")
-        assert abs(gap_R(2).value - mpf(R2)) < mpf("1e-40")
+        assert abs(gap_R("1e-8") - lim) < mpf("1e-3")
+        assert abs(gap_R(2) - mpf(R2)) < mpf("1e-40")
         # independent oracle: R(2) = 4 ln 2 - f(3)
-        assert abs(gap_R(2).value - (4 * mpmath.ln(2) - f_cb(3))) < mpf("1e-45")
+        assert abs(gap_R(2) - (4 * mpmath.ln(2) - f_cb(3))) < mpf("1e-45")
         f3 = mp.pi + mpf(3) / 2 * (4 + mp.pi) - 10 * mpmath.atan(2)
-        assert abs(gap_R(2).value - (4 * mpmath.ln(2) - f3)) < mpf("1e-40")
+        assert abs(gap_R(2) - (4 * mpmath.ln(2) - f3)) < mpf("1e-40")
     with pytest.raises(DomainError):
         gap_R(0)
 
@@ -132,7 +131,7 @@ def test_gap_R_range_on_unit_interval():
     with mp.workdps(60):
         lim = 2 - mp.pi / 2
         for t in log_grid("1e-10", 1, 200):
-            r = gap_R(t).value
+            r = gap_R(t)
             assert r >= -mpf("1e-30")
             assert r < lim
 

@@ -316,7 +316,7 @@ def test_certificate_json_schema():
 def test_find_radius_requires_certificate():
     cert = certify(parse("H(t) - (1/30)*(t-1)^5"), "0.9", compute_radius=False)
     with pytest.raises(ValueError):
-        find_radius(parse("H(t) - (1/30)*(t-1)^5"), cert)
+        find_radius(parse("H(t) - (1/30)*(t-1)^5"), cert, a="0.9")
 
 
 # below 1 exactly, but 1 once rounded to 50 digits: a radius of it used

@@ -39,6 +39,22 @@ def test_table_csv(capsys):
     assert lines[1].startswith("0.0,0.0,")
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 8 (digits proved by a Ziv loop): CUBIC and CB "
+                   "cancel at x = 1e-70 and print 0.0")
+def test_table_keeps_cubic_and_cb_digits_near_0(capsys):
+    # at the grid's x, just below 1e-70, both bounds equal x to 140
+    # digits; computed at 400 digits and rounded to 50 they print as x
+    code, out, err = run(
+        capsys, "table", "--log", "--xmin", "1e-70", "--xmax", "1", "--points", "2",
+        "--format", "csv",
+    )
+    assert code == 0 and err == ""
+    row = dict(zip(*(line.split(",") for line in out.splitlines()[:2])))
+    want = "9.9999999999999999999999999999999999999999999999989e-71"
+    assert (row["cubic"], row["cb"]) == (want, want)
+
+
 def test_table_rejects_negative_xmin(capsys):
     code, out, err = run(capsys, "table", "--xmin", "-1")
     assert code == 2 and "error" in err

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mpmath import mp, mpf
 
 from logbound.errors import (
-    ConvergenceError,
     DomainError,
     NonDifferentiableError,
     ParseError,
@@ -565,11 +564,6 @@ def test_fd_simple_anchors():
     assert abs(v - (-8)) < mpf("1e-6") and err < mpf("1e-6")
     v, err = fd_derivative(parse("atan(x)"), 0, 3)
     assert abs(v - (-2)) < mpf("1e-8") and err < mpf("1e-8")
-
-
-def test_fd_tolerance_failure_raises():
-    with pytest.raises(ConvergenceError):
-        fd_derivative(parse("H(t)"), 1, 5, tol=mpf("1e-60"))
 
 
 def test_fd_rejects_order_zero():

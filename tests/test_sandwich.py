@@ -70,7 +70,7 @@ def test_rational_invariants():
         RationalFn((1,), (1, 0))
     r = RationalFn((0, 2, 1), (2, 2))
     assert r.degree_p == 2 and r.degree_q == 1
-    assert r.value(mpf(3)) == mpf(15) / 8
+    assert r.p_value(mpf(3)) / r.q_value(mpf(3)) == mpf(15) / 8
 
 
 def test_expr_to_poly():
@@ -141,7 +141,7 @@ def test_check_x_over_1px_fails_log_side():
         # x/(x+1) < ln(1+x) for x > 0; at x = 1: 0.5 < 0.693147
         assert w.x == mpf("0.5")
         assert w.lhs > w.rhs
-        assert X_OVER_1PX.value(mpf(1)) == mpf("0.5") < mpmath.ln(2)
+        assert X_OVER_1PX.p_value(mpf(1)) / X_OVER_1PX.q_value(mpf(1)) == mpf("0.5") < mpmath.ln(2)
 
 
 def test_check_identity_lower_region():
@@ -202,7 +202,7 @@ def _reverify_witness(w: Witness, r: RationalFn):
         ln_side = mpmath.ln(1 + x)
         cb_side = cb_direct(x)
         reported = w.rhs if w.side == "log" else w.lhs
-        for v in (reported, r.value(x)):
+        for v in (reported, r.p_value(x) / r.q_value(x)):
             if w.region == "upper":
                 margin = ln_side - v if w.side == "log" else v - cb_side
             else:
@@ -233,7 +233,7 @@ def test_identity_witness_matches_anchor():
 def test_karamata_witness_values_at_3():
     # oracle anchor: at x = 3 the bound reads 1.5 > cb(3) = 1.391247...
     with mp.workdps(60):
-        assert KARAMATA.value(mpf(3)) == mpf("1.5")
+        assert KARAMATA.p_value(mpf(3)) / KARAMATA.q_value(mpf(3)) == mpf("1.5")
         assert cb_direct(mpf(3)) < mpf("1.5")
     w = find_witness(KARAMATA, "upper")
     assert w.side == "cb"
