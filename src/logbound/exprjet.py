@@ -17,16 +17,17 @@ the rational operations, its polynomial-degree rule -- sits in one row
 of the op table ``_OPS``; the parser takes its function names, infix
 operators and their precedences from the same rows.  The series rules
 run in mpf, or in balls (binary64 or mpf midpoints) that enclose the
-exact coefficients.  Each function is one ``_CALLS`` entry, which its
-row and every arithmetic call by name.  A polynomial is its own jet at
-0, so sandwich.expr_to_poly expands one by the series rules.  A tree is
-flattened once into a tape, one slot per distinct node; values, jets and
-binary64 balls are one loop over it (balls also over a block of points,
-each slot once for all with one error bound), and its variable-free
-slots are evaluated once per walk and key (see Tape).  Several
-expressions can share one tape, structurally equal subtrees in one slot.
-The aliases share their argument node, so a tree is a DAG: expansion,
-evaluation and the depth check each do a shared node's work once.
+exact coefficients.  Each function is one ``_CALLS`` entry, its rules
+included: one Call node names it, and its row and every arithmetic read
+it.  A polynomial is its own jet at 0, so sandwich.expr_to_poly expands
+one by the series rules.  A tree is flattened once into a tape, one slot
+per distinct node; values, jets and binary64 balls are one loop over it
+(balls also over a block of points, each slot once for all with one
+error bound), and its variable-free slots are evaluated once per walk
+and key (see Tape).  Several expressions can share one tape,
+structurally equal subtrees in one slot.  The aliases share their
+argument node, so a tree is a DAG: expansion, evaluation and the depth
+check each do a shared node's work once.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import islice
 from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple, Optional, Union
@@ -147,22 +148,10 @@ class PowInt(Expr):
 
 
 @dataclass(frozen=True)
-class Ln(Expr):
-    arg: Expr
+class Call(Expr):
+    """fn(arg), fn the name of a _CALLS entry that has a series rule."""
 
-
-@dataclass(frozen=True)
-class Sqrt(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Atan(Expr):
-    arg: Expr
-
-
-@dataclass(frozen=True)
-class Sin(Expr):
+    fn: str
     arg: Expr
 
 
@@ -171,7 +160,8 @@ def f_of(u: Expr) -> Expr:
     pi = Const("pi")
     half = Div(Const("1"), Const("2"))
     lin = Mul(Mul(half, Add(Const("4"), pi)), u)
-    tail = Mul(Mul(Const("2"), Add(u, Const("2"))), Atan(Sqrt(Add(u, Const("1")))))
+    tail = Mul(Mul(Const("2"), Add(u, Const("2"))),
+               Call("atan", Call("sqrt", Add(u, Const("1")))))
     return Sub(Add(pi, lin), tail)
 
 
@@ -280,11 +270,9 @@ def _s_sqrt(u: list) -> list:
     n = len(u) - 1
     if u[0] < 0:
         raise DomainError("sqrt of negative value at expansion center")
-    if u[0] == 0:
-        if n == 0:
-            return [ar.scalar(0)]
+    if u[0] == 0 and n:
         raise NonDifferentiableError("sqrt is not differentiable where its argument vanishes")
-    out = [ar.call("sqrt", u[0])]
+    out = [ar.call("sqrt", u[0])]  # a ball that reaches 0 raises here
     for k in range(1, n + 1):
         acc = u[k] - ar.fsum(out[j] * out[k - j] for j in range(1, k))
         out.append(acc / (2 * out[0]))
@@ -417,19 +405,21 @@ def _trig_err(x: float, ex: float) -> float:
     return ex  # |sin'| and |cos'| are at most 1
 
 
-# name: (binary64 function, point rule, error rule, rounding in units u)
+# name: (binary64 function, point rule, error rule, rounding in units u,
+# series rule); a function with no series rule (cos, which only _s_sin's
+# joint recurrence calls) has no call row, so it cannot be parsed
 _CALLS = {
-    "ln": (math.log, _ln, _ln_err, 8),
-    "sqrt": (math.sqrt, _sqrt, _sqrt_err, 1),
-    "atan": (math.atan, mpmath.atan, _atan_err, 8),
-    "sin": (math.sin, mpmath.sin, _trig_err, 8),
-    "cos": (math.cos, mpmath.cos, _trig_err, 8),
+    "ln": (math.log, _ln, _ln_err, 8, _s_ln),
+    "sqrt": (math.sqrt, _sqrt, _sqrt_err, 1, _s_sqrt),
+    "atan": (math.atan, mpmath.atan, _atan_err, 8, _s_atan),
+    "sin": (math.sin, mpmath.sin, _trig_err, 8, _s_sin),
+    "cos": (math.cos, mpmath.cos, _trig_err, 8, None),
 }
 
 
-def _call_op(name: str, series: Callable) -> _Op:
-    """A call node's row: its point, ball and block rules from _CALLS."""
-    fn, point, err, ulps = _CALLS[name]
+def _call_op(name: str) -> _Op:
+    """A Call node's row: its point, series, ball and block rules from _CALLS."""
+    fn, point, err, ulps, series = _CALLS[name]
     rel = ulps * _U
 
     def ball(a: tuple) -> tuple:
@@ -688,7 +678,7 @@ class _Op(NamedTuple):
     base^exponent).  Leaf rules get the node and the walk's context (x,
     or (center, n)); prefix and call rules get the child's result;
     infix and postfix rules get the node, then the children's results.
-    A call row is _call_op's, from its function's _CALLS entry.
+    A call row is _call_op's, keyed by the name of its _CALLS entry.
 
     A ball rule is a point rule in binary64: its context is (x, err),
     and each result is (v, err) with the exact value of the node within
@@ -703,7 +693,7 @@ class _Op(NamedTuple):
     the smallest if k < 0), ex/(x - ex) for ln, ex/sqrt(x) for sqrt,
     ex/(1 + (|x| - ex)^2) for atan and ex for sin (the _CALLS error
     rules); where a quotient or |k| would scale up an underflowed term,
-    that term gets 2^-1070 too.  Div, negative PowInt, Ln and Sqrt raise
+    that term gets 2^-1070 too.  Div, negative PowInt, ln and sqrt raise
     ArithmeticError when the argument's ball comes within a factor 2 of
     the pole or the domain edge, so that a ball never vouches for a
     value the point rules would reject.
@@ -769,11 +759,14 @@ _OPS: dict = {
              _div_degree),
     PowInt: _Op("postfix", "^", _PREC_POW, _pow,
                 lambda e, a: _s_powint(a, e.exponent), _pow_ball, _pow_block, _pow_degree),
-    Ln: _call_op("ln", _s_ln),
-    Sqrt: _call_op("sqrt", _s_sqrt),
-    Atan: _call_op("atan", _s_atan),
-    Sin: _call_op("sin", _s_sin),
+    # the call rows, keyed by function name (see _key)
+    **{name: _call_op(name) for name, entry in _CALLS.items() if entry[4]},
 }
+
+
+def _key(e: Expr):
+    """e's key in _OPS: a Call's function name, any other node's class."""
+    return getattr(e, "fn", e.__class__)
 
 
 def _children(e: Expr, kind: str) -> tuple:
@@ -800,9 +793,10 @@ def _flatten(roots) -> tuple:
     def visit(n):
         k = slots.get(id(n))
         if k is None:
-            op = _OPS[n.__class__]
+            name = _key(n)  # Var's own name stays out of the key
+            op = _OPS[name]
             kids = [visit(c) for c in _children(n, op.kind)] or [0]
-            key = (n.__class__, getattr(n, "value", None), getattr(n, "exponent", None), *kids)
+            key = (name, getattr(n, "value", None), getattr(n, "exponent", None), *kids)
             k = slots[id(n)] = equal.setdefault(key, len(varying))
             if k < len(varying):
                 return k
@@ -923,7 +917,7 @@ def _point(e: Expr, x: mpf) -> mpf:
 
 def _text(e: Expr, min_prec: int = 0):
     """e's text in pieces, parenthesised when e binds less tightly than min_prec."""
-    kind, form, prec = _OPS[e.__class__][:3]
+    kind, form, prec = _OPS[_key(e)][:3]
     if prec < min_prec:
         yield "("
     if kind == "leaf":
@@ -964,8 +958,8 @@ def _quote(e: Expr, limit: int = 200) -> str:
 
 # every name that takes a parenthesised argument: the call rows, then the
 # aliases, which expand at parse time
-_FUNCS: dict = {**{op.form: cls for cls, op in _OPS.items() if op.kind == "call"},
-                "f": f_of, "H": h_of}
+_FUNCS: dict = {**{op.form: partial(Call, op.form) for op in _OPS.values()
+                   if op.kind == "call"}, "f": f_of, "H": h_of}
 # infix token -> (node class, precedence), from the rows the printer reads
 _INFIX: dict = {op.form.strip(): (cls, op.prec) for cls, op in _OPS.items()
                 if op.kind == "infix"}

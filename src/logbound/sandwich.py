@@ -55,7 +55,6 @@ from .errors import (
     QVanishesError,
 )
 from .exprjet import (
-    _OPS,
     DEFAULT_PRECISION,
     Expr,
     GUARD_DIGITS,
@@ -142,9 +141,8 @@ def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
     out = [None]  # slot k's coefficients; slot 0, a leaf's child, is unused
     with mp.workdps(p.digits + GUARD_DIGITS):
         for _, op, node, i, j, _ in _tape(e).entries:
-            if op.degree is None:
-                name = next(cls.__name__ for cls, row in _OPS.items() if row is op)
-                raise ValueError(f"not a polynomial expression: {name}")
+            if op.degree is None:  # a call row: Atan for atan
+                raise ValueError(f"not a polynomial expression: {op.form.capitalize()}")
             kids = [out[k] for k in (i, j) if k]
             head = () if node is None else (node,)
             d = op.degree(*head, *(len(c) - 1 for c in kids))

@@ -2,17 +2,16 @@
 
 import hypothesis.strategies as st
 
+from functools import partial
+
 from logbound.exprjet import (
     Add,
-    Atan,
+    Call,
     Const,
     Div,
-    Ln,
     Mul,
     Neg,
     PowInt,
-    Sin,
-    Sqrt,
     Sub,
     Var,
 )
@@ -41,20 +40,20 @@ def exprs(var: str = "t", safe: bool = False, max_leaves: int = 10):
             pair.map(lambda ab: Sub(*ab)),
             pair.map(lambda ab: Mul(*ab)),
             children.map(Neg),
-            children.map(Atan),
-            children.map(Sin),
+            children.map(partial(Call, "atan")),
+            children.map(partial(Call, "sin")),
             st.tuples(children, st.integers(-3, 3)).map(lambda bk: PowInt(*bk)),
         ]
         if safe:
             options += [
-                children.map(lambda u: Ln(Add(Const("1"), PowInt(u, 2)))),
-                children.map(lambda u: Sqrt(Add(Const("2"), Sin(u)))),
-                pair.map(lambda ab: Div(ab[0], Add(Const("2"), PowInt(Sin(ab[1]), 2)))),
+                children.map(lambda u: Call("ln", Add(Const("1"), PowInt(u, 2)))),
+                children.map(lambda u: Call("sqrt", Add(Const("2"), Call("sin", u)))),
+                pair.map(lambda ab: Div(ab[0], Add(Const("2"), PowInt(Call("sin", ab[1]), 2)))),
             ]
         else:
             options += [
-                children.map(Ln),
-                children.map(Sqrt),
+                children.map(partial(Call, "ln")),
+                children.map(partial(Call, "sqrt")),
                 pair.map(lambda ab: Div(*ab)),
             ]
         return st.one_of(options)

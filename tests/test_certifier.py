@@ -24,7 +24,7 @@ from logbound.certifier import (
     verify_pattern_on_grid,
 )
 from logbound.errors import BudgetError, LogboundError
-from logbound.exprjet import Atan, Jet, Precision, jet, parse
+from logbound.exprjet import Jet, Precision, jet, parse
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +558,8 @@ def test_binary64_decisions_match_the_walk(decisions, expr, a):
 def test_binary64_decisions_differ_when_a_ball_rule_lies(decisions, monkeypatch):
     # atan's ball shifted by 1/2 with no error moves H by about 2: the
     # decisions of G flip, and the comparison above must see it
-    row = exprjet._OPS[Atan]
-    monkeypatch.setitem(exprjet._OPS, Atan, row._replace(
+    row = exprjet._OPS["atan"]
+    monkeypatch.setitem(exprjet._OPS, "atan", row._replace(
         ball=lambda a: (row.ball(a)[0] + 0.5, 0.0)))
     with contextlib.suppress(LogboundError):
         certify(parse("H(t) - (1/60)*(t-1)^5"), "0.9")
@@ -570,9 +570,9 @@ def test_gap_tape_computes_the_shared_H_once_per_point(monkeypatch):
     # P's H(t) and the tape's own H(t) are equal trees, so they share one
     # slot: one atan per walk, in binary64 and at full precision alike,
     # the gap rows G = P - 2t*ln(t) and Q = P - H included
-    row = exprjet._OPS[Atan]
+    row = exprjet._OPS["atan"]
     calls = []
-    monkeypatch.setitem(exprjet._OPS, Atan, row._replace(
+    monkeypatch.setitem(exprjet._OPS, "atan", row._replace(
         point=lambda a: calls.append("point") or row.point(a),
         ball=lambda a: calls.append("ball") or row.ball(a)))
     tape = certifier._search(parse("H(x) - 0.01*(x-1)^5"), True, 50).tape

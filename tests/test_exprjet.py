@@ -20,9 +20,9 @@ from logbound import exprjet, sandwich
 from logbound.exprjet import (
     MAX_DEPTH,
     Add,
+    Call,
     Const,
     Div,
-    Ln,
     Mul,
     Neg,
     PowInt,
@@ -60,7 +60,7 @@ def test_decimal_text_rounds_once():
 
 def test_parse_direct_grammar_mapping():
     e = parse("2*t*ln(t)")
-    assert e == Mul(Mul(Const("2"), Var("t")), Ln(Var("t")))
+    assert e == Mul(Mul(Const("2"), Var("t")), Call("ln", Var("t")))
 
 
 def test_parse_f_formula_matches_builder():
@@ -314,7 +314,7 @@ def _tree_walk(e, r, ctx):
     """e's result by the rule in field r of each _OPS row (see
     exprjet._walk), every node computed on its own: no slot is shared,
     not even that of a node reached twice."""
-    op = exprjet._OPS[type(e)]
+    op = exprjet._OPS[exprjet._key(e)]
     kids = [_tree_walk(c, r, ctx) for c in exprjet._children(e, op.kind)]
     if op.kind == "leaf":
         return op[r](e, ctx)
@@ -371,8 +371,8 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
 
 # sha256 prefixes of the raw _mpf_ tuples of the mp series path,
 # recorded before the series rules became generic over the arithmetic.
-# The three expressions reach every _OPS row: Sin, Atan, Sqrt, Div by a
-# non-constant, PowInt; Ln, a negative PowInt, Div by pi; Neg and the
+# The three expressions reach every _OPS row: sin, atan, sqrt, Div by a
+# non-constant, PowInt; ln, a negative PowInt, Div by pi; Neg and the
 # f of H.
 PIN_EXPRS = ("sin(t)*atan(sqrt(t + 1))/(1 + t^2)", "ln(t)*t^-3 - (2*t - 1)/pi",
              "-H(t) + 2*t*ln(t)")
@@ -527,13 +527,63 @@ def test_series_ball_refuses_a_divisor_ball_near_0():
         exprjet.Tape((parse("1/(t - 0.9)"),)).series(exprjet._F64Ball(1.0, 0.07), 3)
 
 
+@pytest.mark.parametrize("ball", [exprjet._F64Ball, exprjet._MPBall])
+def test_series_sqrt_refuses_an_argument_ball_that_reaches_0(ball):
+    # sqrt over [0, 2e-3] reaches 0.0447, so an exact 0 does not enclose
+    # it at order 0; from order 1 on, the kink is not differentiable
+    u = ball(ball._exact(1e-3), 1e-3)
+    with pytest.raises(ArithmeticError, match="^sqrt argument ball reaches 0$"):
+        exprjet._s_sqrt([u])
+    with pytest.raises(NonDifferentiableError):
+        exprjet._s_sqrt([u, ball.scalar(1)])
+    # an mpf 0 is exact: its square root is that same 0
+    assert jet(parse("sqrt(t)"), 0, 0).coeffs[0]._mpf_ == (0, 0, 0, 0)
+
+
+# Tapes that reach every row of the ball walk: Neg, Add, Sub, Mul, Div by
+# a variable, the powers -2, 0 and 7, ln, sqrt, atan and sin, pi and
+# decimal constants.
+BALL_EXPRS = ("-sin(t)*atan(sqrt(t + 1))/t + (t - 0.5)^7",
+              "ln(t)*t^-2 - (2.5*t - 1)/pi + t^0",
+              "H(t) - 2*t*ln(t) - 0.0167*(t - 1)^5")
+
+
+def _nodes(e):
+    """e and every node below it, a shared node once."""
+    nodes, todo = {}, [e]
+    while todo:
+        n = todo.pop()
+        if id(n) not in nodes:
+            nodes[id(n)] = n
+            todo += [c for c in vars(n).values() if isinstance(c, exprjet.Expr)]
+    return list(nodes.values())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(BALL_EXPRS), st.floats(0.3, 3),
+       st.sampled_from([0.0, 2.0 ** -52, 1e-9, 1e-4]))
+def test_tape_ball_encloses_the_exact_value(text, x, err):
+    # every node is a root, so each row's bound is checked on its own
+    # inputs, not only where a generous bound elsewhere would hide it
+    nodes = _nodes(parse(text))
+    tape = exprjet.Tape(nodes)
+    try:
+        balls = tape.ball(x, err)
+    except (ArithmeticError, ValueError):
+        return  # a refusal vouches for nothing
+    with mp.workdps(120):
+        for s in (-err, 0.0, err):
+            for node, want, (v, bound) in zip(nodes, tape.point(mpf(x) + s), balls):
+                assert abs(want - v) <= bound, (to_text(node), x, err, s)
+
+
 def test_each_function_is_its_one_calls_entry():
     # mpf calls the entry's point rule, bit for bit; both ball classes
     # enclose mpmath's 100-digit value at every point of their ball; each
     # call row takes its point and binary64 functions from the entry
     rows = {op.form: op for op in exprjet._OPS.values() if op.kind == "call"}
     assert set(rows) < set(exprjet._CALLS)
-    for name, (fn, point, _, _) in exprjet._CALLS.items():
+    for name, (fn, point, _, _, _) in exprjet._CALLS.items():
         for x in ("0.3", "1", "2.5"):
             with mp.workdps(30):
                 v = mpf(x)
