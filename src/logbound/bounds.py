@@ -261,10 +261,10 @@ def log_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
 
 
 def linear_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
-    """Uniform grid of count points on [lo, hi], both finite; the last
-    point is hi exactly."""
+    """Uniform grid of count points on [lo, hi], both finite, lo < hi;
+    the last point is hi exactly."""
     with mp.workdps(p.digits):
         a, b = _finite_ends(lo, hi)
-        if count < 2:
-            raise ValueError("grid needs count >= 2")
+        if b <= a or count < 2:
+            raise ValueError("grid needs lo < hi and count >= 2")
         return [a + (b - a) * i / (count - 1) for i in range(count - 1)] + [b]

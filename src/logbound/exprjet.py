@@ -1217,47 +1217,22 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
 # ---------------------------------------------------------------------------
 
 
-def _central_diff(fn: Callable, x0: mpf, k: int, h: mpf) -> mpf:
-    # Symmetric k-th difference on step h; nodes sit at half-integer
-    # multiples of h when k is odd.  Truncation error is O(h^2).
-    acc = mpf(0)
-    for i in range(k + 1):
-        w = (-1) ** i * math.comb(k, i)
-        acc += w * fn(x0 + (mpf(k) / 2 - i) * h)
-    return acc / h ** k
-
-
 def fd_derivative(
     e: Expr,
     center: Num,
     k: int,
     p: Precision = DEFAULT_PRECISION,
-):
-    """k-th derivative of e at center by central differences with
-    3-level Richardson extrapolation.
+) -> mpf:
+    """k-th derivative of e at center by mpmath.diff's central difference.
 
-    Returns (value, error_estimate).  The step is h = 10^(-digits/(k+2)),
-    which balances truncation against subtractive cancellation at the
-    working precision.  No tolerance is enforced here: each caller
-    compares the value, or the error estimate, with its own bound.
+    mpmath.diff evaluates e at k + 1 points x0 + (k - 2i)*h, with the
+    step h = 2^-(b + 10) for b the bits of digits + GUARD_DIGITS, and
+    works at (b + 20)*(k + 1) bits, about k + 1 times the working bits,
+    so the difference keeps them.  The result is rounded once to digits.
     """
     if k < 1:
         raise ValueError("derivative order must be >= 1")
-    wd = p.digits + GUARD_DIGITS
-    with mp.workdps(wd):
-        x0 = mpmath.mpmathify(center)
-        h = mpf(10) ** (-mpf(p.digits) / (k + 2))
-        fn = lambda x: _point(e, x)
-        d0 = _central_diff(fn, x0, k, h)
-        d1 = _central_diff(fn, x0, k, h / 2)
-        d2 = _central_diff(fn, x0, k, h / 4)
-        t1 = (4 * d1 - d0) / 3
-        t1b = (4 * d2 - d1) / 3
-        t2 = (16 * t1b - t1) / 15
-        # Roundoff floor: the finest stencil amplifies absolute errors
-        # of the function values by 2^k / (h/4)^k.
-        fscale = max(abs(fn(x0 + h)), abs(fn(x0 - h)), mpf(1))
-        roundoff = fscale * 2 ** k * mpf(10) ** (-wd) / (h / 4) ** k
-        err = abs(t2 - t1b) + abs(t1b - t1) / 15 + roundoff
+    with mp.workdps(p.digits + GUARD_DIGITS):
+        d = mpmath.diff(lambda x: _point(e, x), mpmath.mpmathify(center), k)
     with mp.workdps(p.digits):
-        return +t2, +err
+        return +d

@@ -105,14 +105,6 @@ class RationalFn:
         if p[-1] == 0 or q[-1] == 0:
             raise ValueError("leading coefficients must be nonzero")
 
-    @property
-    def degree_p(self) -> int:
-        return len(self.p_coeffs) - 1
-
-    @property
-    def degree_q(self) -> int:
-        return len(self.q_coeffs) - 1
-
     def p_value(self, x: mpf) -> mpf:
         return _horner(self.p_coeffs, x)
 

@@ -366,6 +366,8 @@ def test_non_finite_inputs_exit_2(capsys, argv):
      "error: lower region needs delta in (0, 1)"),
     (["compare", "--xmin", "2", "--xmax", "1"],
      "error: log grid needs 0 < lo < hi and count >= 2"),
+    (["table", "--xmin", "5", "--xmax", "1", "--points", "3"],
+     "error: grid needs lo < hi and count >= 2"),
     (["sandwich", "fit", "--deg", "0,0", "--samples", "1"],
      "error: need at least 8 samples for degrees (0,0)"),
     (["sandwich", "fit", "--deg", "0,0", "--samples", "-5"],
@@ -382,9 +384,9 @@ def test_non_finite_inputs_exit_2(capsys, argv):
     (["sandwich", "fit", "--deg", "1,1", "--region", "upper", "--delta", "0.5"],
      "error: --delta is not read by the upper region"),
 ], ids=["table log xmin 0", "fit deg 1", "fit deg 1,a", "fit deg ,", "check xmax 0",
-        "check delta 1", "compare xmin > xmax", "fit samples 1", "fit samples -5",
-        "fit samples 3", "check lower xmax", "check upper delta", "fit lower xmax",
-        "fit upper delta"])
+        "check delta 1", "compare xmin > xmax", "table xmin > xmax", "fit samples 1",
+        "fit samples -5", "fit samples 3", "check lower xmax", "check upper delta",
+        "fit lower xmax", "fit upper delta"])
 def test_usage_errors_exit_2_with_one_line(capsys, argv, line):
     assert run(capsys, *argv) == (2, "", line + "\n")
 
