@@ -36,6 +36,7 @@ from .exprjet import (
     GUARD_DIGITS,
     Num,
     Precision,
+    Sub,
     eval_expr,
     jet,
     parse,
@@ -71,14 +72,15 @@ ATLAS_COLUMNS = ("x", "ln1p") + tuple(bid.lower() for bid in BOUNDS)
 
 _F = parse("f(x)")
 _H = parse("H(t)")
-_R = parse("2*t*ln(t) - H(t)")
+_TWO_T_LN_T = parse("2*t*ln(t)")
+_R = Sub(_TWO_T_LN_T, _H)
 
 
 def f_cb(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """f(x) = pi + (1/2)*(4+pi)*x - 2*(x+2)*atan(sqrt(x+1)) for x >= -1."""
     with mp.workdps(p.digits + GUARD_DIGITS):
         xv = mpmath.mpmathify(x)
-        if xv < -1:
+        if not xv >= -1:
             raise DomainError(f"f is defined on x >= -1, got {mpmath.nstr(xv, 8)}")
     return eval_expr(_F, xv, p)
 
@@ -96,15 +98,18 @@ def bound_value(bound_id: str, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     return eval_expr(spec.formula, x, p)
 
 
+def _ln1p(x: mpf) -> mpf:
+    """ln(1+x) for x > -1 at the working precision, of the exact 1+x: no digit lost near 0."""
+    if not x > -1:
+        raise DomainError("ln(1+x) requires x > -1")
+    return mpmath.ln(mpmath.fadd(1, x, exact=True))
+
+
 def ln1p(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """ln(1+x), the function the family bounds."""
     with mp.workdps(p.digits + GUARD_DIGITS):
-        xv = mpmath.mpmathify(x)
-        if xv <= -1:
-            raise DomainError("ln(1+x) requires x > -1")
-        val = mpmath.log1p(xv)
-    with mp.workdps(p.digits):
-        return +val
+        val = _ln1p(mpmath.mpmathify(x))
+    return p.round(val)
 
 
 def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -115,7 +120,7 @@ def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """
     with mp.workdps(p.digits + GUARD_DIGITS):
         tv = mpmath.mpmathify(t)
-        if tv <= 0:
+        if not tv > 0:
             raise DomainError(f"R is defined for t > 0, got {mpmath.nstr(tv, 8)}")
     return eval_expr(_R, tv, p)
 
@@ -133,12 +138,10 @@ def phi_identity(t: Num, p: Precision = DEFAULT_PRECISION):
     """
     with mp.workdps(p.digits + GUARD_DIGITS):
         tv = mpmath.mpmathify(t)
-        if tv <= 0:
+        if not tv > 0:
             raise DomainError("phi is defined for t > 0")
         rhs = -((tv * tv - 1) ** 2) / (tv * tv * (tv * tv + 1) ** 2)
-    lhs = jet(_PHI, t, 2, p).derivative(2)
-    with mp.workdps(p.digits):
-        return lhs, +rhs
+    return jet(_PHI, t, 2, p).derivative(2), p.round(rhs)
 
 
 def atan_deriv(n: int, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -156,8 +159,7 @@ def atan_deriv(n: int, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
             * (1 + xv * xv) ** (-mpf(n) / 2)
             * mpmath.sin(n * mp.pi / 2 - n * mpmath.atan(xv))
         )
-    with mp.workdps(p.digits):
-        return +val
+    return p.round(val)
 
 
 def H_value(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
@@ -192,7 +194,7 @@ def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
         return H_value(t, p)
     with mp.workdps(p.digits + GUARD_DIGITS):
         tv = mpmath.mpmathify(t)
-        if tv <= 0:
+        if not tv > 0:
             raise DomainError(f"H derivatives require t > 0, got {mpmath.nstr(tv, 8)}")
         if n == 1:
             val = (4 + mp.pi) * tv - 4 * tv * mpmath.atan(tv) - 2
@@ -203,8 +205,7 @@ def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
             val = -4 * (
                 tv * atan_deriv(n - 1, tv, pp) + (n - 1) * atan_deriv(n - 2, tv, pp)
             )
-    with mp.workdps(p.digits):
-        return +val
+    return p.round(val)
 
 
 def atlas_rows(xs, p: Precision = DEFAULT_PRECISION):
@@ -267,4 +268,5 @@ def linear_grid(lo: Num, hi: Num, count: int, p: Precision = DEFAULT_PRECISION):
         a, b = _finite_ends(lo, hi)
         if b <= a or count < 2:
             raise ValueError("grid needs lo < hi and count >= 2")
-        return [a + (b - a) * i / (count - 1) for i in range(count - 1)] + [b]
+        width = b - a  # once per grid; the points' bits are unchanged
+        return [a + width * i / (count - 1) for i in range(count - 1)] + [b]

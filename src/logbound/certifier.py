@@ -43,7 +43,7 @@ import mpmath
 from mpmath import mp, mpf
 from mpmath.libmp import fone, mpf_sub, round_nearest, to_float
 
-from .bounds import H_deriv, atan_deriv
+from .bounds import _H, _TWO_T_LN_T, H_deriv, atan_deriv
 from .errors import BudgetError, DomainError, LogboundError, PrecisionError
 from .exprjet import (
     _F64Ball,
@@ -63,7 +63,6 @@ from .exprjet import (
     decimal_text,
     eval_expr,  # not called here; perfbench/test_perfbench.py checks this binding
     jet,
-    parse,
 )
 
 CASES = ("I", "II", "III", "IV")
@@ -192,8 +191,7 @@ def case3_constant(j: int, p: Precision = DEFAULT_PRECISION, paper_literal: bool
             val = 4 * (atan_deriv(j, 1, pp) + (j - 1) * atan_deriv(j - 1, 1, pp))
         else:
             val = -H_deriv(j, 1, pp)
-    with mp.workdps(p.digits):
-        return +val
+    return p.round(val)
 
 
 def _report(label, kind, sign, target, actual, tol):
@@ -281,9 +279,8 @@ def _half_width(a: Num, digits: int) -> mpf:
     (0, 1) once rounded to digits."""
     with mp.workdps(digits + GUARD_DIGITS):
         av = mpmath.mpmathify(a)
-    with mp.workdps(digits):
-        if not 0 < +av < 1:
-            raise ValueError("half-width a must lie in (0, 1)")
+    if not 0 < Precision(digits).round(av) < 1:
+        raise ValueError("half-width a must lie in (0, 1)")
     return av
 
 
@@ -452,11 +449,12 @@ class _Search:
     pattern test at digits+GUARD_DIGITS."""
 
     def __init__(self, e: Expr, drr: bool, digits: int):
-        others = (parse("2*t*ln(t)"),) + ((parse("H(t)"),) if drr else ())
+        others = (_TWO_T_LN_T,) + ((_H,) if drr else ())
         self.tape = Tape((e, *others, *(Sub(e, o) for o in others)))
         self.gaps = len(others)
         self.digits = digits
-        self.slack = condition_tolerance(Precision(digits))
+        self.p = Precision(digits)
+        self.slack = condition_tolerance(self.p)
         self.cut = float(self.slack)
         self.rho = 10.0 ** -min(digits, 300)
 
@@ -539,8 +537,7 @@ class _Search:
                 pt, two_t_ln_t, *h = self.tape.point(t)[:-self.gaps]
             except DomainError:
                 return True
-            with mp.workdps(self.digits):
-                pt, h = +pt, [+v for v in h]
+            pt, h = self.p.round(pt), [self.p.round(v) for v in h]
             g = pt - two_t_ln_t
             if (g < -self.slack) if right else (g > self.slack):
                 return True
@@ -824,8 +821,7 @@ def find_radius(
                 )
             bad = verify_pattern_on_grid(e, candidate, drr, p=p)
             if bad is None:
-                with mp.workdps(digits):
-                    return +candidate
+                return p.round(candidate)
             t_star = search.bisect(mpf(1), bad)
             candidate = abs(t_star - 1) * (1 - mpf("1e-9"))
         raise BudgetError(f"radius confirmation exhausted its budget of {RADIUS_CONFIRMATIONS} "

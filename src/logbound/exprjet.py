@@ -35,13 +35,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property, lru_cache, partial
 from itertools import islice
 from operator import add, mul, neg, sub, truediv
 from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
 
 from .errors import (
     DomainError,
@@ -68,6 +69,14 @@ class Precision:
 
     def doubled(self) -> "Precision":
         return Precision(2 * self.digits)
+
+    def round(self, v: mpf) -> mpf:
+        """+v under mp.workdps(digits), without entering that context."""
+        return mp.make_mpf(mpf_pos(v._mpf_, _bits(self.digits), round_nearest))
+
+
+# The bits mp.workdps(digits) works at, once per digit count in use.
+_bits = lru_cache(maxsize=128)(dps_to_prec)
 
 
 DEFAULT_PRECISION = Precision(50)
@@ -1160,8 +1169,7 @@ def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """
     with mp.workdps(p.digits + GUARD_DIGITS):
         val = _point(e, mpmath.mpmathify(x))
-    with mp.workdps(p.digits):
-        return +val
+    return p.round(val)
 
 
 # ---------------------------------------------------------------------------
@@ -1234,5 +1242,4 @@ def fd_derivative(
         raise ValueError("derivative order must be >= 1")
     with mp.workdps(p.digits + GUARD_DIGITS):
         d = mpmath.diff(lambda x: _point(e, x), mpmath.mpmathify(center), k)
-    with mp.workdps(p.digits):
-        return +d
+    return p.round(d)

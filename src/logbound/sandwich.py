@@ -47,10 +47,9 @@ from mpmath.libmp import (
     round_nearest,
 )
 
-from .bounds import f_cb, linear_grid
+from .bounds import _ln1p, f_cb, linear_grid
 from .errors import (
     BudgetError,
-    DomainError,
     PrecisionError,
     QVanishesError,
 )
@@ -242,14 +241,9 @@ def _region_grid(region: str, xmax, delta, count: int, p: Precision):
 
 
 def _corridor(x: mpf, p: Precision) -> tuple:
-    """The corridor's walls (ln(1+x), cb(x)) at x > -1, with cb(x) =
-    f(x)/sqrt(x+1) and f rounded to p.digits + GUARD_DIGITS; call it at
-    that working precision.  ln takes 1+x exact, so it keeps every digit
-    near 0 as mpmath.log1p does, at about half its cost."""
-    if not x > -1:
-        raise DomainError("ln(1+x) requires x > -1")
-    return (mpmath.ln(mpmath.fadd(1, x, exact=True)),
-            f_cb(x, Precision(p.digits + GUARD_DIGITS)) / mpmath.sqrt(x + 1))
+    """The corridor's walls (bounds' ln(1+x), cb(x) = f(x)/sqrt(x+1)) at x > -1, f
+    rounded to p.digits + GUARD_DIGITS; call it at that working precision."""
+    return _ln1p(x), f_cb(x, Precision(p.digits + GUARD_DIGITS)) / mpmath.sqrt(x + 1)
 
 
 def _check_q_sign(r: RationalFn, ts, p: Precision):
@@ -470,19 +464,18 @@ def fit_sandwich(
             slack = min(_dot(row, y) - r0 for row, r0 in zip(rows, rhs))
         else:
             slack = -infeas
-        with mp.workdps(p.digits):
-            return FeasibilityReport(
-                degree_p=n,
-                degree_q=m,
-                region=region,
-                lo=+lo,
-                hi=+hi,
-                sample_count=samples,
-                status=status,
-                max_slack=+slack,
-                p_coeffs=tuple(+c for c in y[: n + 1]) if y else None,
-                q_coeffs=tuple(+c for c in y[n + 1 :]) if y else None,
-            )
+    return FeasibilityReport(
+        degree_p=n,
+        degree_q=m,
+        region=region,
+        lo=p.round(lo),
+        hi=p.round(hi),
+        sample_count=samples,
+        status=status,
+        max_slack=p.round(slack),
+        p_coeffs=tuple(map(p.round, y[: n + 1])) if y else None,
+        q_coeffs=tuple(map(p.round, y[n + 1 :])) if y else None,
+    )
 
 
 def _dot(row, y):

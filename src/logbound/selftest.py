@@ -127,15 +127,15 @@ def _constants(p: Precision):
 
 
 def _witnesses(p: Precision):
-    corpus = [
-        ("PADE", sandwich.RationalFn((0, 2, 1), (2, 2)), "upper"),
-        ("KARAMATA", sandwich.RationalFn((0, 6, 1), (6, 4)), "upper"),
-        ("CUBIC", sandwich.RationalFn((0, 6, 9, 5, 1), (6, 12, 9, 3)), "upper"),
-        ("identity", sandwich.RationalFn((0, 1), (1,)), "lower"),
-    ]
+    # each of these formulas is a Div: numerator over denominator
+    divs = {bid: bounds.BOUNDS[bid].formula for bid in ("PADE", "KARAMATA", "CUBIC")}
+    corpus = [(bid, sandwich.RationalFn(sandwich.expr_to_poly(d.left, p),
+                                        sandwich.expr_to_poly(d.right, p)), "upper")
+              for bid, d in divs.items()]
+    corpus.append(("identity", sandwich.RationalFn((0, 1), (1,)), "lower"))
     for name, r, region in corpus:
         w = sandwich.find_witness(r, region, p)
-        if w.margin <= mpf("1e-20"):
+        if w.margin <= sandwich.WITNESS_MARGIN:
             return False, f"{name}: witness margin too small"
     return True, "guaranteed witnesses found for the classical rational bounds"
 

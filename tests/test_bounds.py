@@ -20,7 +20,7 @@ from logbound.bounds import (
     phi_identity,
 )
 from logbound.errors import DomainError, OutOfRegionError
-from logbound.exprjet import decimal_text, fd_derivative, jet, parse
+from logbound.exprjet import GUARD_DIGITS, Precision, decimal_text, fd_derivative, jet, parse
 
 # 50-digit oracle anchors (independent high-precision evaluation of the
 # closed forms; see also the values re-derived inline below)
@@ -100,6 +100,29 @@ def test_ln1p_keeps_its_digits_near_0(x):
         want = mpmath.log1p(mpf(x))
     with mp.workdps(50):
         assert ln1p(x) == +want
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_ln1p_has_the_bits_of_log1p(digits):
+    # ln of the exact 1+x at digits+15, rounded to digits, is log1p's
+    # value at digits+15 rounded to digits, near 0, near -1 and far out
+    p = Precision(digits)
+    with mp.workdps(digits + GUARD_DIGITS):
+        xs = log_grid("1e-70", "1e6", 500, p)
+        xs += [-1 + mpf(10) ** -k for k in range(1, digits + GUARD_DIGITS)]
+        xs += [s * mpf(10) ** -k for k in range(1, 2 * (digits + GUARD_DIGITS)) for s in (1, -1)]
+        want = [mpmath.log1p(x) for x in xs]
+    with mp.workdps(digits):
+        want = [(+v)._mpf_ for v in want]
+    assert [ln1p(x, p)._mpf_ for x in xs] == want
+
+
+@pytest.mark.parametrize("fn", [f_cb, gap_R, phi_identity, lambda t: H_deriv(1, t), ln1p],
+                         ids=["f_cb", "gap_R", "phi_identity", "H_deriv", "ln1p"])
+def test_nan_argument_is_a_domain_error(fn):
+    # a check written as the domain's negation is true for NaN
+    with pytest.raises(DomainError):
+        fn("nan")
 
 
 def test_bound_registry_formulas_have_nonzero_denominators_on_region():

@@ -2,6 +2,7 @@
 
 import hashlib
 import pickle
+import random
 import sys
 import time
 
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec, from_man_exp
 
 from logbound.errors import (
     DomainError,
@@ -234,6 +236,24 @@ def test_eval_precision_agreement(e, tenths):
     assume(abs(v2) < mpf("1e8"))
     with mp.workdps(80):
         assert abs(v1 - v2) <= mpf("1e-48") * max(1, abs(v2))
+
+
+@pytest.mark.parametrize("digits", [15, 16, 20, 50, 100, 500])
+def test_precision_round_has_the_bits_of_pos_under_workdps(digits):
+    # random mantissas of up to twice the digits' bits, exponents in
+    # +-1000 bits, exact ties at the digits' bits, and the special values
+    rng, bits = random.Random(digits), dps_to_prec(digits)
+    vals = [mpf(0), mpf("inf"), mpf("-inf"), mpf("nan")]
+    for _ in range(1000):
+        man = rng.getrandbits(rng.randint(1, 2 * bits + 8)) or 1
+        tie = ((rng.getrandbits(bits) | 1 << bits - 1) << 1) | 1
+        for m in (man, tie):
+            vals.append(mp.make_mpf(from_man_exp(rng.choice((1, -1)) * m,
+                                                 rng.randint(-1000, 1000))))
+    p = Precision(digits)
+    with mp.workdps(digits):
+        want = [(+v)._mpf_ for v in vals]
+    assert [p.round(v)._mpf_ for v in vals] == want
 
 
 def test_evaluated_tree_pickles():
