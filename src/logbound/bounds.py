@@ -37,6 +37,7 @@ from .exprjet import (
     Num,
     Precision,
     Sub,
+    Tape,
     eval_expr,
     jet,
     parse,
@@ -76,26 +77,26 @@ _TWO_T_LN_T = parse("2*t*ln(t)")
 _R = Sub(_TWO_T_LN_T, _H)
 
 
+def _check_f_domain(xv: mpf) -> None:
+    if not xv >= -1:
+        raise DomainError(f"f is defined on x >= -1, got {mpmath.nstr(xv, 8)}")
+
+
 def f_cb(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """f(x) = pi + (1/2)*(4+pi)*x - 2*(x+2)*atan(sqrt(x+1)) for x >= -1."""
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        xv = mpmath.mpmathify(x)
-        if not xv >= -1:
-            raise DomainError(f"f is defined on x >= -1, got {mpmath.nstr(xv, 8)}")
-    return eval_expr(_F, xv, p)
+    return eval_expr(_F, x, p, check=_check_f_domain)
+
+
+def _check_region(bound_id: str, xv: mpf) -> None:
+    spec = BOUNDS[bound_id]
+    if not spec.in_region(xv):
+        raise OutOfRegionError(f"{bound_id} is valid for x {'>' if spec.region_lo_open else '>='} "
+                               f"{spec.region_lo}, got {mpmath.nstr(xv, 8)}")
 
 
 def bound_value(bound_id: str, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """Evaluate one bound of the family at x (region-checked)."""
-    spec = BOUNDS[bound_id]
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        xv = mpmath.mpmathify(x)
-        if not spec.in_region(xv):
-            raise OutOfRegionError(
-                f"{bound_id} is valid for x {'>' if spec.region_lo_open else '>='} "
-                f"{spec.region_lo}, got {mpmath.nstr(xv, 8)}"
-            )
-    return eval_expr(spec.formula, x, p)
+    return eval_expr(BOUNDS[bound_id].formula, x, p, check=lambda xv: _check_region(bound_id, xv))
 
 
 def _ln1p(x: mpf) -> mpf:
@@ -112,17 +113,18 @@ def ln1p(x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     return p.round(val)
 
 
+def _check_R_domain(tv: mpf) -> None:
+    if not tv > 0:
+        raise DomainError(f"R is defined for t > 0, got {mpmath.nstr(tv, 8)}")
+
+
 def gap_R(t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     """R(t) = 2t*ln(t) - f(t^2-1) for t > 0, at p's digits.
 
     R(1) = 0 and R is non-increasing, so R <= 0 for t >= 1 and
     0 <= R(t) < 2 - pi/2 on (0, 1].
     """
-    with mp.workdps(p.digits + GUARD_DIGITS):
-        tv = mpmath.mpmathify(t)
-        if not tv > 0:
-            raise DomainError(f"R is defined for t > 0, got {mpmath.nstr(tv, 8)}")
-    return eval_expr(_R, tv, p)
+    return eval_expr(_R, t, p, check=_check_R_domain)
 
 
 _PHI = parse("ln(t) - ((1/2)*(4+pi)*t - 2*t*atan(t) - 2)")
@@ -208,14 +210,22 @@ def H_deriv(n: int, t: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
     return p.round(val)
 
 
+# The family on one tape: shared subtrees such as sqrt(x+1) are one slot.
+_FAMILY = Tape([spec.formula for spec in BOUNDS.values()])
+
+
 def atlas_rows(xs, p: Precision = DEFAULT_PRECISION):
-    """Bound-family values at each x >= 0: rows of mpf keyed by
-    ATLAS_COLUMNS order (x, ln1p, then the five bounds)."""
+    """Bound-family values at each x >= 0: rows of mpf keyed by ATLAS_COLUMNS
+    order (x, ln1p, then the five bounds, with the bits of bound_value);
+    ln1p's DomainError comes first, then the bounds' in registry order."""
     rows = []
     for x in xs:
         row = [mpmath.mpmathify(x), ln1p(x, p)]
-        for bid in BOUNDS:
-            row.append(bound_value(bid, x, p))
+        with mp.workdps(p.digits + GUARD_DIGITS):
+            xv = mpmath.mpmathify(x)
+            for bid in BOUNDS:
+                _check_region(bid, xv)
+            row += map(p.round, _FAMILY.point(xv))
         rows.append(row)
     return rows
 

@@ -42,10 +42,9 @@ MAX_DIGITS = 500
 
 # Ceilings of the grid and sample sizes, checked before any work.  At
 # the default 50 digits on a 2-core x86 host the largest accepted value
-# of each takes 4-5 s idle and about 10 s with the host loaded (this
-# host's speed swings about 2x): table and compare 4.3-4.6 s idle;
-# sandwich check 4.4 s idle with P and Q of degree 100 (0.6 s at
-# degree 3).
+# of each takes 2-3 s idle and about twice that with the host loaded:
+# table 2.8-3.0 s and compare 2.9-3.0 s idle; sandwich check 2.0-2.2 s
+# idle with P and Q of degree 100 (0.6 s at degree 3).
 MAX_POINTS = 20000  # table and compare
 # A point's cost grows with the precision (about 1 ms at 500 digits), so
 # table and compare also bound --points times --digits, at the ceiling

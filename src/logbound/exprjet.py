@@ -1162,13 +1162,17 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 
 
-def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION) -> mpf:
+def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION, *,
+              check: Optional[Callable[[mpf], None]] = None) -> mpf:
     """Evaluate e at x, accurate to ~10^(2-digits) relative error.
 
-    Domain violations raise DomainError rather than returning NaN.
-    """
+    Domain violations raise DomainError rather than returning NaN.  check,
+    if given, is called first with x as the walk reads it."""
     with mp.workdps(p.digits + GUARD_DIGITS):
-        val = _point(e, mpmath.mpmathify(x))
+        xv = mpmath.mpmathify(x)
+        if check is not None:
+            check(xv)
+        val = _point(e, xv)
     return p.round(val)
 
 

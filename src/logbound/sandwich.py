@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import itemgetter
 from typing import Optional, Sequence
 
@@ -111,11 +112,16 @@ class RationalFn:
         return _horner(self.q_coeffs, x)
 
 
-def _horner(coeffs: Sequence, x: mpf) -> mpf:
-    acc = mpf(0)
+def _horner(coeffs: Sequence, x) -> mpf:
+    """Horner's rule on raw libmp values, each acc*x + c rounded as mpf's operators round it."""
+    prec, rnd = mp._prec_rounding
+    xr = mpf.mpf_convert_rhs(x)  # an int, float or mpf: exact, as the operators read it
+    if type(xr) is not tuple:  # a decimal string
+        xr = mpmath.mpmathify(x)._mpf_
+    acc = fzero
     for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
+        acc = mpf_add(mpf_mul(acc, xr, prec, rnd), c._mpf_, prec, rnd)
+    return mp.make_mpf(acc)
 
 
 def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
@@ -354,6 +360,12 @@ def _probes(r: RationalFn, region: str, p: Precision):
             yield -mpf("0.5") / 2 ** i
 
 
+@lru_cache(maxsize=16)
+def _probe_grid(region: str, p: Precision) -> tuple:
+    """find_witness's grid for Q's sign, built once per region and digits."""
+    return tuple(_region_grid(region, 1, "1e-6", 64, p))
+
+
 def find_witness(r: RationalFn, region: str = "upper",
                  p: Precision = DEFAULT_PRECISION) -> Witness:
     """Find a verified violation of the proposed sandwich.
@@ -362,8 +374,7 @@ def find_witness(r: RationalFn, region: str = "upper",
     grids of WITNESS_GRIDS.  Exhausting them raises BudgetError (raise
     the precision and retry).
     """
-    probe = _region_grid(region, 1, "1e-6", 64, p)
-    _check_q_sign(r, probe, p)
+    _check_q_sign(r, _probe_grid(region, p), p)
     with mp.workdps(p.digits + GUARD_DIGITS):
         for x in _probes(r, region, p):
             w = _witness_at(r, x, region, p)

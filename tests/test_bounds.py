@@ -20,7 +20,8 @@ from logbound.bounds import (
     phi_identity,
 )
 from logbound.errors import DomainError, OutOfRegionError
-from logbound.exprjet import GUARD_DIGITS, Precision, decimal_text, fd_derivative, jet, parse
+from logbound.exprjet import (GUARD_DIGITS, Precision, decimal_text, eval_expr, fd_derivative, jet,
+                              parse)
 
 # 50-digit oracle anchors (independent high-precision evaluation of the
 # closed forms; see also the values re-derived inline below)
@@ -209,6 +210,45 @@ def test_atlas_rows_shape():
     assert len(rows) == 11 and all(len(r) == len(ATLAS_COLUMNS) for r in rows)
     # first row is the all-zero contact point
     assert all(v == 0 for v in rows[0])
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+@pytest.mark.parametrize("lo", ["1e-70", "1e-6"])
+def test_atlas_rows_have_the_bits_of_ln1p_and_bound_value(digits, lo):
+    # one walk of the family's tape per row gives each bound's own
+    # value, and each bound's value is its formula's eval_expr
+    p = Precision(digits)
+    xs = log_grid(lo, "1e6", 500, p)
+    want = [[x, ln1p(x, p), *(bound_value(b, x, p) for b in BOUNDS)] for x in xs]
+    assert [[v._mpf_ for v in row] for row in atlas_rows(xs, p)] == \
+        [[v._mpf_ for v in row] for row in want]
+    for x in xs[::25]:
+        for b, spec in BOUNDS.items():
+            assert bound_value(b, x, p)._mpf_ == eval_expr(spec.formula, x, p)._mpf_
+        assert f_cb(x, p)._mpf_ == eval_expr(parse("f(x)"), x, p)._mpf_
+        t = mpmath.sqrt(x + 1)
+        assert gap_R(t, p)._mpf_ == eval_expr(parse("2*t*ln(t) - H(t)"), t, p)._mpf_
+
+
+def test_atlas_rows_keep_the_row_x_at_the_callers_precision():
+    # the x cell is x as the caller reads it; the values read x at digits+15
+    p = Precision(50)
+    with mp.workdps(20):
+        (row,) = atlas_rows(["0.1"], p)
+        assert row[0]._mpf_ == mpf("0.1")._mpf_
+    assert [v._mpf_ for v in row[1:]] == \
+        [ln1p("0.1", p)._mpf_] + [bound_value(b, "0.1", p)._mpf_ for b in BOUNDS]
+
+
+@pytest.mark.parametrize("x, error, text", [
+    ("-1", DomainError, "ln(1+x) requires x > -1"),
+    ("nan", DomainError, "ln(1+x) requires x > -1"),
+    ("-0.5", OutOfRegionError, "SQRT is valid for x >= 0.0, got -0.5"),
+])
+def test_atlas_rows_raise_ln1p_first_then_the_regions_in_order(x, error, text):
+    with pytest.raises(error) as err:
+        atlas_rows(["1", x])
+    assert str(err.value) == text
 
 
 @pytest.mark.parametrize("lo, hi, count", [("-0.1", 0, 4), ("-0.7", 0, 7), (0, "0.1", 4)])

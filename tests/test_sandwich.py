@@ -8,6 +8,8 @@ import time
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from mpmath import mp, mpf
 from mpmath.libmp import (
     fone,
@@ -71,6 +73,40 @@ def test_rational_invariants():
     r = RationalFn((0, 2, 1), (2, 2))
     assert (len(r.p_coeffs), len(r.q_coeffs)) == (3, 2)
     assert r.p_value(mpf(3)) / r.q_value(mpf(3)) == mpf(15) / 8
+
+
+def _object_horner(coeffs, x):
+    acc = mpf(0)
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+_DECIMALS = st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
+                      st.integers(1, 10 ** 200 - 1), st.integers(-260, 60))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_DECIMALS, min_size=1, max_size=8), st.lists(_DECIMALS, min_size=1, max_size=4),
+       st.integers(-(2 ** 100), 2 ** 100), st.integers(-200, 100),
+       st.sampled_from([15, 50, 100, 30, 200]))
+def test_horner_has_the_bits_of_the_mpf_operators(p, q, man, exp, digits):
+    # 200-digit coefficients at x = man * 2^exp, whose exponent spans
+    # +-200 bits, at 15, 50 and 100 digits and doubled
+    r = RationalFn(p, q)
+    with mp.workdps(digits):
+        x = mpf(man) * mpf(2) ** exp
+        for coeffs, value in ((r.p_coeffs, r.p_value), (r.q_coeffs, r.q_value)):
+            assert value(x)._mpf_ == _object_horner(coeffs, x)._mpf_
+            assert sandwich._horner(coeffs, x)._mpf_ == _object_horner(coeffs, x)._mpf_
+
+
+def test_p_value_takes_an_int_a_float_and_a_decimal_string():
+    r = RationalFn((0, 2, 1), (2, 2))
+    assert r.p_value(3) == 15 and r.q_value(3) == 8
+    assert r.p_value(2 ** 200)._mpf_ == _object_horner(r.p_coeffs, 2 ** 200)._mpf_
+    assert r.p_value(0.1)._mpf_ == _object_horner(r.p_coeffs, 0.1)._mpf_
+    assert r.p_value("0.5") == mpf("1.25")
 
 
 def test_expr_to_poly():
@@ -192,6 +228,17 @@ def test_check_sandwich_rejects_vanishing_q():
 # ---------------------------------------------------------------------------
 # find_witness
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+@pytest.mark.parametrize("region", ["upper", "lower"])
+def test_probe_grid_is_the_region_grid(region, digits):
+    p = Precision(digits)
+    grid = sandwich._probe_grid(region, p)
+    assert isinstance(grid, tuple)
+    assert [x._mpf_ for x in grid] == \
+        [x._mpf_ for x in sandwich._region_grid(region, 1, "1e-6", 64, p)]
+    assert sandwich._probe_grid(region, Precision(digits)) is grid  # built once
 
 
 def _reverify_witness(w: Witness, r: RationalFn):
