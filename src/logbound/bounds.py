@@ -31,6 +31,7 @@ from mpmath import mp, mpf
 
 from .errors import DomainError, OutOfRegionError
 from .exprjet import (
+    _REFERENCES_AT_1,
     DEFAULT_PRECISION,
     Expr,
     GUARD_DIGITS,
@@ -72,8 +73,7 @@ ATLAS_COLUMNS = ("x", "ln1p") + tuple(bid.lower() for bid in BOUNDS)
 
 
 _F = parse("f(x)")
-_H = parse("H(t)")
-_TWO_T_LN_T = parse("2*t*ln(t)")
+_TWO_T_LN_T, _H = _REFERENCES_AT_1
 _R = Sub(_TWO_T_LN_T, _H)
 
 

@@ -41,7 +41,8 @@ from typing import NamedTuple, Optional
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import fone, mpf_sub, round_nearest, to_float
+from mpmath.libmp import (fone, mpf_abs, mpf_ge, mpf_gt, mpf_le, mpf_neg, mpf_sub, round_nearest,
+                          to_float)
 
 from .bounds import _H, _TWO_T_LN_T, H_deriv, atan_deriv
 from .errors import BudgetError, DomainError, LogboundError, PrecisionError
@@ -194,16 +195,30 @@ def case3_constant(j: int, p: Precision = DEFAULT_PRECISION, paper_literal: bool
     return p.round(val)
 
 
-def _report(label, kind, sign, target, actual, tol):
-    # target and actual already carry the working precision
-    margin = actual - target if sign > 0 else target - actual
-    if kind == "equality":
-        passed = abs(margin) <= tol
-    elif kind == "strict":
-        passed = margin > tol
-    else:  # at-least
-        passed = margin >= -tol
-    return ConditionReport(label, kind, target, actual, margin, bool(passed))
+def _outcomes(d, conds) -> list:
+    """(margin, passed) of each condition on the derivatives d at 1, the
+    margin a raw libmp value: the operations of the mpf operators on
+    d[j], target and tol at the working precision, which they already
+    carry."""
+    prec, rnd = mp._prec_rounding
+    out = []
+    for _, kind, sign, j, target, tol in conds:
+        a, b = d[j]._mpf_, target._mpf_
+        margin = mpf_sub(a, b, prec, rnd) if sign > 0 else mpf_sub(b, a, prec, rnd)
+        if kind == "equality":
+            passed = mpf_le(mpf_abs(margin, prec, rnd), tol._mpf_)
+        elif kind == "strict":
+            passed = mpf_gt(margin, tol._mpf_)
+        else:  # at-least
+            passed = mpf_ge(margin, mpf_neg(tol._mpf_, prec, rnd))
+        out.append((margin, passed))
+    return out
+
+
+def _reports(d, conds, outcomes) -> list:
+    """The ConditionReport of each condition, from its outcome."""
+    return [ConditionReport(label, kind, target, d[j], mp.make_mpf(margin), passed)
+            for (label, kind, _, j, target, _), (margin, passed) in zip(conds, outcomes)]
 
 
 @lru_cache(maxsize=_CONSTANTS_KEPT)
@@ -270,8 +285,7 @@ def check_case(
     with mp.workdps(p.digits):
         if jet_at_1.digits != p.digits:
             d = [+v for v in d]
-        return [_report(label, kind, sign, target, d[j], tol)
-                for label, kind, sign, j, target, tol in conds]
+        return _reports(d, conds, _outcomes(d, conds))
 
 
 def _half_width(a: Num, digits: int) -> mpf:
@@ -310,24 +324,31 @@ def certify(
     the certified inequality pattern is grid-verified out to the
     largest radius found (see find_radius).  If nothing passes, the
     returned certificate has case "none" and carries the
-    nearest-missing attempt's reports.  max_n must lie in
-    [1, MAX_N_CEILING], and a in (0, 1) once rounded to p's digits.
+    nearest-missing attempt's reports: that of the fewest failed
+    conditions, then the smallest largest |margin| among them, the first
+    on a tie.  Each attempt's margins and pass flags are those of
+    check_case, and only the returned attempt's reports are built.
+    max_n must lie in [1, MAX_N_CEILING], and a in (0, 1) once rounded
+    to p's digits.
     """
     if not 1 <= max_n <= MAX_N_CEILING:
         raise ValueError(f"max_n must lie in [1, {MAX_N_CEILING}], got {max_n}")
     av = _half_width(a, p.digits)
     mode = "paper-literal" if paper_literal else "derived"
-    jet_at_1 = jet(e, 1, max(max_n + 2, DEFAULT_JET_ORDER), p)
+    d = jet(e, 1, max(max_n + 2, DEFAULT_JET_ORDER), p).derivatives
 
-    best = None  # (n_failed, worst_margin, label, reports)
+    # the jet is at p's digits and of every attempt's order
+    best = None  # ((n_failed, worst_margin), label, conditions, outcomes)
     for case, n in _attempts(max_n):
-        reports = check_case(jet_at_1, case, n, p, paper_literal)
-        failed = [r for r in reports if not r.passed]
+        conds = _conditions(case, n, p.digits, case == "III" and bool(paper_literal))
+        with mp.workdps(p.digits):
+            outcomes = _outcomes(d, conds)
+        failed = [mp.make_mpf(margin) for margin, passed in outcomes if not passed]
         if not failed:
             cert = Certificate(
                 case=case,
                 n=n,
-                conditions=tuple(reports),
+                conditions=tuple(_reports(d, conds, outcomes)),
                 radius=None,
                 digits=p.digits,
                 mode=mode,
@@ -335,15 +356,13 @@ def certify(
             if compute_radius:
                 cert = dataclasses.replace(cert, radius=find_radius(e, cert, p, a=av))
             return cert
-        worst = max(abs(r.margin) for r in failed)
-        label = f"case {case}" + (f" n={n}" if n is not None else "")
-        key = (len(failed), worst)
+        key = (len(failed), max(abs(margin) for margin in failed))
         if best is None or key < best[0]:
-            best = (key, label, reports)
+            best = (key, f"case {case}" + (f" n={n}" if n is not None else ""), conds, outcomes)
     return Certificate(
         case="none",
         n=None,
-        conditions=tuple(best[2]),
+        conditions=tuple(_reports(d, best[2], best[3])),
         radius=None,
         digits=p.digits,
         mode=mode,
@@ -425,7 +444,9 @@ def _past(gap: tuple, floor: bool, cut: float, pad: float) -> Optional[bool]:
 
 def _search(e: Expr, drr: bool, digits: int) -> "_Search":
     """The radius search of e's pattern (drr or dr) at digits, built on
-    first use and kept on e: the radius search's only cache."""
+    first use and kept on e.  Its tape's references, 2t*ln(t) and for drr
+    H, keep their series slots at t = 1 for the process (see
+    exprjet.Tape), so a new candidate's Taylor model walks only its own."""
     kept = e.__dict__.setdefault("_searches", {})
     search = kept.get((drr, digits))
     if search is None:
@@ -443,14 +464,16 @@ class _Search:
     drr, Q as the rows Sub(P, 2t*ln(t)) and Sub(P, H(t)), whose rules give
     each gap's ball, column and coefficients (structurally equal subtrees
     share a slot, so P and the H inside it are computed once per point);
-    gaps is the number of gaps, the tape's last roots.  cut is the slack
-    as a float and rho the pad scale of range_verdict, 10^-digits or more,
-    a normal float.  Every decision gives the verdict of walk_verdict, the
-    pattern test at digits+GUARD_DIGITS."""
+    2t*ln(t) and H are also its references, flattened first, whose series
+    slots are kept for the process (see exprjet.Tape); gaps is the number
+    of gaps, the tape's last roots.  cut is the slack as a float and rho
+    the pad scale of range_verdict, 10^-digits or more, a normal float.
+    Every decision gives the verdict of walk_verdict, the pattern test at
+    digits+GUARD_DIGITS."""
 
     def __init__(self, e: Expr, drr: bool, digits: int):
         others = (_TWO_T_LN_T,) + ((_H,) if drr else ())
-        self.tape = Tape((e, *others, *(Sub(e, o) for o in others)))
+        self.tape = Tape((e, *others, *(Sub(e, o) for o in others)), others)
         self.gaps = len(others)
         self.digits = digits
         self.p = Precision(digits)
@@ -467,9 +490,10 @@ class _Search:
 
         The gaps' coefficients at t = 1 are the mpf balls of their rows'
         series walk at digits+GUARD_DIGITS, so P's and 2t*ln(t)'s (or H's)
-        cancel there and not at each point.  g_k is the float nearest the
-        midpoint; w_k bounds the ball's radius, that rounding and the float
-        roundings of model_box per unit of |d|^k.  R bounds the gap's
+        cancel there and not at each point; both walks start from the
+        references' kept slots where the process has walked them.  g_k is
+        the float nearest the midpoint; w_k bounds the ball's radius, that
+        rounding and the float roundings of model_box per unit of |d|^k.  R bounds the gap's
         order-(MODEL_ORDER+1) coefficient at every center in the box
         (binary64 balls, see exprjet._Ball), so that R*|d|^(MODEL_ORDER+1)
         bounds the Lagrange remainder.

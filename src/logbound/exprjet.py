@@ -25,9 +25,12 @@ per distinct node; values, jets and binary64 balls are one loop over it
 (balls also over a block of points, each slot once for all with one
 error bound), and its variable-free slots are evaluated once per walk
 and key (see Tape).  Several expressions can share one tape,
-structurally equal subtrees in one slot.  The aliases share their
-argument node, so a tree is a DAG: expansion, evaluation and the depth
-check each do a shared node's work once.
+structurally equal subtrees in one slot; a tape's references, the
+reference functions 2t*ln(t) and H(t) of a jet at 1 or of a radius
+search, take its first slots, whose series are walked once per process
+and key.  The aliases share their argument node, so a tree is a DAG:
+expansion, evaluation and the depth check each do a shared node's work
+once.
 """
 
 from __future__ import annotations
@@ -789,14 +792,16 @@ def _children(e: Expr, kind: str) -> tuple:
 
 
 def _flatten(roots) -> tuple:
-    """(tape, root slots) of the roots flattened together.  Slot 0 holds
-    a walk's context; slots 1.. are the roots' distinct nodes, each after
-    its children, in the order the tree walks first finish them.  An
-    entry is (slot, _OPS row, the node for rules whose kind passes it or
-    None, child slot, second child slot or None, varying); a leaf's child
-    is slot 0.  A node reached twice is one slot, and so are structurally
-    equal nodes (every variable is the same variable): they compute the
-    same value by the same operations."""
+    """(tape, root slots, slot keys) of the roots flattened together.
+    Slot 0 holds a walk's context; slots 1.. are the roots' distinct
+    nodes, each after its children, in the order the tree walks first
+    finish them.  An entry is (slot, _OPS row, the node for rules whose
+    kind passes it or None, child slot, second child slot or None,
+    varying); a leaf's child is slot 0.  A node reached twice is one
+    slot, and so are structurally equal nodes (every variable is the same
+    variable): they compute the same value by the same operations.  Slot
+    k's key, the (k-1)-th, names its row, its fields and its children's
+    slots, so equal key prefixes are equal tape prefixes."""
     tape, slots, varying, equal = [], {}, [False], {}
 
     def visit(n):
@@ -814,7 +819,8 @@ def _flatten(roots) -> tuple:
             tape.append((k, op, node, *(kids + [None])[:2], varying[k]))
         return k
 
-    return tape, [visit(r) for r in roots]
+    root_slots = [visit(r) for r in roots]
+    return tape, root_slots, tuple(equal)
 
 
 # the fields of the rules in an _Op row
@@ -846,6 +852,14 @@ def _walk(tape: list, r: int, ctx, out: Optional[list] = None) -> list:
 # witness's p and p.doubled(), and for the block sizes 64, 24 and a tail.
 _KEPT_PRECISIONS = 4
 
+# Keys whose reference slots the series walks keep (see Tape), for all
+# tapes together: a certificate's jet and the two ball walks of each
+# pattern's radius search, at a few orders and precisions.
+_KEPT_REFERENCES = 16
+# (reference slot keys, center's class, value, err, order, mp.prec) ->
+# the values of slots 1..S
+_REFERENCE_SLOTS: dict = {}
+
 
 class Tape:
     """Expressions flattened into one tape, and walked together.
@@ -856,10 +870,24 @@ class Tape:
     last _KEPT_PRECISIONS keys: the working precision for point, one key
     for ball, the block size for balls.  A walk that raises keeps
     nothing, so the next one computes them, and raises, again.
+
+    The references, if any, are flattened before the roots, so their
+    subtrees take slots 1..S, the same slots in every tape with the
+    same references, and a root's subtree equal to one of them shares
+    its slot.  Their series slots are kept for the whole process, in
+    _REFERENCE_SLOTS, for the last _KEPT_REFERENCES keys: the
+    references, the center's class and value (and a ball's err), the
+    order and mp.prec.  A series walk with a kept key starts from them
+    and computes only the other slots, with the same bits.  The kept
+    coefficient lists are shared, and no caller changes them.
     """
 
-    def __init__(self, roots):
-        self.entries, self.roots = _flatten(roots)
+    def __init__(self, roots, references=()):
+        references = tuple(references)
+        self.entries, slots, keys = _flatten((*references, *roots))
+        self.roots = slots[len(references):]
+        # the references' slots are 1..S, and their keys describe them
+        self._references = keys[:max(slots[:len(references)], default=0)]
         # rule field -> {key: variable-free slots}
         self._kept = {_POINT: {}, _BALL: {}, _BLOCK: {}}
 
@@ -904,18 +932,35 @@ class Tape:
         """The roots' Taylor coefficients 0..n at center, in center's
         arithmetic: an mpf at the working precision, or a ball (see
         _Ball) whose coefficients enclose those at every point of it."""
-        out = _walk(self.entries, _SERIES, (center, n))
+        refs = self._references
+        if not refs:
+            out = _walk(self.entries, _SERIES, (center, n))
+            return [out[k] for k in self.roots]
+        ball = isinstance(center, _Ball)
+        key = (refs, center.__class__, center.v if ball else center, center.e if ball else None,
+               n, mp.prec)
+        kept = _REFERENCE_SLOTS.get(key)
+        if kept is not None:
+            start = [None, *kept] + [None] * (len(self.entries) - len(refs))
+            out = _walk(self.entries, _SERIES, (center, n), start)
+        else:
+            out = _walk(self.entries, _SERIES, (center, n))
+            if len(_REFERENCE_SLOTS) >= _KEPT_REFERENCES:
+                del _REFERENCE_SLOTS[next(iter(_REFERENCE_SLOTS))]
+            _REFERENCE_SLOTS[key] = tuple(out[1:len(refs) + 1])
         return [out[k] for k in self.roots]
 
 
-def _tape(e: Expr) -> Tape:
-    """e flattened once, and kept on e."""
-    tape = e.__dict__.get("_tape")
+def _tape(e: Expr, at_1: bool = False) -> Tape:
+    """e flattened once, and kept on e; at_1, the tape of e whose
+    references are _REFERENCES_AT_1, kept beside it."""
+    name = "_tape_at_1" if at_1 else "_tape"
+    tape = e.__dict__.get(name)
     if tape is None:
-        tape = Tape((e,))
+        tape = Tape((e,), _REFERENCES_AT_1 if at_1 else ())
         # nodes are frozen; the tape is not a field, so equality, hashing
         # and printing ignore it
-        object.__setattr__(e, "_tape", tape)
+        object.__setattr__(e, name, tape)
     return tape
 
 
@@ -1157,6 +1202,11 @@ def parse(text: str) -> Expr:
     return e
 
 
+# The reference functions of the local results at t = 1, 2t*ln(t) and
+# H(t) = f(t^2 - 1): the references of a jet at 1 (see jet).
+_REFERENCES_AT_1 = (parse("2*t*ln(t)"), parse("H(t)"))
+
+
 # ---------------------------------------------------------------------------
 # Evaluation
 # ---------------------------------------------------------------------------
@@ -1209,12 +1259,16 @@ def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> J
     Coefficients are produced by the classical truncated-power-series
     recurrences; atan goes through its derivative ODE w'*(1+u^2) = u'
     so the closed-form derivative formula can be tested against it
-    independently.
+    independently.  A jet at 1 walks the tape of e whose references are
+    2t*ln(t) and H (see Tape), so their slots are walked once per process
+    and key, and a subtree of e equal to one takes its kept slots; a jet
+    at any other center walks e's own tape.  Both give the same bits.
     """
     if order < 0:
         raise ValueError("order must be >= 0")
     with mp.workdps(p.digits + GUARD_DIGITS + order):
-        coeffs = _tape(e).series(mpmath.mpmathify(center), order)[0]
+        c = mpmath.mpmathify(center)
+        coeffs = _tape(e, c == 1).series(c, order)[0]
     with mp.workdps(p.digits):
         return Jet(
             center=+mpmath.mpmathify(center),

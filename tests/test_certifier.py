@@ -233,6 +233,45 @@ def test_condition_tolerance_scales_with_the_target():
 # ---------------------------------------------------------------------------
 
 
+def _check_case_certificate(e, max_n, p, paper_literal):
+    """certify's case, n, reports and nearest miss without a radius, by
+    check_case on every attempt: the first that passes, else the fewest
+    failed conditions, then the smallest largest |margin|, the first on
+    a tie."""
+    cand = jet(e, 1, max(max_n + 2, certifier.DEFAULT_JET_ORDER), p)
+    best = None
+    for case, n in certifier._attempts(max_n):
+        reports = check_case(cand, case, n, p, paper_literal)
+        failed = [r for r in reports if not r.passed]
+        if not failed:
+            return case, n, reports, None
+        key = (len(failed), max(abs(r.margin) for r in failed))
+        if best is None or key < best[0]:
+            best = (key, f"case {case}" + (f" n={n}" if n is not None else ""), reports)
+    return "none", None, best[2], best[1]
+
+
+def _report_bits(r):
+    return r.label, r.kind, r.target._mpf_, r.actual._mpf_, r.margin._mpf_, r.passed
+
+
+@pytest.mark.parametrize("expr", [
+    "H(t) - 0.0513*(t-1)^5", "H(t) - 0.5*(t-1)^5", "H(t) - 2*(t-1)^5",  # family B
+    "H(t) - 0.0123*(t-1)^5", "2*t*ln(t) + 0.123*(t-1)^3", "H(t) - (1/10)*(t-1)^7",
+    "2*t*ln(t) + (t-1)^13", "2*t*ln(t) + (t-1)^7", "2*t*ln(t) + (t-1)^8", "H(t)", "t",
+    "1/(t+1) - 0.5",
+])
+@pytest.mark.parametrize("max_n, digits", [(12, 50), (5, 15), (9, 30), (14, 100)])
+@pytest.mark.parametrize("paper_literal", [False, True])
+def test_certify_reports_those_of_check_case(expr, max_n, digits, paper_literal):
+    p = Precision(digits)
+    cert = certify(parse(expr), "0.5", max_n, p, paper_literal, compute_radius=False)
+    case, n, reports, miss = _check_case_certificate(parse(expr), max_n, p, paper_literal)
+    assert (cert.case, cert.n, cert.nearest_miss) == (case, n, miss)
+    assert [_report_bits(r) for r in cert.conditions] == [_report_bits(r) for r in reports]
+
+
+
 def test_certify_refined_family_case_IV():
     cert = certify(parse("H(t) - (1/60)*(t-1)^5"), "0.9")
     assert cert.case == "IV" and cert.direction_pair == "drr"
@@ -712,6 +751,54 @@ def test_radius_without_a_taylor_model_is_the_same(monkeypatch, expr, a):
     e = parse(expr)
     assert certify(e, a).radius == kept.radius
     assert certifier._search(e, kept.case != "I", 50).model is None
+
+
+def _model_walks(tape, digits):
+    """Each root's coefficients of _Search.model's two series walks at
+    t = 1, the mpf balls and the binary64 box, bit for bit, or the
+    exception a walk raised."""
+    def bits(coeffs):
+        return [[_bits(b) for b in c] for c in coeffs]
+    try:
+        with mp.workdps(digits + exprjet.GUARD_DIGITS):
+            balls = bits(tape.series(exprjet._MPBall(mpf(1)), certifier.MODEL_ORDER))
+            box = bits(tape.series(exprjet._F64Ball(1.0, certifier.MODEL_RADIUS
+                                                    * exprjet._GROW ** 2),
+                                   certifier.MODEL_ORDER + 1))
+    except (ArithmeticError, ValueError, LogboundError) as exc:
+        return type(exc)
+    return balls, box
+
+
+# family A, family C, H spelled as f(t^2 - 1), and a candidate with none
+# of the references' subtrees
+MODEL_CANDIDATES = ("H(t) - 0.0123*(t-1)^5", "2*t*ln(t) + 0.123*(t-1)^3",
+                    "f(t^2 - 1) - (1/60)*(t-1)^5", "2*(t-1) + (t-1)^2")
+
+
+@pytest.mark.parametrize("expr", MODEL_CANDIDATES)
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_taylor_model_has_the_bits_of_a_walk_without_references(expr, digits):
+    # each pattern's search on a new tree, with nothing kept (cold), then
+    # with the references' slots kept (warm): every root's ball and box
+    # coefficients, the gaps' among them, and the model are those of the
+    # search tape with no references
+    for drr in (False, True):
+        exprjet._REFERENCE_SLOTS.clear()
+        cold = certifier._Search(parse(expr), drr, digits)
+        cold_walks = _model_walks(cold.tape, digits)
+        with mp.workdps(digits + exprjet.GUARD_DIGITS):
+            cold_model = cold.model
+        kept = dict(exprjet._REFERENCE_SLOTS)
+        assert len(kept) == 2  # one key per arithmetic
+        warm = certifier._Search(parse(expr), drr, digits)
+        assert _model_walks(warm.tape, digits) == cold_walks
+        with mp.workdps(digits + exprjet.GUARD_DIGITS):
+            assert warm.model == cold_model is not None
+        assert exprjet._REFERENCE_SLOTS == kept
+        e, others = parse(expr), exprjet._REFERENCES_AT_1[:1 + drr]
+        plain = exprjet.Tape((e, *others, *(exprjet.Sub(e, o) for o in others)))
+        assert _model_walks(plain, digits) == cold_walks
 
 
 # the radius checks of the CI workflow's installed entry point: the

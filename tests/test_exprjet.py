@@ -18,7 +18,7 @@ from logbound.errors import (
     NonDifferentiableError,
     ParseError,
 )
-from logbound import exprjet, sandwich
+from logbound import exprjet, sandwich, selftest
 from logbound.exprjet import (
     MAX_DEPTH,
     Add,
@@ -373,13 +373,20 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
         assert len(evaluated) == 2
     for digits in (30, 50, 120):
         p = Precision(digits)
+        # each walk at 1 from no kept reference slots (see exprjet.Tape)
+        exprjet._REFERENCE_SLOTS.clear()
         expanded.clear()
         a = jet(shared, 1, 14, p)
         assert len(expanded) == 2
+        exprjet._REFERENCE_SLOTS.clear()
         expanded.clear()
         b = jet(copies, 1, 14, p)
         assert len(expanded) == 2
         assert [c._mpf_ for c in a.coeffs] == [c._mpf_ for c in b.coeffs]
+        # with them kept, t^2 is H's kept slot: only (t-1)^5 is expanded
+        expanded.clear()
+        warm = jet(copies, 1, 14, p)
+        assert [c._mpf_ for c in warm.coeffs] == [c._mpf_ for c in b.coeffs] and expanded == [5]
         with mp.workdps(digits + exprjet.GUARD_DIGITS + 14):
             tree = _tree_walk(copies, exprjet._SERIES, (mpf(1), 14))
         with mp.workdps(digits):
@@ -387,6 +394,88 @@ def test_shared_subtree_gives_the_bits_of_distinct_copies(monkeypatch):
         for x in ("0.25", "1", "1.7", "-3"):
             assert (_outcome(shared, x, digits) == _outcome(copies, x, digits)
                     == _tree_outcome(copies, x, digits))
+
+
+def _bits(coeffs):
+    """Series coefficients, mpf or balls, as values that compare bit for bit."""
+    return [(c.v, c.e) if isinstance(c, exprjet._Ball) else c._mpf_ for c in coeffs]
+
+
+# the references of a jet at 1, in every candidate below: family A, family
+# C, H spelled as f(t^2 - 1), and none of their subtrees
+REFERENCE_CANDIDATES = ("H(t) - 0.0123*(t-1)^5", "2*t*ln(t) + 0.123*(t-1)^3",
+                        "f(t^2 - 1) - (1/60)*(t-1)^5", "2*(t-1) + (t-1)^2")
+
+
+@pytest.mark.parametrize("expr", REFERENCE_CANDIDATES)
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_jet_at_1_has_the_bits_of_a_walk_without_references(expr, digits):
+    # cold (nothing kept), then warm (the references' slots kept), each a
+    # new tree; both are the walk of the tape with no references
+    p = Precision(digits)
+    cold = jet(parse(expr), 1, 14, p)
+    kept = dict(exprjet._REFERENCE_SLOTS)
+    assert len(kept) == 1
+    warm = jet(parse(expr), 1, 14, p)
+    assert exprjet._REFERENCE_SLOTS == kept
+    with mp.workdps(digits + exprjet.GUARD_DIGITS + 14):
+        plain = exprjet.Tape((parse(expr),)).series(mpf(1), 14)[0]
+    with mp.workdps(digits):
+        plain = [+c for c in plain]
+    assert _bits(cold.coeffs) == _bits(warm.coeffs) == _bits(plain)
+
+
+def test_reference_slots_are_bounded_and_evicted_oldest_first():
+    e = parse("H(t) - 0.0123*(t-1)^5")
+    bound = exprjet._KEPT_REFERENCES
+    orders = range(1, bound + 6)
+    for order in orders:
+        jet(e, 1, order)
+        assert len(exprjet._REFERENCE_SLOTS) == min(order, bound)
+    # one key per order: the last `bound` orders are kept
+    assert [key[-2] for key in exprjet._REFERENCE_SLOTS] == list(orders)[-bound:]
+
+
+def test_a_series_walk_that_raises_keeps_no_reference_slots():
+    # the references walk at 1 and are the tape's first slots; the pole
+    # of the root comes after them
+    pole = parse("1/(t-1)")
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            jet(pole, 1, 2)
+        assert exprjet._REFERENCE_SLOTS == {}
+    tape = exprjet.Tape((pole,), exprjet._REFERENCES_AT_1)
+    with mp.workdps(65):
+        with pytest.raises(DomainError):
+            tape.series(exprjet._MPBall(mpf(1)), 3)
+    with pytest.raises(DomainError):
+        tape.series(exprjet._F64Ball(1.0, 1e-3), 3)
+    assert exprjet._REFERENCE_SLOTS == {}
+
+
+def test_only_a_jet_at_1_walks_the_references():
+    # 2t*ln(t) has no series at t <= 0: a jet of atan there must not walk
+    # it, and keeps nothing
+    e = parse("atan(x)")
+    j = jet(e, "-0.5", 8)
+    with mp.workdps(50):
+        assert abs(j.derivatives[1] - mpf("0.8")) < mpf("1e-45")
+    assert exprjet._REFERENCE_SLOTS == {} and "_tape_at_1" not in e.__dict__
+    # nor do the value and ball walks of a tape with references
+    tape = exprjet.Tape((e,), exprjet._REFERENCES_AT_1)
+    with mp.workdps(65):
+        tape.point(mpf(2))
+    tape.ball(2.0, 1e-9)
+    tape.balls([2.0, 3.0], 1e-9)
+    assert exprjet._REFERENCE_SLOTS == {}
+    # a jet at 1 walks them, on a tape kept beside e's own
+    jet(e, 1, 8)
+    assert len(exprjet._REFERENCE_SLOTS) == 1
+    assert e.__dict__["_tape_at_1"] is not e.__dict__["_tape"]
+    assert e.__dict__["_tape"]._references == ()
+    # the suite takes jets of atan at x from -2 to 3
+    ok, detail = dict(selftest.SUITES)["arctan-derivatives"](Precision(50))
+    assert ok, detail
 
 
 # sha256 prefixes of the raw _mpf_ tuples of the mp series path,

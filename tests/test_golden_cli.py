@@ -19,6 +19,7 @@ import os
 
 import pytest
 
+from logbound import exprjet
 from logbound.cli import main
 
 FIXTURE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
@@ -98,6 +99,19 @@ def _golden():
 @pytest.mark.parametrize("argv", ARGVS, ids=lambda a: " ".join(a)[:60])
 def test_cli_bytes_match_golden(argv):
     assert run_cli(argv) == _golden()[tuple(argv)]
+
+
+@pytest.mark.parametrize("argv", [a for a in ARGVS if a[0] in ("certify", "radius")],
+                         ids=lambda a: " ".join(a)[:60])
+def test_certify_bytes_match_golden_cold_and_warm(argv):
+    # from no kept reference slots, then with those the first run kept
+    # (see exprjet.Tape), each run on a newly parsed tree
+    exprjet._REFERENCE_SLOTS.clear()
+    golden = _golden()[tuple(argv)]
+    assert run_cli(argv) == golden
+    kept = list(exprjet._REFERENCE_SLOTS)
+    assert run_cli(argv) == golden
+    assert list(exprjet._REFERENCE_SLOTS) == kept  # every walk at 1 started from them
 
 
 def test_fixture_covers_the_argv_set():
