@@ -308,6 +308,34 @@ def _attempts(max_n: int):
         yield ("III", n)
 
 
+# (max_n, digits, paper_literal) of the plans kept: a certify call reads
+# one, and callers use a few
+_PLANS_KEPT = 32
+
+
+@lru_cache(maxsize=_PLANS_KEPT)
+def _plan(max_n: int, digits: int, paper_literal: bool) -> tuple:
+    """(conditions, attempts) of a certify search: the distinct conditions
+    of every attempt (see _conditions), in order of first use, and per
+    attempt in _attempts order (case, n, its conditions, the index of
+    each in the distinct ones).  Two conditions are one where their
+    kind, sign, derivative order, target and tolerance bits agree, so
+    their outcomes on any derivatives agree; labels may differ."""
+    index, distinct, attempts = {}, [], []
+    for case, n in _attempts(max_n):
+        conds = _conditions(case, n, digits, case == "III" and paper_literal)
+        at = []
+        for c in conds:
+            _, kind, sign, j, target, tol = c
+            key = (kind, sign, j, target._mpf_, tol._mpf_)
+            if key not in index:
+                index[key] = len(distinct)
+                distinct.append(c)
+            at.append(index[key])
+        attempts.append((case, n, conds, tuple(at)))
+    return tuple(distinct), tuple(attempts)
+
+
 def certify(
     e: Expr,
     a: Num,
@@ -327,7 +355,10 @@ def certify(
     nearest-missing attempt's reports: that of the fewest failed
     conditions, then the smallest largest |margin| among them, the first
     on a tie.  Each attempt's margins and pass flags are those of
-    check_case, and only the returned attempt's reports are built.
+    check_case: every distinct condition of the search (see _plan) is
+    decided once, and each attempt reads its own conditions' outcomes.
+    Only the returned attempt's reports are built, from its own
+    conditions.
     max_n must lie in [1, MAX_N_CEILING], and a in (0, 1) once rounded
     to p's digits.
     """
@@ -338,17 +369,19 @@ def certify(
     d = jet(e, 1, max(max_n + 2, DEFAULT_JET_ORDER), p).derivatives
 
     # the jet is at p's digits and of every attempt's order
-    best = None  # ((n_failed, worst_margin), label, conditions, outcomes)
-    for case, n in _attempts(max_n):
-        conds = _conditions(case, n, p.digits, case == "III" and bool(paper_literal))
-        with mp.workdps(p.digits):
-            outcomes = _outcomes(d, conds)
-        failed = [mp.make_mpf(margin) for margin, passed in outcomes if not passed]
+    conditions, attempts = _plan(max_n, p.digits, bool(paper_literal))
+    with mp.workdps(p.digits):
+        outcomes = _outcomes(d, conditions)
+    # each failed condition's |margin| at the caller's precision, once
+    worst = [None if passed else abs(mp.make_mpf(margin)) for margin, passed in outcomes]
+    best = None  # ((n_failed, worst_margin), label, conditions, indices)
+    for case, n, conds, at in attempts:
+        failed = [worst[i] for i in at if worst[i] is not None]
         if not failed:
             cert = Certificate(
                 case=case,
                 n=n,
-                conditions=tuple(_reports(d, conds, outcomes)),
+                conditions=tuple(_reports(d, conds, [outcomes[i] for i in at])),
                 radius=None,
                 digits=p.digits,
                 mode=mode,
@@ -356,13 +389,13 @@ def certify(
             if compute_radius:
                 cert = dataclasses.replace(cert, radius=find_radius(e, cert, p, a=av))
             return cert
-        key = (len(failed), max(abs(margin) for margin in failed))
+        key = (len(failed), max(failed))
         if best is None or key < best[0]:
-            best = (key, f"case {case}" + (f" n={n}" if n is not None else ""), conds, outcomes)
+            best = (key, f"case {case}" + (f" n={n}" if n is not None else ""), conds, at)
     return Certificate(
         case="none",
         n=None,
-        conditions=tuple(_reports(d, best[2], best[3])),
+        conditions=tuple(_reports(d, best[2], [outcomes[i] for i in best[3]])),
         radius=None,
         digits=p.digits,
         mode=mode,

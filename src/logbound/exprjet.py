@@ -27,8 +27,8 @@ error bound), and its variable-free slots are evaluated once per walk
 and key (see Tape).  Several expressions can share one tape,
 structurally equal subtrees in one slot; a tape's references, the
 reference functions 2t*ln(t) and H(t) of a jet at 1 or of a radius
-search, take its first slots, whose series are walked once per process
-and key.  The aliases share their argument node, so a tree is a DAG:
+search, take its first slots, flattened once per process, whose series
+are walked once per process and key.  The aliases share their argument node, so a tree is a DAG:
 expansion, evaluation and the depth check each do a shared node's work
 once.
 """
@@ -45,7 +45,7 @@ from typing import Callable, NamedTuple, Optional, Union
 
 import mpmath
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, mpf_pos, round_nearest
+from mpmath.libmp import dps_to_prec, mpf_mul, mpf_pos, round_nearest
 
 from .errors import (
     DomainError,
@@ -791,18 +791,37 @@ def _children(e: Expr, kind: str) -> tuple:
     return (e.arg,)
 
 
-def _flatten(roots) -> tuple:
-    """(tape, root slots, slot keys) of the roots flattened together.
-    Slot 0 holds a walk's context; slots 1.. are the roots' distinct
-    nodes, each after its children, in the order the tree walks first
-    finish them.  An entry is (slot, _OPS row, the node for rules whose
-    kind passes it or None, child slot, second child slot or None,
-    varying); a leaf's child is slot 0.  A node reached twice is one
-    slot, and so are structurally equal nodes (every variable is the same
-    variable): they compute the same value by the same operations.  Slot
-    k's key, the (k-1)-th, names its row, its fields and its children's
-    slots, so equal key prefixes are equal tape prefixes."""
-    tape, slots, varying, equal = [], {}, [False], {}
+class _Prefix(NamedTuple):
+    """The flatten state of a tape's references (see _prefix)."""
+
+    references: tuple  # the trees, held so that their ids stay theirs
+    rows: tuple  # (key, row) of each _OPS row the entries hold
+    entries: tuple
+    slots: dict
+    equal: dict
+    varying: tuple
+    keys: tuple  # the slot keys of the references' slots 1..S
+
+
+def _flatten(roots, start: Optional[_Prefix] = None) -> tuple:
+    """(tape, root slots, slots, slot keys, varying) of the roots flattened
+    together, after the nodes of start (see _prefix) if given.  Slot 0
+    holds a walk's context; slots 1.. are the roots' distinct nodes, each
+    after its children, in the order the tree walks first finish them.
+    An entry is (slot, _OPS row, the node for rules whose kind passes it
+    or None, child slot, second child slot or None, varying); a leaf's
+    child is slot 0.  A node reached twice is one slot, and so are
+    structurally equal nodes (every variable is the same variable): they
+    compute the same value by the same operations.  slots maps the id of
+    each node visited to its slot.  Slot k's key, the (k-1)-th, names its
+    row, its fields and its children's slots, so equal key prefixes are
+    equal tape prefixes; the keys map to their slots in slot order.
+    start's state is copied, never changed."""
+    if start is None:
+        tape, slots, varying, equal = [], {}, [False], {}
+    else:
+        tape, slots = list(start.entries), dict(start.slots)
+        varying, equal = list(start.varying), dict(start.equal)
 
     def visit(n):
         k = slots.get(id(n))
@@ -820,7 +839,35 @@ def _flatten(roots) -> tuple:
         return k
 
     root_slots = [visit(r) for r in roots]
-    return tape, root_slots, tuple(equal)
+    return tape, root_slots, slots, equal, varying
+
+
+# Reference tuples whose flatten state is kept, for the whole process: a
+# jet at 1 and a two-sided radius search share one, a one-sided search
+# has another.
+_KEPT_PREFIXES = 4
+# the ids of the reference trees -> their _Prefix
+_PREFIXES: dict = {}
+
+
+def _prefix(references: tuple) -> _Prefix:
+    """The references flattened (see _flatten), kept for the last
+    _KEPT_PREFIXES tuples of trees by identity.  A kept state whose
+    entries hold an _OPS row that is no longer the table's is built
+    again, so a tape always holds the table's current rows."""
+    key = tuple(map(id, references))
+    kept = _PREFIXES.get(key)
+    if kept is not None and all(_OPS[name] is row for name, row in kept.rows):
+        return kept
+    tape, root_slots, slots, equal, varying = _flatten(references)
+    rows = {k[0]: entry[1] for k, entry in zip(equal, tape)}
+    kept = _Prefix(references, tuple(rows.items()), tuple(tape), slots, equal, tuple(varying),
+                   tuple(equal)[:max(root_slots, default=0)])
+    _PREFIXES.pop(key, None)
+    if len(_PREFIXES) >= _KEPT_PREFIXES:
+        del _PREFIXES[next(iter(_PREFIXES))]
+    _PREFIXES[key] = kept
+    return kept
 
 
 # the fields of the rules in an _Op row
@@ -874,7 +921,10 @@ class Tape:
     The references, if any, are flattened before the roots, so their
     subtrees take slots 1..S, the same slots in every tape with the
     same references, and a root's subtree equal to one of them shares
-    its slot.  Their series slots are kept for the whole process, in
+    its slot.  They are flattened once per process (see _prefix): a tape
+    starts from their kept state and visits only its roots, with the
+    entries of a flatten of the references and the roots together.
+    Their series slots are kept for the whole process, in
     _REFERENCE_SLOTS, for the last _KEPT_REFERENCES keys: the
     references, the center's class and value (and a ball's err), the
     order and mp.prec.  A series walk with a kept key starts from them
@@ -884,10 +934,10 @@ class Tape:
 
     def __init__(self, roots, references=()):
         references = tuple(references)
-        self.entries, slots, keys = _flatten((*references, *roots))
-        self.roots = slots[len(references):]
+        prefix = _prefix(references) if references else None
+        self.entries, self.roots = _flatten(roots, prefix)[:2]
         # the references' slots are 1..S, and their keys describe them
-        self._references = keys[:max(slots[:len(references)], default=0)]
+        self._references = prefix.keys if prefix else ()
         # rule field -> {key: variable-free slots}
         self._kept = {_POINT: {}, _BALL: {}, _BLOCK: {}}
 
@@ -1231,6 +1281,16 @@ def eval_expr(e: Expr, x: Num, p: Precision = DEFAULT_PRECISION, *,
 # ---------------------------------------------------------------------------
 
 
+# (order, bits) -> k! for k = 0..order, kept for the jets' few orders
+# and precisions
+@lru_cache(maxsize=64)
+def _factorials(order: int, prec: int) -> tuple:
+    """mpmath.factorial(k) at prec bits for k = 0..order, as raw libmp
+    values: rounded where k! has more than prec significant bits."""
+    with mp.workprec(prec):
+        return tuple(mpmath.factorial(k)._mpf_ for k in range(order + 1))
+
+
 @dataclass(frozen=True)
 class Jet:
     """Taylor coefficients c_0..c_order of a function at a center point.
@@ -1244,13 +1304,16 @@ class Jet:
     digits: int
 
     def derivative(self, k: int) -> mpf:
-        with mp.workdps(self.digits):
-            return +(self.coeffs[k] * mpmath.factorial(k))
+        return self.derivatives[k]
 
     @cached_property
     def derivatives(self) -> tuple:
-        """derivative(k) for k = 0..order, computed once per jet."""
-        return tuple(self.derivative(k) for k in range(self.order + 1))
+        """k! * c_k for k = 0..order, computed once per jet: the bits of
+        +(c_k * mpmath.factorial(k)) under mp.workdps(digits), one libmp
+        product of c_k and the kept k! at digits' bits each."""
+        prec = _bits(self.digits)
+        return tuple(mp.make_mpf(mpf_mul(c._mpf_, k_fac, prec, round_nearest))
+                     for c, k_fac in zip(self.coeffs, _factorials(self.order, prec)))
 
 
 def jet(e: Expr, center: Num, order: int, p: Precision = DEFAULT_PRECISION) -> Jet:

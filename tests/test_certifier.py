@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
+from mpmath.libmp import dps_to_prec
 
 from logbound import certifier, cli, exprjet
 from logbound.certifier import (
@@ -24,7 +25,7 @@ from logbound.certifier import (
     verify_pattern_on_grid,
 )
 from logbound.errors import BudgetError, LogboundError
-from logbound.exprjet import Jet, Precision, jet, parse
+from logbound.exprjet import Precision, jet, parse
 
 
 # ---------------------------------------------------------------------------
@@ -124,12 +125,15 @@ def test_condition_constant_memo_keys_are_complete():
 
 
 def test_certify_computes_the_derivative_list_once(monkeypatch):
-    orders = []
-    derivative = Jet.derivative
-    monkeypatch.setattr(Jet, "derivative", lambda self, k: orders.append(k) or derivative(self, k))
+    # a derivative list reads the kept factorials once, for its order
+    lookups = []
+    factorials = exprjet._factorials
+    monkeypatch.setattr(exprjet, "_factorials",
+                        lambda order, prec: lookups.append((order, prec)) or factorials(order, prec))
     cert = certify(parse("H(t) - (1/30)*(t-1)^5"), "0.9", compute_radius=False)
-    # every case of the search order was tried on the same jet, of order 14
-    assert cert.case == "none" and orders == list(range(15))
+    # every case of the search order was tried on one derivative list, of
+    # the jet of order 14 at the default 50 digits
+    assert cert.case == "none" and lookups == [(14, dps_to_prec(50))]
 
 
 # ---------------------------------------------------------------------------
@@ -259,9 +263,10 @@ def _report_bits(r):
     "H(t) - 0.0513*(t-1)^5", "H(t) - 0.5*(t-1)^5", "H(t) - 2*(t-1)^5",  # family B
     "H(t) - 0.0123*(t-1)^5", "2*t*ln(t) + 0.123*(t-1)^3", "H(t) - (1/10)*(t-1)^7",
     "2*t*ln(t) + (t-1)^13", "2*t*ln(t) + (t-1)^7", "2*t*ln(t) + (t-1)^8", "H(t)", "t",
-    "1/(t+1) - 0.5",
+    "1/(t+1) - 0.5", "2*t*ln(t) + (t-1)^3 + 0.001",  # the last fails only P(1) = 0
 ])
-@pytest.mark.parametrize("max_n, digits", [(12, 50), (5, 15), (9, 30), (14, 100)])
+@pytest.mark.parametrize("max_n, digits", [(12, 50), (5, 15), (9, 30), (14, 100), (40, 15),
+                                          (40, 100)])
 @pytest.mark.parametrize("paper_literal", [False, True])
 def test_certify_reports_those_of_check_case(expr, max_n, digits, paper_literal):
     p = Precision(digits)

@@ -1,6 +1,7 @@
 """Expression language, jets, and the finite-difference oracle."""
 
 import hashlib
+import math
 import pickle
 import random
 import sys
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from mpmath import mp, mpf
-from mpmath.libmp import dps_to_prec, from_man_exp
+from mpmath.libmp import dps_to_prec, from_int, from_man_exp
 
 from logbound.errors import (
     DomainError,
@@ -451,6 +452,85 @@ def test_a_series_walk_that_raises_keeps_no_reference_slots():
     with pytest.raises(DomainError):
         tape.series(exprjet._F64Ball(1.0, 1e-3), 3)
     assert exprjet._REFERENCE_SLOTS == {}
+
+
+# the candidates of the golden certify entries, and a tree with no
+# subtree of either reference
+PREFIX_CANDIDATES = ("H(t) - (1/60)*(t-1)^5", "H(t) - (1/30)*(t-1)^5", "2*(t-1) + (t-1)^2",
+                     "H(t) - (1/10)*(t-1)^7", "atan(t)*sqrt(t) + 1/(t+2)")
+
+
+def _identities(entries):
+    """A tape's entries with each row and node as its identity."""
+    return [(k, id(op), id(node), i, j, varying) for k, op, node, i, j, varying in entries]
+
+
+@pytest.mark.parametrize("expr", PREFIX_CANDIDATES)
+@pytest.mark.parametrize("drr", [False, True])
+def test_a_tape_from_the_kept_prefix_is_the_full_flatten(expr, drr):
+    # the references of a one-sided and of a two-sided radius search; the
+    # two-sided ones are those of a jet at 1
+    refs = exprjet._REFERENCES_AT_1[:1 + drr]
+    key, e, state = tuple(map(id, refs)), parse(expr), None
+    exprjet._PREFIXES.pop(key, None)
+    for roots in ((e,), (e, *refs, *(Sub(e, o) for o in refs))):
+        entries, slots, _, equal, _ = exprjet._flatten((*refs, *roots))
+        for _ in range(2):
+            tape = exprjet.Tape(roots, refs)
+            assert _identities(tape.entries) == _identities(entries)
+            assert tape.roots == slots[len(refs):]
+            assert tape._references == tuple(equal)[:max(slots[:len(refs)])]
+            # the first tape built the state, and every later one started from it
+            if state is None:
+                state = exprjet._PREFIXES[key]
+            assert exprjet._PREFIXES[key] is state
+    assert len(exprjet._PREFIXES) <= exprjet._KEPT_PREFIXES
+
+
+def test_a_patched_row_reaches_the_next_tape_with_references(monkeypatch):
+    # atan is a row of H, and no root below has one: the kept prefix holds it
+    refs, e = exprjet._REFERENCES_AT_1, parse("2*(t-1) + (t-1)^2")
+    row = exprjet._OPS["atan"]
+    exprjet.Tape((e,), refs)
+    calls = []
+    patched = row._replace(point=lambda a: calls.append(a) or row.point(a))
+    monkeypatch.setitem(exprjet._OPS, "atan", patched)
+    tape = exprjet.Tape((e,), refs)
+    assert any(op is patched for _, op, *_ in tape.entries)
+    assert not any(op is row for _, op, *_ in tape.entries)
+    with mp.workdps(65):
+        tape.point(mpf(2))
+    assert calls
+    monkeypatch.undo()
+    calls.clear()
+    tape = exprjet.Tape((e,), refs)
+    assert any(op is row for _, op, *_ in tape.entries)
+    assert not any(op is patched for _, op, *_ in tape.entries)
+    with mp.workdps(65):
+        tape.point(mpf(2))
+    assert calls == []
+
+
+@pytest.mark.parametrize("expr", ["H(t) - 0.05*(t-1)^5", "2*t*ln(t) + 0.1*(t-1)^3",
+                                  "atan(t)*sqrt(t) + 1/(t+2)"])
+@pytest.mark.parametrize("center", [1, "0.5", 2])
+def test_jet_derivatives_are_the_products_rounded_once(expr, center):
+    e = parse(expr)
+    for digits in (15, 16, 20, 50, 100, 200):
+        for order in range(43):
+            j = jet(e, center, order, Precision(digits))
+            with mp.workdps(digits):
+                want = [(+(c * mpmath.factorial(k)))._mpf_ for k, c in enumerate(j.coeffs)]
+            assert [d._mpf_ for d in j.derivatives] == want
+            assert [j.derivative(k)._mpf_ for k in range(order + 1)] == want
+
+
+def test_the_kept_factorials_round_where_the_bits_run_out():
+    # so the test above covers factorials that are not exact: at 15
+    # digits (53 bits) k! is exact up to 22!, and 23! has more bits
+    kept = exprjet._factorials(42, dps_to_prec(15))
+    exact = [k for k in range(43) if kept[k] == from_int(math.factorial(k))]
+    assert exact == list(range(23))
 
 
 def test_only_a_jet_at_1_walks_the_references():
