@@ -43,6 +43,7 @@ from mpmath.libmp import (
     mpf_lt,
     mpf_mul,
     mpf_neg,
+    mpf_pos,
     mpf_sub,
     normalize,
     round_nearest,
@@ -66,6 +67,7 @@ from .exprjet import (
 )
 
 WITNESS_MARGIN = mpf("1e-20")
+_HALF_MARGIN = mpmath.ldexp(WITNESS_MARGIN, -1)  # exact: the mantissa is kept
 # Probes of each asymptotic exit, and the fallback grid sizes of the
 # witness search; a search that exhausts them raises BudgetError.
 WITNESS_DOUBLINGS = 120
@@ -113,15 +115,21 @@ class RationalFn:
 
 
 def _horner(coeffs: Sequence, x) -> mpf:
-    """Horner's rule on raw libmp values, each acc*x + c rounded as mpf's operators round it."""
-    prec, rnd = mp._prec_rounding
+    """_horner_bits at x and the working precision, as an mpf."""
     xr = mpf.mpf_convert_rhs(x)  # an int, float or mpf: exact, as the operators read it
     if type(xr) is not tuple:  # a decimal string
         xr = mpmath.mpmathify(x)._mpf_
+    return mp.make_mpf(_horner_bits(coeffs, xr, *mp._prec_rounding))
+
+
+def _horner_bits(coeffs: Sequence, xr: tuple, prec: int, rnd: str) -> tuple:
+    """Horner's rule on raw libmp values: the mpf coefficients at the raw
+    value xr, each acc*x + c rounded to prec bits as mpf's operators
+    round it."""
     acc = fzero
     for c in reversed(coeffs):
         acc = mpf_add(mpf_mul(acc, xr, prec, rnd), c._mpf_, prec, rnd)
-    return mp.make_mpf(acc)
+    return acc
 
 
 def expr_to_poly(e: Expr, p: Precision = DEFAULT_PRECISION):
@@ -253,14 +261,20 @@ def _corridor(x: mpf, p: Precision) -> tuple:
 
 
 def _check_q_sign(r: RationalFn, ts, p: Precision):
-    sign = 0
+    """Raise QVanishesError at the first grid point ts (mpf) where Q is
+    zero or has the other sign than at ts[0].  Q is read as a raw Horner
+    value at p.digits + GUARD_DIGITS, the bits of q_value there: zero is
+    fzero, positive is mpf_gt(q, fzero), and NaN counts as negative, as
+    under q > 0."""
+    sign = None
     with mp.workdps(p.digits + GUARD_DIGITS):
+        prec, rnd = mp._prec_rounding
         for t in ts:
-            q = r.q_value(t)
-            if q == 0:
+            q = _horner_bits(r.q_coeffs, t._mpf_, prec, rnd)
+            if q == fzero:
                 raise QVanishesError(f"Q vanishes at x = {mpmath.nstr(t, 10)}")
-            s = 1 if q > 0 else -1
-            if sign == 0:
+            s = mpf_gt(q, fzero)
+            if sign is None:
                 sign = s
             elif s != sign:
                 raise QVanishesError("Q changes sign on the region")
@@ -285,9 +299,9 @@ def _violation_margins(r: RationalFn, x: mpf, region: str, p: Precision):
 def _witness_at(r: RationalFn, x: mpf, region: str, p: Precision) -> Optional[Witness]:
     """The witness at x re-checked at doubled precision, or None where
     Q(x) = 0 or no violation at working precision exceeds
-    WITNESS_MARGIN / 2."""
+    _HALF_MARGIN."""
     hits = _violation_margins(r, x, region, p)
-    if not hits or max(h[3] for h in hits) <= WITNESS_MARGIN / 2:
+    if not hits or max(h[3] for h in hits) <= _HALF_MARGIN:
         return None
     p2 = p.doubled()
     with mp.workdps(p2.digits):
@@ -325,18 +339,34 @@ def check_sandwich(
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
+def _contact_constants(digits: int) -> tuple:
+    """(k!, want, 1e-6 * max(1, |want|)) as raw libmp values at digits,
+    for each order k and contact derivative want of LN1P_CONTACT."""
+    with mp.workdps(digits):
+        tol = mpf("1e-6")
+        return tuple((mpmath.factorial(k)._mpf_, mpf(want)._mpf_,
+                      (tol * max(1, abs(mpf(want))))._mpf_)
+                     for k, want in enumerate(LN1P_CONTACT, start=1))
+
+
 def _contact_mismatch(r: RationalFn, p: Precision) -> bool:
     """True when P/Q fails to match ln(1+x) to 4th order at 0.
 
     P and Q are their own Taylor coefficients at 0, so their quotient's
-    jet is one series division, rounded to p.digits as jet() rounds."""
+    jet is one series division, rounded to p.digits as jet() rounds.
+    Each derivative k! * c_k is held to its contact value on raw libmp
+    values at p.digits, rounded as the mpf operators round
+    |+c_k * k! - want| > 1e-6 * max(1, |want|), with the constants of
+    _contact_constants."""
     pad = lambda c: list(c[:5]) + [mpf(0)] * (5 - len(c))
     with mp.workdps(p.digits + GUARD_DIGITS + 4):
         coeffs = _s_div(pad(r.p_coeffs), pad(r.q_coeffs), lambda: "Q")
     with mp.workdps(p.digits):
-        for k, want in enumerate(LN1P_CONTACT, start=1):
-            d = +coeffs[k] * mpmath.factorial(k)
-            if abs(d - want) > mpf("1e-6") * max(1, abs(mpf(want))):
+        prec, rnd = mp._prec_rounding
+        for c, (fac, want, tol) in zip(coeffs[1:], _contact_constants(p.digits)):
+            d = mpf_mul(mpf_pos(c._mpf_, prec, rnd), fac, prec, rnd)
+            if mpf_gt(mpf_abs(mpf_sub(d, want, prec, rnd), prec, rnd), tol):
                 return True
     return False
 

@@ -23,7 +23,7 @@ from mpmath.libmp import (
     normalize,
 )
 
-from logbound import sandwich
+from logbound import exprjet, sandwich
 from logbound.errors import BudgetError, DomainError, PrecisionError, QVanishesError
 from logbound.exprjet import Precision, jet, parse
 from logbound.sandwich import (
@@ -38,6 +38,8 @@ from logbound.sandwich import (
     find_witness,
     fit_sandwich,
 )
+
+from test_exprjet import PIN_RATIONALS
 
 FIT_REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                              "perfbench", "lbbench", "fit_reference.json")
@@ -191,12 +193,81 @@ def test_check_sandwich_holds_inside_corridor():
 
 
 def test_check_sandwich_evaluates_q_twice_per_grid_point(monkeypatch):
-    # once for Q's sign on the grid, once in each point's witness test
+    # once for Q's sign on the grid, once in each point's witness test;
+    # both read Q through the one Horner kernel
     calls = []
-    q_value = RationalFn.q_value
-    monkeypatch.setattr(RationalFn, "q_value", lambda r, x: calls.append(x) or q_value(r, x))
+    horner_bits = sandwich._horner_bits
+
+    def counted(coeffs, xr, prec, rnd):
+        if coeffs is PADE32.q_coeffs:
+            calls.append(xr)
+        return horner_bits(coeffs, xr, prec, rnd)
+
+    monkeypatch.setattr(sandwich, "_horner_bits", counted)
     assert check_sandwich(PADE32, "upper", xmax="0.1", grid=100) is None
     assert len(calls) == 200
+
+
+def _reference_q_sign(r: RationalFn, ts, p: Precision):
+    """Q's sign rule on the grid on mpf operators: (type, message) of the
+    error it raises, or None."""
+    sign = 0
+    with mp.workdps(p.digits + 15):
+        for t in ts:
+            q = _object_horner(r.q_coeffs, t)
+            if q == 0:
+                return QVanishesError, f"Q vanishes at x = {mpmath.nstr(t, 10)}"
+            s = 1 if q > 0 else -1
+            if sign == 0:
+                sign = s
+            elif s != sign:
+                return QVanishesError, "Q changes sign on the region"
+    return None
+
+
+def _q_sign_outcome(r: RationalFn, ts, p: Precision):
+    try:
+        sandwich._check_q_sign(r, ts, p)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return None
+
+
+_SMALL_DECIMALS = st.builds("{}{}e{}".format, st.sampled_from(["", "-"]),
+                            st.integers(1, 999), st.integers(-3, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.integers(-4, 4), _SMALL_DECIMALS), min_size=1, max_size=5),
+       st.sampled_from([("upper", 1), ("upper", "0.5"), ("upper", 10), ("lower", "1e-6"),
+                        ("lower", "0.5")]),
+       st.integers(2, 64), st.sampled_from([15, 50, 100]), st.none() | st.integers(0, 63))
+def test_q_sign_pass_matches_the_mpf_operators(q, region_end, grid, digits, root):
+    # the raw sign pass raises what the loop on mpf operators raises, with
+    # the same message, and nothing where that loop raises nothing; with
+    # a root index, Q is t_i - x, which vanishes at grid point t_i exactly
+    region, end = region_end
+    p = Precision(digits)
+    ts = sandwich._region_grid(region, end, end, grid, p)
+    if root is not None:
+        q = (ts[root % grid], -1)
+    elif mpf(q[-1]) == 0:
+        q = list(q[:-1]) + [1]
+    r = RationalFn((0, 1), q)
+    assert _q_sign_outcome(r, ts, p) == _reference_q_sign(r, ts, p)
+
+
+@pytest.mark.parametrize("grid, message", [(3, "Q vanishes at x = 0.5"),
+                                           (4, "Q changes sign on the region")])
+def test_q_sign_pass_messages(grid, message):
+    # Q = 1 - 2x on [0, 1]: a grid of 3 lands on its zero, one of 4 steps over it
+    r = RationalFn((0, 1), (1, -2))
+    p = Precision(50)
+    ts = sandwich._region_grid("upper", 1, "1e-6", grid, p)
+    assert _reference_q_sign(r, ts, p) == (QVanishesError, message)
+    with pytest.raises(QVanishesError) as err:
+        check_sandwich(r, "upper", xmax=1, grid=grid)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("x", ["-0.999999", "-0.5", "1e-70", "1e-40", "0.5", "3", "1e6"])
@@ -367,6 +438,76 @@ def test_witness_bytes_are_pinned():
     for name, r, region in corpus:
         assert find_witness(r, region).to_json_dict(50) == golden[name], name
         assert _contact_mismatch(r, Precision(50)) == (not _contact_orders_match(r)), name
+
+
+def _reference_contact_mismatch(r: RationalFn, p: Precision) -> bool:
+    """The contact test as one inline formula on mpf operators."""
+    pad = lambda c: list(c[:5]) + [mpf(0)] * (5 - len(c))
+    with mp.workdps(p.digits + 15 + 4):
+        coeffs = exprjet._s_div(pad(r.p_coeffs), pad(r.q_coeffs), lambda: "Q")
+    with mp.workdps(p.digits):
+        for k, want in enumerate(LN1P_CONTACT, start=1):
+            d = +coeffs[k] * mpmath.factorial(k)
+            if abs(d - want) > mpf("1e-6") * max(1, abs(mpf(want))):
+                return True
+    return False
+
+
+def _ln1p_pades():
+    """The [n/m] Pade approximants of ln(1+x) with 1 <= n, n + m <= 6, as
+    coefficient lists at 60 digits (Q's constant term is 1)."""
+    with mp.workdps(60):
+        taylor = [mpf(0)] + [mpf((-1) ** (k + 1)) / k for k in range(1, 7)]
+        return [tuple(mpmath.pade(taylor[:n + m + 1], n, m))
+                for n in range(1, 7) for m in range(0, 7 - n)]
+
+
+def _moved_to_the_tolerance(pades):
+    """(rational, k, inside) for each approximant that matches the contact:
+    its x^k coefficient of P moved by (1 -+ 1e-3) times the tolerance of
+    order k over k!, for k = 1..min(n, 4), in either direction, so that
+    |k! c_k - want| lands just inside or just outside 1e-6 * max(1, |want|)."""
+    out = []
+    with mp.workdps(60):
+        for p, q in pades:
+            if len(p) + len(q) - 2 < 4:
+                continue
+            for k in range(1, min(len(p) - 1, 4) + 1):
+                tol = mpf("1e-6") * max(1, abs(LN1P_CONTACT[k - 1])) / mpmath.factorial(k)
+                for inside, scale in ((True, 1 - mpf("1e-3")), (False, 1 + mpf("1e-3"))):
+                    for direction in (1, -1):
+                        moved = list(p)
+                        moved[k] += direction * scale * tol
+                        out.append((RationalFn(moved, q), k, inside))
+    return out
+
+
+@pytest.mark.parametrize("digits", [15, 50, 100])
+def test_contact_test_matches_the_inline_formula(digits):
+    # the kept constants and the raw compares decide as the inline formula
+    p = Precision(digits)
+    pades = _ln1p_pades()
+    rationals = [RationalFn(pc, qc) for pc, qc in PIN_RATIONALS]
+    rationals += [r for _, r, _ in _witness_corpus()]
+    rationals += [RationalFn(pc, qc) for pc, qc in pades]
+    for r in rationals:
+        assert _contact_mismatch(r, p) == _reference_contact_mismatch(r, p), r
+    for r, k, inside in _moved_to_the_tolerance(pades):
+        assert _contact_mismatch(r, p) == _reference_contact_mismatch(r, p), (r, k, inside)
+        if k == 4:  # a move of c_4 changes no lower order
+            assert _contact_mismatch(r, p) == (not inside), (r, inside)
+    # n + m < 4 breaks the contact, n + m >= 4 keeps it
+    for (pc, qc) in pades:
+        assert _contact_mismatch(RationalFn(pc, qc), p) == (len(pc) + len(qc) - 2 < 4)
+
+
+def test_contact_constants_kept_per_digits():
+    kept = sandwich._contact_constants(50)
+    assert sandwich._contact_constants(50) is kept
+    with mp.workdps(50):
+        for (fac, want, tol), (k, w) in zip(kept, enumerate(LN1P_CONTACT, start=1)):
+            assert fac == mpmath.factorial(k)._mpf_ and want == mpf(w)._mpf_
+            assert tol == (mpf("1e-6") * max(1, abs(mpf(w))))._mpf_
 
 
 # ---------------------------------------------------------------------------
